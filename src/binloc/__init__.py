@@ -12,7 +12,7 @@ maximum-likelihood campaign.
 
 Modules
 -------
-specfun     scalar special functions (Marcum Q, Bessel I, incomplete gamma)
+specfun     the Marcum Q function, its log tails and derivatives
 detection   single-sensor detection model and decision likelihoods
 fisher      expected Fisher information by quadrature; CRBs
 closedform  analytic approximation of the information integrals
@@ -31,33 +31,31 @@ from .detection import (DecisionRecord, DetectorConfig, TargetParams,
                         detection_probability_derivatives, log_likelihood,
                         signal_coordinate)
 from .fisher import (FieldConfig, FisherResult, QuadratureError,
-                     QuadratureSpec, expected_f22_r_domain,
-                     expected_fim_quadrature, offdiag_quadrature_estimate,
-                     per_sensor_fim, rmin_expected, x_breve)
+                     expected_f22_r_domain, expected_fim_quadrature,
+                     offdiag_quadrature_estimate, per_sensor_fim,
+                     rmin_expected, x_breve)
 from .montecarlo import (AllTrialsFailed, MseReport, NoDetections,
                          OptimizerDiverged, SimConfig, TrialResult,
                          default_region_radius, far_field_excess,
                          initial_guess, ml_estimate, mse_report,
                          nearest_distance_samples, run_campaign,
                          sample_decisions, sample_field)
-from .specfun import (Accuracy, bessel_i, bessel_i_scaled, log1m_marcum_q,
-                      log_marcum_q, lower_gamma, marcum_q, marcum_q_da,
-                      marcum_q_daa, upper_gamma)
+from .specfun import (log1m_marcum_q, log_marcum_q, marcum_q, marcum_q_da,
+                      marcum_q_daa)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # special functions
-    "Accuracy", "bessel_i", "bessel_i_scaled", "marcum_q", "log_marcum_q",
-    "log1m_marcum_q", "marcum_q_da", "marcum_q_daa", "upper_gamma",
-    "lower_gamma",
+    "marcum_q", "log_marcum_q", "log1m_marcum_q", "marcum_q_da",
+    "marcum_q_daa",
     # detection model
     "DetectorConfig", "TargetParams", "DecisionRecord", "signal_coordinate",
     "detection_probability", "detection_probability_array",
     "detection_probability_derivatives", "log_likelihood",
     # Fisher information / CRB
-    "FieldConfig", "FisherResult", "QuadratureError", "QuadratureSpec",
+    "FieldConfig", "FisherResult", "QuadratureError",
     "expected_fim_quadrature", "expected_f22_r_domain",
     "offdiag_quadrature_estimate", "per_sensor_fim", "rmin_expected",
     "x_breve",

@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, IO, Sequence
 
-import numpy as np
+from scipy import special
 
 from . import specfun
 from .closedform import (M_MAX, ModelInvalid, build_taylor_model,
@@ -39,7 +39,7 @@ from .closedform import (M_MAX, ModelInvalid, build_taylor_model,
 from .detection import DetectorConfig, TargetParams
 from .fisher import (FieldConfig, expected_fim_quadrature,
                      offdiag_quadrature_estimate, rmin_expected)
-from .montecarlo import SimConfig, far_field_excess, run_campaign
+from .montecarlo import SimConfig, far_field_excess, mse_report, run_campaign
 
 __all__ = ["main", "ConfigError", "Settings"]
 
@@ -377,12 +377,10 @@ def cmd_simulate(settings: Settings, out: IO[str]) -> int:
             _fmt(res.neg_log_lik),
         ]))
 
-    conv = [res for res in results if res.converged]
-    n_failed = len(results) - len(conv)
     _emit(out, "# summary columns: " + ",".join(_SUMMARY_COLUMNS))
-    if not conv:
+    if not any(res.converged for res in results):
         _emit(out, ",".join(
-            [str(len(results)), "0", str(n_failed)] + ["nan"] * 11))
+            [str(len(results)), "0", str(len(results))] + ["nan"] * 11))
         if all(res.n_detections == 0 for res in results):
             # expected degenerate regime (threshold far beyond the signal):
             # every trial cleanly reported no detections
@@ -390,20 +388,15 @@ def cmd_simulate(settings: Settings, out: IO[str]) -> int:
                        "mse/crb summary unavailable")
             return EXIT_OK
         return EXIT_SIM_FAILED
-    dp = np.array([r.theta_hat.P - truth.P for r in conv])
-    dx = np.array([r.theta_hat.x - truth.x for r in conv])
-    dy = np.array([r.theta_hat.y - truth.y for r in conv])
-    mse_p = float(np.mean(dp ** 2))
-    mse_x = float(np.mean(dx ** 2))
-    mse_y = float(np.mean(dy ** 2))
+    rep = mse_report(results, truth)
     fim = expected_fim_quadrature(det, truth.P, field)
     crb_p, crb_x = fim.crb_P, fim.crb_x
     _emit(out, ",".join(_fmt(v) for v in (
-        len(results), len(conv), n_failed,
-        mse_p, mse_x, mse_y,
-        float(dp.mean()), float(dx.mean()), float(dy.mean()),
+        rep.n_trials, rep.n_converged, rep.n_failed,
+        rep.mse_P, rep.mse_x, rep.mse_y,
+        rep.bias_P, rep.bias_x, rep.bias_y,
         crb_p, crb_x,
-        mse_p / crb_p, mse_x / crb_x, mse_y / crb_x,
+        rep.mse_P / crb_p, rep.mse_x / crb_x, rep.mse_y / crb_x,
     )))
     return EXIT_OK
 
@@ -416,7 +409,7 @@ def _check_marcum_identity() -> tuple[bool, str]:
     worst = 0.0
     for a in (0.5, 1.0, 2.0, 4.0):
         lhs = specfun.marcum_q(a, a)
-        rhs = 0.5 * (1.0 + math.exp(-a * a) * specfun.bessel_i(0, a * a))
+        rhs = 0.5 * (1.0 + special.i0e(a * a))
         worst = max(worst, abs(lhs - rhs))
     ok = worst <= _CHECK_IDENTITY_TOL
     return ok, f"max |Q1(a,a) - identity| = {worst:.3e} (tol {_CHECK_IDENTITY_TOL:g})"

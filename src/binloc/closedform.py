@@ -46,9 +46,13 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+from scipy import special
+
 from . import specfun
 from .detection import DetectorConfig
-from .fisher import FieldConfig, FisherResult, x_breve, _log_kernel
+from .fisher import (FieldConfig, FisherResult, x_breve, _log_kernel,
+                     _prefactors)
 
 __all__ = [
     "TaylorModel",
@@ -126,24 +130,19 @@ def build_taylor_model(cfg: DetectorConfig, P: float,
         raise ValueError(f"P must be finite and > 0, got {P!r}")
     t = cfg.threshold_coordinate
     xb = x_breve(cfg, P, field)
-    z = xb * t
 
+    # f needs each tail on its own: f' and f'' divide Q' and Q'' by both
     lq = specfun.log_marcum_q(xb, t)
     l1 = specfun.log1m_marcum_q(xb, t)
     f_val = -(lq + l1)
 
-    # Q' = t I1(z) e^{-(xb^2+t^2)/2}; keep its log
-    i1e = specfun.bessel_i_scaled(1, z)
-    if i1e <= 0.0:
+    lqp = specfun.log_marcum_q_da(xb, t)     # log Q'
+    if lqp == -math.inf:
         raise ModelInvalid("Q'(x_breve, t) vanishes; surrogate undefined")
-    lqp = math.log(t * i1e) - 0.5 * (xb - t) ** 2
 
-    # Q'' = [t^2/2 (I0 + I2)(z) - z I1(z)] e^{-(xb^2+t^2)/2}: the bracket
-    # is evaluated from scaled Bessels (O(1) numbers), the exponential
-    # carried separately
-    bracket = (0.5 * t * t * (specfun.bessel_i_scaled(0, z)
-                              + specfun.bessel_i_scaled(2, z))
-               - z * i1e)
+    # Q'' = bracket * e^{-(xb-t)^2/2} with an O(1) bracket; the
+    # exponential is carried separately
+    bracket = specfun._marcum_q_daa_scaled(xb, t)
     try:
         rq = math.exp(lqp - lq)          # Q'/Q
         r1 = math.exp(lqp - l1)          # Q'/(1-Q)
@@ -183,18 +182,18 @@ def build_taylor_model(cfg: DetectorConfig, P: float,
 # ----------------------------------------------------------------------
 
 def _half_moment(j: int, z: float) -> float:
-    # int_0^z s^j e^{-s^2} ds for z >= 0
-    if z == 0.0:
-        return 0.0
-    return 0.5 * specfun.lower_gamma(0.5 * (j + 1), z * z)
+    # int_0^z s^j e^{-s^2} ds = gamma((j+1)/2, z^2) / 2 for z >= 0
+    s = 0.5 * (j + 1)
+    return float(0.5 * special.gamma(s) * special.gammainc(s, z * z))
 
 
 def _power_moment(j: int, lo: float, hi: float, split_negative: bool) -> float:
     """int_lo^hi s^j e^{-s^2} ds, lo <= hi."""
     if not split_negative or lo >= 0.0:
         # difference-of-upper-gammas form; exact only for lo >= 0
-        return 0.5 * (specfun.upper_gamma(0.5 * (j + 1), lo * lo)
-                      - specfun.upper_gamma(0.5 * (j + 1), hi * hi))
+        s = 0.5 * (j + 1)
+        return float(0.5 * special.gamma(s) * (special.gammaincc(s, lo * lo)
+                                               - special.gammaincc(s, hi * hi)))
     if hi <= 0.0:
         sign = 1.0 if j % 2 == 0 else -1.0
         return sign * (_half_moment(j, -lo) - _half_moment(j, -hi))
@@ -304,7 +303,6 @@ def _gl_reference(cfg: DetectorConfig, P: float, field: FieldConfig,
                   power: float, nodes: int = _QUALITY_NODES) -> float:
     """Fixed-order Gauss-Legendre estimate of the exact integral with
     kernel x^power, used only to sanity-check the closed form."""
-    import numpy as np
     t = cfg.threshold_coordinate
     xb = x_breve(cfg, P, field)
     u, w = np.polynomial.legendre.leggauss(nodes)
@@ -318,11 +316,28 @@ def _gl_reference(cfg: DetectorConfig, P: float, field: FieldConfig,
     return total
 
 
+def _entries(cfg: DetectorConfig, P: float, field: FieldConfig, m: int,
+             model: TaylorModel) -> tuple[float, float | None]:
+    """(F22, F11) in closed form; F11 is None for alpha outside {2, 4}."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        f22 = f22_closed_form(cfg, P, field, m, model)
+        f11 = None
+        if float(cfg.alpha) in (2.0, 4.0):
+            f11 = f11_closed_form(cfg, P, field, m, model)
+    return f22, f11
+
+
 def approximation_quality(cfg: DetectorConfig, P: float, field: FieldConfig,
                           m: int | None = None,
-                          model: TaylorModel | None = None) -> str:
+                          model: TaylorModel | None = None, *,
+                          entries: tuple[float, float | None] | None = None
+                          ) -> str:
     """Comma-joined flags for the closed form at this configuration:
-    "ok", else any of "series-radius", "negative", "quadrature-mismatch"."""
+    "ok", else any of "series-radius", "negative", "quadrature-mismatch".
+
+    entries is the (F22, F11) pair already computed from the same model
+    (F11 None for alpha outside {2, 4}); it is computed here if omitted."""
     alpha = float(cfg.alpha)
     m_res = _resolve_m(m, alpha)
     if model is None:
@@ -330,23 +345,16 @@ def approximation_quality(cfg: DetectorConfig, P: float, field: FieldConfig,
     flags = []
     if _series_guard(model, m_res):
         flags.append("series-radius")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        f22 = f22_closed_form(cfg, P, field, m_res, model)
-        f11 = None
-        if alpha in (2.0, 4.0):
-            f11 = f11_closed_form(cfg, P, field, m_res, model)
+    if entries is None:
+        entries = _entries(cfg, P, field, m_res, model)
+    f22, f11 = entries
     if f22 <= 0.0 or (f11 is not None and f11 <= 0.0):
         flags.append("negative")
     # cheap exact-integral probes
-    c22 = math.pi ** 2 * field.rho * alpha * cfg.threshold_coordinate ** 2
+    c11, c22 = _prefactors(cfg, float(P), field)
     ref22 = c22 * _gl_reference(cfg, P, field, 1.0)
     bad = ref22 > 0.0 and abs(f22 - ref22) > _QUALITY_RTOL * ref22
     if f11 is not None and not bad:
-        t = cfg.threshold_coordinate
-        c11 = (2.0 * math.pi ** 2 * t * t * field.rho
-               * cfg.T ** (2.0 / alpha) * float(P) ** (2.0 / alpha - 2.0)
-               / (alpha * cfg.sigma2 ** (2.0 / alpha)))
         ref11 = c11 * _gl_reference(cfg, P, field, 1.0 - 4.0 / alpha)
         bad = ref11 > 0.0 and abs(f11 - ref11) > _QUALITY_RTOL * ref11
     if bad:
@@ -358,14 +366,11 @@ def closed_form_fisher(cfg: DetectorConfig, P: float, field: FieldConfig,
                        m: int | None = None) -> FisherResult:
     """Closed-form FisherResult (F11 only for alpha in {2, 4}); quality
     carries the approximation_quality flags."""
-    alpha = float(cfg.alpha)
-    m_res = _resolve_m(m, alpha)
+    m_res = _resolve_m(m, float(cfg.alpha))
     model = build_taylor_model(cfg, P, field)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        f22 = f22_closed_form(cfg, P, field, m_res, model)
-        f11 = (f11_closed_form(cfg, P, field, m_res, model)
-               if alpha in (2.0, 4.0) else math.nan)
-    quality = approximation_quality(cfg, P, field, m_res, model)
-    return FisherResult(F11=f11, F22=f22, F33=f22, offdiag_max_abs=0.0,
-                        method="closed-form", m=m_res, quality=quality)
+    f22, f11 = _entries(cfg, P, field, m_res, model)
+    quality = approximation_quality(cfg, P, field, m_res, model,
+                                    entries=(f22, f11))
+    return FisherResult(F11=math.nan if f11 is None else f11, F22=f22,
+                        F33=f22, offdiag_max_abs=0.0, method="closed-form",
+                        m=m_res, quality=quality)

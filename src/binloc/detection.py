@@ -29,7 +29,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import specfun
-from .specfun import Accuracy, DEFAULT_ACCURACY
 
 __all__ = [
     "DetectorConfig",
@@ -127,28 +126,22 @@ def signal_coordinate(cfg: DetectorConfig, P: float, r: float) -> float:
     return math.sqrt(cfg.T * P / (cfg.sigma2 * r ** cfg.alpha))
 
 
-def detection_probability(cfg: DetectorConfig, P: float, r: float,
-                          acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def detection_probability(cfg: DetectorConfig, P: float, r: float) -> float:
     """P_D at range r; strictly within (0, 1] for finite arguments."""
     x = signal_coordinate(cfg, P, r)
-    return specfun.marcum_q(x, cfg.threshold_coordinate, acc)
+    return specfun.marcum_q(x, cfg.threshold_coordinate)
 
 
 def detection_probability_derivatives(cfg: DetectorConfig, P: float,
-                                      r: float,
-                                      acc: Accuracy = DEFAULT_ACCURACY
-                                      ) -> tuple[float, float]:
+                                      r: float) -> tuple[float, float]:
     """(dP_D/dr, dP_D/dP) at range r.
 
-    Shares the single Bessel evaluation: with core =
-    (t x / 2) exp(-(x - t)^2 / 2) * [exp(-xt) I1(xt)], the radial slope is
-    -alpha/r * core and the power slope is core / P.
+    Shares the single Marcum slope: with core = (x / 2) dQ1(x, t)/dx, the
+    radial slope is -alpha/r * core and the power slope is core / P.
     """
     P = _positive("P", P)
     x = signal_coordinate(cfg, P, r)
-    t = cfg.threshold_coordinate
-    core = 0.5 * t * x * specfun.bessel_i_scaled(1, x * t, acc) \
-        * math.exp(-0.5 * (x - t) ** 2)
+    core = 0.5 * x * specfun.marcum_q_da(x, cfg.threshold_coordinate)
     return (-cfg.alpha / r * core, core / P)
 
 

@@ -15,12 +15,13 @@ off-diagonal term) gives a diagonal expected information whose entries
 reduce to one-dimensional integrals over the signal coordinate
 x = sqrt(T P / (sigma2 r^alpha)):
 
-    F11 = c11 * int_0^xb x^(1-4/alpha) e^(-x^2-t^2) I1(xt)^2 / (Q(1-Q)) dx
+    F11 = c11 * int_0^xb x^(1-4/alpha) Q'(x)^2 / (Q(1-Q)) dx
     F22 = F33
-        = c22 * int_0^xb x          e^(-x^2-t^2) I1(xt)^2 / (Q(1-Q)) dx
+        = c22 * int_0^xb x          Q'(x)^2 / (Q(1-Q)) dx
 
-with c11 = 2 pi^2 t^2 rho T^(2/alpha) P^(2/alpha - 2) / (alpha sigma2^(2/alpha)),
-c22 = pi^2 rho alpha t^2, Q = Q1(x, t), and xb the signal coordinate at
+with c11 = 2 pi^2 rho T^(2/alpha) P^(2/alpha - 2) / (alpha sigma2^(2/alpha)),
+c22 = pi^2 rho alpha, Q = Q1(x, t), Q' = dQ1(x, t)/dx
+= t I1(xt) e^(-(x^2+t^2)/2), and xb the signal coordinate at
 the expected nearest-sensor distance rb = 1/sqrt(4 rho) (the integration
 is truncated there: closer sensors are present in less than half the
 fields, and including them would claim information a typical realization
@@ -40,12 +41,11 @@ import numpy as np
 from scipy import integrate
 
 from . import specfun
-from .detection import (DetectorConfig, TargetParams, detection_probability,
-                        detection_probability_derivatives)
+from .detection import (DetectorConfig, TargetParams,
+                        detection_probability_derivatives, signal_coordinate)
 
 __all__ = [
     "FieldConfig",
-    "QuadratureSpec",
     "FisherResult",
     "QuadratureError",
     "rmin_expected",
@@ -58,6 +58,11 @@ __all__ = [
 
 # exp() underflow threshold for assembling integrands from log values
 _LOG_TINY = -745.0
+
+# error control of the adaptive quadratures (scipy.integrate.quad)
+_QUAD_REL_TOL = 1e-10
+_QUAD_ABS_TOL = 1e-13
+_QUAD_LIMIT = 200
 
 
 class QuadratureError(RuntimeError):
@@ -103,24 +108,6 @@ def rmin_expected(field: FieldConfig) -> float:
     Poisson field: the nearest-distance law is Rayleigh with CDF
     1 - exp(-rho pi r^2), whose mean is 1/sqrt(4 rho)."""
     return 1.0 / math.sqrt(4.0 * float(field.rho))
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Error control for the adaptive quadratures."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be > 0")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be >= 10")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -179,12 +166,11 @@ def per_sensor_fim(cfg: DetectorConfig, theta: TargetParams,
     if r == 0.0:
         raise ValueError("sensor coincides with the emitter position")
     d_dr, d_dP = detection_probability_derivatives(cfg, theta.P, r)
-    xcoord = math.sqrt(cfg.T * theta.P / (cfg.sigma2 * r ** cfg.alpha))
-    t = cfg.threshold_coordinate
-    # 1 / (P_D (1 - P_D)) assembled from log tails; the weight alone can
-    # overflow for very close sensors even though the full product
-    # w * v v^T decays there, so fold the scale of v into the exponent
-    log_w = -(specfun.log_marcum_q(xcoord, t) + specfun.log1m_marcum_q(xcoord, t))
+    # the weight alone can overflow for very close sensors even though the
+    # full product w * v v^T decays there, so fold the scale of v into the
+    # exponent
+    log_w = _log_weight(signal_coordinate(cfg, theta.P, r),
+                        cfg.threshold_coordinate)
     cos_psi = dx / r
     sin_psi = dy / r
     v = np.array([d_dP, -cos_psi * d_dr, -sin_psi * d_dr])
@@ -199,22 +185,35 @@ def per_sensor_fim(cfg: DetectorConfig, theta: TargetParams,
 # expected information over the field
 # ----------------------------------------------------------------------
 
+def _log_weight(x: float, t: float) -> float:
+    """log of the Bernoulli information weight 1 / (Q (1-Q)), Q = Q1(x, t),
+    assembled from the log tails so that it stays finite where 1 - Q
+    underflows."""
+    return -(specfun.log_marcum_q(x, t) + specfun.log1m_marcum_q(x, t))
+
+
 def _log_kernel(x: float, t: float, power: float) -> float:
-    """log of x^power * e^(-x^2-t^2) I1(xt)^2 / (Q (1-Q)) at signal
-    coordinate x."""
+    """log of x^power * Q'(x)^2 / (Q (1-Q)) at signal coordinate x, with
+    Q' = dQ1(x, t)/dx."""
     if x <= 0.0:
         return -math.inf
-    z = x * t
-    i1e = specfun.bessel_i_scaled(1, z)
-    if i1e <= 0.0:
-        return -math.inf
-    return (power * math.log(x) + 2.0 * math.log(i1e) - (x - t) ** 2
-            - specfun.log_marcum_q(x, t)
-            - specfun.log1m_marcum_q(x, t))
+    return (power * math.log(x) + 2.0 * specfun.log_marcum_q_da(x, t)
+            + _log_weight(x, t))
+
+
+def _prefactors(cfg: DetectorConfig, P: float,
+                field: FieldConfig) -> tuple[float, float]:
+    """(c11, c22): F11 and F22 are these times the integrals of
+    _log_kernel over (0, x_breve] with power 1 - 4/alpha and 1."""
+    alpha = cfg.alpha
+    c11 = (2.0 * math.pi ** 2 * field.rho
+           * cfg.T ** (2.0 / alpha) * P ** (2.0 / alpha - 2.0)
+           / (alpha * cfg.sigma2 ** (2.0 / alpha)))
+    c22 = math.pi ** 2 * field.rho * alpha
+    return c11, c22
 
 
 def _integrate_log(log_f: Callable[[float], float], lo: float, hi: float,
-                   spec: QuadratureSpec,
                    breakpoints: Sequence[float] = ()) -> float:
     def f(u: float) -> float:
         lg = log_f(u)
@@ -222,11 +221,10 @@ def _integrate_log(log_f: Callable[[float], float], lo: float, hi: float,
 
     pts = sorted(p for p in breakpoints if lo < p < hi)
     value, err = integrate.quad(f, lo, hi,
-                                epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                                limit=spec.max_subdivisions,
-                                points=pts or None)
-    if not math.isfinite(value) or err > 1e3 * max(spec.abs_tol,
-                                                   spec.rel_tol * abs(value)):
+                                epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
+                                limit=_QUAD_LIMIT, points=pts or None)
+    if not math.isfinite(value) or err > 1e3 * max(_QUAD_ABS_TOL,
+                                                   _QUAD_REL_TOL * abs(value)):
         raise QuadratureError(
             f"quadrature error estimate {err:.3e} too large for value "
             f"{value:.6e} on [{lo:g}, {hi:g}]", estimate=value)
@@ -239,9 +237,8 @@ def _x_breakpoints(t: float, xb: float) -> list[float]:
     return [t, t + 8.0, t + 20.0, 0.5 * xb]
 
 
-def expected_fim_quadrature(cfg: DetectorConfig, P: float, field: FieldConfig,
-                            quad: QuadratureSpec = DEFAULT_QUADRATURE
-                            ) -> FisherResult:
+def expected_fim_quadrature(cfg: DetectorConfig, P: float,
+                            field: FieldConfig) -> FisherResult:
     """Expected Fisher information by adaptive quadrature over the signal
     coordinate on (0, x_breve]."""
     P = float(P)
@@ -253,22 +250,18 @@ def expected_fim_quadrature(cfg: DetectorConfig, P: float, field: FieldConfig,
     pts = _x_breakpoints(t, xb)
 
     i11 = _integrate_log(lambda x: _log_kernel(x, t, 1.0 - 4.0 / alpha),
-                         0.0, xb, quad, pts)
-    i22 = _integrate_log(lambda x: _log_kernel(x, t, 1.0),
-                         0.0, xb, quad, pts)
+                         0.0, xb, pts)
+    i22 = _integrate_log(lambda x: _log_kernel(x, t, 1.0), 0.0, xb, pts)
 
-    c11 = (2.0 * math.pi ** 2 * t * t * field.rho
-           * cfg.T ** (2.0 / alpha) * P ** (2.0 / alpha - 2.0)
-           / (alpha * cfg.sigma2 ** (2.0 / alpha)))
-    c22 = math.pi ** 2 * field.rho * alpha * t * t
+    c11, c22 = _prefactors(cfg, P, field)
     f11 = c11 * i11
     f22 = c22 * i22
     return FisherResult(F11=f11, F22=f22, F33=f22, offdiag_max_abs=0.0,
                         method="quadrature")
 
 
-def expected_f22_r_domain(cfg: DetectorConfig, P: float, field: FieldConfig,
-                          quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def expected_f22_r_domain(cfg: DetectorConfig, P: float,
+                          field: FieldConfig) -> float:
     """F22 evaluated directly in the range domain,
 
         F22 = 2 pi^2 rho int_rb^inf (dP_D/dr)^2 r / (Q(1-Q)) dr,
@@ -282,26 +275,22 @@ def expected_f22_r_domain(cfg: DetectorConfig, P: float, field: FieldConfig,
     alpha = cfg.alpha
     scale = cfg.T * P / cfg.sigma2
 
+    log_half_alpha = math.log(0.5 * alpha)
+
     def log_f(r: float) -> float:
         if r <= 0.0:
             return -math.inf
+        # dP_D/dr = -(alpha x / 2r) Q'(x), so the integrand is
+        # (alpha / 2)^2 x^2 Q'^2 / (Q(1-Q)) / r
         x = math.sqrt(scale / r ** alpha)
-        z = x * t
-        i1e = specfun.bessel_i_scaled(1, z)
-        if i1e <= 0.0:
-            return -math.inf
-        # (alpha t x / 2r)^2 I1^2 e^{-(x^2+t^2)} * r / (Q(1-Q))
-        return (2.0 * math.log(alpha * t * x / 2.0) - math.log(r)
-                + 2.0 * math.log(i1e) - (x - t) ** 2
-                - specfun.log_marcum_q(x, t)
-                - specfun.log1m_marcum_q(x, t))
+        return _log_kernel(x, t, 2.0) + 2.0 * log_half_alpha - math.log(r)
 
     # the kernel peaks near the range where x(r) = t; split there, and
     # push the outer limit far enough that the power-law tail is dust
     r_peak = (scale / (t * t)) ** (1.0 / alpha)
     r_hi = max(1e4 * rb, 1e3 * r_peak)
     pts = [r_peak, 4.0 * r_peak, 20.0 * r_peak]
-    value = _integrate_log(log_f, rb, r_hi, quad, pts)
+    value = _integrate_log(log_f, rb, r_hi, pts)
     # analytic bound on the discarded tail: for x << 1 the kernel is
     # ~ alpha^2 t^4 x^4 / (16 r) / floor(1-floor); x^4 = scale^2 r^(-2 alpha)
     floor = cfg.false_alarm_probability
@@ -340,9 +329,7 @@ def offdiag_quadrature_estimate(cfg: DetectorConfig, P: float,
     t = cfg.threshold_coordinate
     for i, ri in enumerate(r):
         a[i], b[i] = detection_probability_derivatives(cfg, P, float(ri))
-        x = math.sqrt(cfg.T * P / (cfg.sigma2 * float(ri) ** cfg.alpha))
-        lw = -(specfun.log_marcum_q(x, t) + specfun.log1m_marcum_q(x, t))
-        w[i] = math.exp(lw)
+        w[i] = math.exp(_log_weight(signal_coordinate(cfg, P, float(ri)), t))
     nodes_p, weights_p = np.polynomial.legendre.leggauss(n_psi)
     psi = math.pi * (nodes_p + 1.0)
     wp = math.pi * weights_p

@@ -1,15 +1,15 @@
-"""Scalar special functions for non-coherent detection statistics.
+"""The first-order Marcum Q function for non-coherent detection
+statistics.
 
-This module is deliberately self-contained (``math`` only).  Everything an
-energy-detector model needs lives here:
-
-* modified Bessel functions I0, I1, I2 (plain and exponentially scaled),
-* the first-order Marcum Q function ``Q1(a, b)`` and its first and second
-  partial derivatives in ``a``,
+* ``Q1(a, b)`` and its first and second partial derivatives in ``a``,
 * log-domain evaluations of ``Q1`` and ``1 - Q1`` that stay finite far out
   in either tail,
-* the upper incomplete gamma function for positive real order,
 * Taylor coefficients of ``I1(y)^2`` about ``y = 0``.
+
+The Bessel functions in the derivatives come from ``scipy.special``.  Q1
+itself is computed here because scipy's noncentral chi-square loses the
+log-domain tails (``ncx2.logcdf`` returns -inf at (a, b) = (23, 3), where
+log(1 - Q1) = -204.94).
 
 Q1 is evaluated by the canonical Poisson-mixture series
 
@@ -26,38 +26,35 @@ down to values like exp(-1500) where ordinary doubles have long given up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from scipy import special
 
 __all__ = [
-    "Accuracy",
-    "DEFAULT_ACCURACY",
-    "bessel_i",
-    "bessel_i_scaled",
     "marcum_q",
     "log_marcum_q",
     "log1m_marcum_q",
     "marcum_q_da",
+    "log_marcum_q_da",
     "marcum_q_daa",
-    "upper_gamma",
-    "lower_gamma",
-    "gamma_fn",
     "i1_squared_taylor_coeff",
 ]
-
-# Largest z for which exp(z) is representable; beyond this the unscaled
-# Bessel functions overflow and callers must switch to the scaled variants.
-_EXP_ARG_MAX = 700.0
 
 # Noncentrality a^2/2 above which the linear-space mixture series is
 # abandoned in favour of the windowed log-space sum.  At 256 the series
 # needs ~450 terms to push the unaccounted Poisson mass below 1e-16, which
-# still fits the default term budget.
+# still fits the term budget.
 _SERIES_LAMBDA_MAX = 256.0
 
-# Bessel argument above which the series for exp(-z)*I_nu(z) is replaced
-# by the large-argument asymptotic expansion (the series' partial sums
-# would overflow once z exceeds ~700; switch with margin to spare).
-_BESSEL_ASYMPTOTIC_MIN = 600.0
+# Truncation of the linear-space series: stop once both the unaccounted
+# Poisson mass and the last term fall below this floor, after at least
+# this many terms.
+_SERIES_FLOOR = 1e-16
+_SERIES_MIN_BUDGET = 500
+
+# The linear series gives log Q (log(1 - Q)) directly only while 1 - Q
+# (Q) keeps at least this much of its own; closer to 1 the complement has
+# lost its relative accuracy and the log-space sums take over.
+_SERIES_COMPLEMENT_MIN = 1e-9
 
 # Floor used when converting a log-domain result back to linear space.
 _LOG_TINY = -745.0
@@ -67,37 +64,6 @@ _LOG_TINY = -745.0
 # Far outside the accuracy-contracted domain -- these values exist so that
 # optimizers probing absurd parameters see finite, monotone surfaces.
 _ASYMPTOTIC_HALF_ARG = 1e6
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Termination policy for the series in this module.
-
-    abs_tol / rel_tol bound the truncation error (whichever is reached
-    first); max_terms caps the work.  The defaults are tight enough that
-    finite-difference checks against the analytic derivatives hold at
-    ~1e-6 with steps near 1e-4.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_terms: int = 500
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0):
-            raise ValueError("tolerances must be nonnegative")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise ValueError("at least one tolerance must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-    def _floor(self) -> float:
-        # Internal stopping floor: deliver a little better than asked for,
-        # but never chase digits below double precision.
-        return max(1e-16, 1e-4 * self.abs_tol)
-
-
-DEFAULT_ACCURACY = Accuracy()
 
 
 def _check_nonneg(name: str, value: float) -> float:
@@ -118,77 +84,10 @@ def _check_nonneg_or_inf(name: str, value: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# modified Bessel functions
-# ----------------------------------------------------------------------
-
-def _bessel_series(order: int, z: float, tol: float, max_terms: int) -> float:
-    # I_nu(z) = sum_k (z/2)^(nu+2k) / (k! (k+nu)!)
-    if z == 0.0:
-        return 1.0 if order == 0 else 0.0
-    q = 0.25 * z * z
-    term = (0.5 * z) ** order / math.factorial(order)
-    total = term
-    for k in range(1, max_terms + 1):
-        term *= q / (k * (k + order))
-        total += term
-        if term <= tol * total:
-            return total
-    raise ValueError(
-        f"Bessel series did not converge in {max_terms} terms (z={z!r})"
-    )
-
-
-def _bessel_asymptotic_scaled(order: int, z: float) -> float:
-    # exp(-z) I_nu(z) ~ (2 pi z)^(-1/2) * sum_k t_k,  t_0 = 1,
-    # t_k = t_{k-1} * ((2k-1)^2 - 4 nu^2) / (8 k z).
-    mu = 4.0 * order * order
-    term = 1.0
-    total = 1.0
-    for k in range(1, 40):
-        factor = ((2.0 * k - 1.0) ** 2 - mu) / (8.0 * k * z)
-        if abs(factor) >= 1.0:
-            break  # divergent tail reached; truncate at the smallest term
-        term *= factor
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return total / math.sqrt(2.0 * math.pi * z)
-
-
-def bessel_i(order: int, z: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """Modified Bessel function I_order(z) for order in {0, 1, 2}, z >= 0.
-
-    Raises OverflowError once exp(z) leaves the representable range; use
-    bessel_i_scaled there instead.
-    """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    z = _check_nonneg("z", z)
-    if z > _EXP_ARG_MAX:
-        raise OverflowError(
-            f"I_{order}({z!r}) overflows; use bessel_i_scaled"
-        )
-    eff = max(acc.rel_tol * 1e-4, 1e-17)
-    return _bessel_series(order, z, eff, max(acc.max_terms, 1000))
-
-
-def bessel_i_scaled(order: int, z: float,
-                    acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """exp(-z) * I_order(z), finite for all z >= 0, order in {0, 1, 2}."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    z = _check_nonneg("z", z)
-    if z <= _BESSEL_ASYMPTOTIC_MIN:
-        eff = max(acc.rel_tol * 1e-4, 1e-17)
-        return _bessel_series(order, z, eff, max(acc.max_terms, 1000)) * math.exp(-z)
-    return _bessel_asymptotic_scaled(order, z)
-
-
-# ----------------------------------------------------------------------
 # Marcum Q and derivatives
 # ----------------------------------------------------------------------
 
-def marcum_q(a: float, b: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def marcum_q(a: float, b: float) -> float:
     """First-order Marcum Q function Q1(a, b), the upper tail at b^2 of a
     noncentral chi-square variable with 2 degrees of freedom and
     noncentrality a^2 (all in amplitude convention).
@@ -207,13 +106,13 @@ def marcum_q(a: float, b: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
         if 0.5 * b * b <= lam + 1.0:
             return -math.expm1(log1m_marcum_q(a, b))
         return math.exp(log_marcum_q(a, b))
-    return _marcum_series(lam, 0.5 * b * b, acc)
+    return _marcum_series(lam, 0.5 * b * b)
 
 
-def _marcum_series(lam: float, y: float, acc: Accuracy) -> float:
+def _marcum_series(lam: float, y: float) -> float:
     # Poisson(lam) mixture of regularized upper gamma tails Q(k+1, y),
     # with Q(k+1, y) = exp(-y) sum_{j<=k} y^j / j! built incrementally.
-    floor = acc._floor()
+    floor = _SERIES_FLOOR
     if lam == 0.0:
         return math.exp(-y)
     pois = math.exp(-lam)          # Poisson pmf at k
@@ -223,7 +122,7 @@ def _marcum_series(lam: float, y: float, acc: Accuracy) -> float:
     q = pois * gupper
     # terms can grow until k ~ max(lam, sqrt(lam*y)); never stop before
     k_min = int(max(lam, math.sqrt(lam * y))) + 2
-    budget = max(acc.max_terms, k_min + 64)
+    budget = max(_SERIES_MIN_BUDGET, k_min + 64)
     for k in range(1, budget + 1):
         pois *= lam / k
         cum += pois
@@ -328,7 +227,7 @@ def _log_marcum_q_asymptotic(a: float, b: float) -> tuple[float, float]:
     return _log_complement(l1), l1
 
 
-def log_marcum_q(a: float, b: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def log_marcum_q(a: float, b: float) -> float:
     """log Q1(a, b), accurate even when Q1 underflows linear doubles."""
     a = _check_nonneg_or_inf("a", a)
     b = _check_nonneg_or_inf("b", b)
@@ -340,10 +239,11 @@ def log_marcum_q(a: float, b: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
         return _log_marcum_q_asymptotic(a, b)[0]
     if lam <= _SERIES_LAMBDA_MAX and y <= 700.0:
         # cheap path: the linear-space series keeps full relative accuracy
-        # (all terms positive) whenever its value is representable
-        q = _marcum_series(lam, y, acc)
-        if q >= 1e-280:
-            return min(math.log(q), 0.0)
+        # (all terms positive) whenever its value is representable; once q
+        # has (nearly) rounded to 1, log Q ~ -(1 - Q) needs the complement
+        q = _marcum_series(lam, y)
+        if 1e-280 <= q <= 1.0 - _SERIES_COMPLEMENT_MIN:
+            return math.log(q)
     if y >= lam + 1.0:
         # Q is the small side; sum the mixture directly in log space.  The
         # summand Pois(k; lam) * Q(k+1, y) peaks near k ~ sqrt(lam*y) (the
@@ -361,14 +261,13 @@ def log_marcum_q(a: float, b: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
             total = _log_add(total, log_pois + log_qg)
         return min(total, 0.0)
     # Q is the big side
-    lm = log1m_marcum_q(a, b, acc)
+    lm = log1m_marcum_q(a, b)
     if lm > _LOG_TINY:
         return math.log1p(-math.exp(lm))
     return -math.exp(lm) if lm > -math.inf else 0.0
 
 
-def log1m_marcum_q(a: float, b: float,
-                   acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def log1m_marcum_q(a: float, b: float) -> float:
     """log(1 - Q1(a, b)), accurate deep into the left tail."""
     a = _check_nonneg_or_inf("a", a)
     b = _check_nonneg_or_inf("b", b)
@@ -382,12 +281,12 @@ def log1m_marcum_q(a: float, b: float,
         # cheap path: complement of the linear series, safe while 1 - Q
         # retains enough bits of its own (relative error <= ~1e-7 here;
         # the windowed sum below keeps full accuracy beyond)
-        q = _marcum_series(lam, y, acc)
-        if q <= 1.0 - 1e-9:
+        q = _marcum_series(lam, y)
+        if q <= 1.0 - _SERIES_COMPLEMENT_MIN:
             return math.log1p(-q)
     if y >= lam + 1.0:
         # 1 - Q is the big side; complement the small one
-        lq = log_marcum_q(a, b, acc)
+        lq = log_marcum_q(a, b)
         if lq > _LOG_TINY:
             return math.log1p(-math.exp(lq))
         return -math.exp(lq) if lq > -math.inf else 0.0
@@ -429,127 +328,37 @@ def log1m_marcum_q(a: float, b: float,
     return min(total, 0.0)
 
 
-def marcum_q_da(a: float, b: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """dQ1/da = b * I1(a b) * exp(-(a^2 + b^2)/2).
-
-    Evaluated with the scaled Bessel function, so it stays finite for any
-    argument size: dQ/da = b * i1e(ab) * exp(-(a - b)^2 / 2).
-    """
+def log_marcum_q_da(a: float, b: float) -> float:
+    """log dQ1/da = log(b * i1e(a b)) - (a - b)^2 / 2, finite for any
+    argument size; -inf where the slope vanishes (a = 0 or b = 0)."""
     a = _check_nonneg("a", a)
     b = _check_nonneg("b", b)
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    d = a - b
-    return b * bessel_i_scaled(1, a * b, acc) * math.exp(-0.5 * d * d)
+    g = b * special.i1e(a * b)
+    if g <= 0.0:
+        return -math.inf
+    return math.log(g) - 0.5 * (a - b) ** 2
 
 
-def marcum_q_daa(a: float, b: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
+def marcum_q_da(a: float, b: float) -> float:
+    """dQ1/da = b * I1(a b) * exp(-(a^2 + b^2)/2)."""
+    return math.exp(log_marcum_q_da(a, b))
+
+
+def _marcum_q_daa_scaled(a: float, b: float) -> float:
+    """d^2 Q1/da^2 * exp((a - b)^2 / 2) = b^2/2 (i0e + i2e)(ab) - ab i1e(ab):
+    O(1) numbers, with the Gaussian factor left to the caller."""
+    z = a * b
+    return float(0.5 * b * b * (special.i0e(z) + special.ive(2, z))
+                 - z * special.i1e(z))
+
+
+def marcum_q_daa(a: float, b: float) -> float:
     """d^2 Q1/da^2 = [b^2/2 (I0 + I2)(ab) - a b I1(ab)] exp(-(a^2+b^2)/2)."""
     a = _check_nonneg("a", a)
     b = _check_nonneg("b", b)
     if b == 0.0:
         return 0.0
-    z = a * b
-    d = a - b
-    scale = math.exp(-0.5 * d * d)
-    bracket = (
-        0.5 * b * b * (bessel_i_scaled(0, z, acc) + bessel_i_scaled(2, z, acc))
-        - z * bessel_i_scaled(1, z, acc)
-    )
-    return bracket * scale
-
-
-# ----------------------------------------------------------------------
-# incomplete gamma
-# ----------------------------------------------------------------------
-
-def gamma_fn(s: float) -> float:
-    """Gamma(s) for s > 0; exact recurrences from Gamma(1/2) = sqrt(pi)
-    and Gamma(1) = 1 when 2s is an integer."""
-    s = float(s)
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError(f"s must be finite and > 0, got {s!r}")
-    two_s = 2.0 * s
-    if two_s == round(two_s):
-        half_steps = int(round(two_s))
-        if half_steps % 2 == 0:
-            return float(math.factorial(half_steps // 2 - 1))
-        value = math.sqrt(math.pi)
-        x = 0.5
-        while x < s:
-            value *= x
-            x += 1.0
-        return value
-    return math.gamma(s)
-
-
-def _gamma_series_lower(s: float, x: float, floor: float, max_terms: int) -> float:
-    # gamma(s, x) = x^s e^{-x} sum_{n>=0} x^n / (s (s+1) ... (s+n))
-    term = 1.0 / s
-    total = term
-    ap = s
-    for _ in range(max_terms):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * floor:
-            return total * math.exp(-x + s * math.log(x))
-    raise ValueError(f"lower gamma series stalled (s={s!r}, x={x!r})")
-
-
-def _gamma_cf_upper(s: float, x: float, floor: float, max_terms: int) -> float:
-    # Continued fraction for Gamma(s, x) (modified Lentz), valid x > s + 1.
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, max_terms + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < floor:
-            return h * math.exp(-x + s * math.log(x))
-    raise ValueError(f"upper gamma continued fraction stalled (s={s!r}, x={x!r})")
-
-
-def upper_gamma(s: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """Upper incomplete gamma Gamma(s, x) = int_x^inf u^(s-1) e^(-u) du,
-    s > 0, x >= 0.  Series for x <= s + 1, continued fraction beyond."""
-    s = float(s)
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError(f"s must be finite and > 0, got {s!r}")
-    x = _check_nonneg("x", x)
-    if x == 0.0:
-        return gamma_fn(s)
-    floor = max(acc._floor(), 1e-16)
-    budget = max(acc.max_terms, 600)
-    if x <= s + 1.0:
-        return gamma_fn(s) - _gamma_series_lower(s, x, floor, budget)
-    return _gamma_cf_upper(s, x, floor, budget)
-
-
-def lower_gamma(s: float, x: float, acc: Accuracy = DEFAULT_ACCURACY) -> float:
-    """Lower incomplete gamma gamma(s, x) = Gamma(s) - Gamma(s, x)."""
-    s = float(s)
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError(f"s must be finite and > 0, got {s!r}")
-    x = _check_nonneg("x", x)
-    if x == 0.0:
-        return 0.0
-    floor = max(acc._floor(), 1e-16)
-    budget = max(acc.max_terms, 600)
-    if x <= s + 1.0:
-        return _gamma_series_lower(s, x, floor, budget)
-    return gamma_fn(s) - _gamma_cf_upper(s, x, floor, budget)
+    return _marcum_q_daa_scaled(a, b) * math.exp(-0.5 * (a - b) ** 2)
 
 
 # ----------------------------------------------------------------------

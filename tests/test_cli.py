@@ -331,6 +331,20 @@ def test_simulate_output_shape_and_determinism(capsys) -> None:
     assert float(summary[12]) == float(summary[4]) / fim.crb_x
 
 
+def test_simulate_summary_row_is_frozen(capsys) -> None:
+    # five trials at the reference point, seed 20260814; the summary row
+    # (mse and bias from mse_report, crb from the quadrature) is pinned
+    # to the bit
+    code, out, _ = _run(capsys, "simulate", "--set", "trials=5",
+                        "--set", "seed=20260814")
+    assert code == EXIT_OK
+    assert _data_rows(out)[-1] == (
+        "5,5,0,15.905995751972615,36.210321821344245,59.920294677002197,"
+        "2.7983520233824715,2.8308564803863687,-1.257513970298423,"
+        "3.1549422374138962,4.5621847910894378,5.0416123513597979,"
+        "7.9370572389062115,13.134122667287528")
+
+
 def test_simulate_no_detection_regime(capsys) -> None:
     code, out, err = _run(capsys, "simulate", "--set", "trials=3",
                           "--set", "region_radius=10",

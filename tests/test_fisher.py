@@ -16,11 +16,9 @@ import pytest
 
 from binloc.detection import DetectorConfig, TargetParams
 from binloc.fisher import (
-    DEFAULT_QUADRATURE,
     FieldConfig,
     FisherResult,
     QuadratureError,
-    QuadratureSpec,
     expected_f22_r_domain,
     expected_fim_quadrature,
     offdiag_quadrature_estimate,
@@ -82,16 +80,6 @@ def test_x_breve_values():
     # with an override the truncation radius is taken literally
     unit = FieldConfig(rho=0.05, r_breve_override=1.0)
     assert x_breve(_cfg(2.0), _P, unit) == pytest.approx(math.sqrt(8.0), rel=1e-14)
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1e-10)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=5)
-    assert DEFAULT_QUADRATURE.rel_tol == 1e-10
 
 
 def test_quadrature_error_carries_estimate():

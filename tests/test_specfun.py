@@ -1,39 +1,37 @@
-"""Tests for the special-function layer: modified Bessel functions,
-Marcum Q and its amplitude derivatives, incomplete gamma functions, and
-the Maclaurin coefficients of I1(y)^2.
+"""Tests for the special-function layer: Marcum Q, its log tails and
+amplitude derivatives, the Maclaurin coefficients of I1(y)^2, the
+incomplete gamma functions that the closed-form moments evaluate, and the
+scaled Bessel functions that the Marcum derivatives take from scipy.
 
 Oracle sources, in order of preference:
  * closed-form identities (exact),
  * scipy.stats / scipy.special evaluated where they are trustworthy,
- * frozen high-precision reference values (mpmath, 40 significant digits)
-   for the deep tails where double-precision libraries cannot follow.
+ * high-precision reference values (mpmath) for the deep tails where
+   double-precision libraries cannot follow.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special, stats
 
+from binloc.closedform import _half_moment, _power_moment
 from binloc.specfun import (
-    Accuracy,
-    bessel_i,
-    bessel_i_scaled,
-    gamma_fn,
+    _SERIES_LAMBDA_MAX,
     i1_squared_taylor_coeff,
     log1m_marcum_q,
     log_marcum_q,
-    lower_gamma,
     marcum_q,
     marcum_q_da,
     marcum_q_daa,
-    upper_gamma,
 )
 from binloc.specfun import _log_marcum_q_asymptotic
 
-# Tolerances for the scipy cross-checks (measured headroom is ~1e-14).
+# Tolerance for the scipy cross-checks (measured headroom is ~1e-14).
 _SCIPY_RTOL = 5e-13
 # Central finite-difference step and tolerances for the derivative checks.
 _FD_STEP = 1e-4
@@ -68,58 +66,13 @@ _ASYMPTOTIC_TABLE = [
 
 
 # ----------------------------------------------------------------------
-# modified Bessel functions
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("order", [0, 1, 2])
-@pytest.mark.parametrize("z", [0.0, 1e-8, 0.1, 1.0, 5.0, 50.0, 300.0, 699.0])
-def test_bessel_i_matches_scipy(order, z):
-    ref = float(special.iv(order, z))
-    assert bessel_i(order, z) == pytest.approx(ref, rel=_SCIPY_RTOL)
-
-
-@pytest.mark.parametrize("order", [0, 1, 2])
-@pytest.mark.parametrize("z", [0.5, 100.0, 600.0, 601.0, 800.0, 5000.0, 1e8])
-def test_bessel_i_scaled_matches_scipy(order, z):
-    ref = float(special.ive(order, z))
-    assert bessel_i_scaled(order, z) == pytest.approx(ref, rel=_SCIPY_RTOL)
-
-
-def test_bessel_i_at_zero():
-    assert bessel_i(0, 0.0) == 1.0
-    assert bessel_i(1, 0.0) == 0.0
-    assert bessel_i(2, 0.0) == 0.0
-
-
-def test_bessel_i_overflow_and_bad_args():
-    with pytest.raises(OverflowError):
-        bessel_i(0, 701.0)
-    with pytest.raises(ValueError):
-        bessel_i(3, 1.0)
-    with pytest.raises(ValueError):
-        bessel_i(0, -1.0)
-    with pytest.raises(ValueError):
-        bessel_i_scaled(-1, 1.0)
-    with pytest.raises(ValueError):
-        bessel_i_scaled(0, math.nan)
-
-
-def test_bessel_scaled_consistent_with_unscaled():
-    for z in (0.3, 2.0, 77.0):
-        for order in (0, 1, 2):
-            assert bessel_i_scaled(order, z) == pytest.approx(
-                bessel_i(order, z) * math.exp(-z), rel=1e-12
-            )
-
-
-# ----------------------------------------------------------------------
 # Marcum Q: exact identities and scipy oracle
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0])
 def test_marcum_equal_argument_identity(a):
     # Q1(a, a) = (1 + exp(-a^2) I0(a^2)) / 2
-    ref = 0.5 * (1.0 + bessel_i_scaled(0, a * a))
+    ref = 0.5 * (1.0 + special.i0e(a * a))
     assert marcum_q(a, a) == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
 
@@ -201,6 +154,43 @@ def test_asymptotic_branch_continuous_with_windowed_sums():
         assert abs(l1_w - l1_a) <= max(2e-3, 1e-4 * abs(l1_w))
 
 
+def _mp_log_tails(a: float, b: float) -> tuple[float, float]:
+    """(log Q1, log(1 - Q1)) from a 50-digit Poisson(a^2/2) mixture of
+    regularized gamma tails, each side summed on its own so that neither
+    is taken as the complement of a number near 1."""
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(a) ** 2 / 2
+        y = mpmath.mpf(b) ** 2 / 2
+        half = 20.0 * math.sqrt(float(lam) + 1.0) + 60.0
+        q = p = mpmath.mpf(0)
+        for k in range(max(0, int(lam - half)), int(lam + half) + 1):
+            pois = mpmath.exp(-lam + k * mpmath.log(lam) - mpmath.loggamma(k + 1))
+            q += pois * mpmath.gammainc(k + 1, y, mpmath.inf, regularized=True)
+            p += pois * mpmath.gammainc(k + 1, 0, y, regularized=True)
+        lq = mpmath.log(q) if q < 0.5 else mpmath.log1p(-p)
+        l1 = mpmath.log(p) if p < 0.5 else mpmath.log1p(-q)
+        return float(lq), float(l1)
+
+
+_A_BELOW_CAP = math.sqrt(2.0 * (_SERIES_LAMBDA_MAX - 0.2))
+_A_ABOVE_CAP = math.sqrt(2.0 * (_SERIES_LAMBDA_MAX + 0.06))
+
+
+@pytest.mark.parametrize("a,b", [
+    # Q rounds to 1 in the linear series; log Q ~ -(1 - Q) must survive
+    (20.0, 10.0), (22.46, 3.37),
+    # either side of the series cap lambda = a^2/2 = 256, both tails
+    (_A_BELOW_CAP, 5.0), (_A_ABOVE_CAP, 5.0), (_A_BELOW_CAP, 30.0), (_A_ABOVE_CAP, 30.0),
+    # 1 - Q = 1e-8 and 1e-10: either side of the switch from the linear
+    # series to the log-space sums, at small and large noncentrality
+    (8.0, 2.494823), (8.0, 1.761585), (22.0, 16.414229), (22.0, 15.665477),
+])
+def test_log_tails_match_mpmath_oracle(a, b):
+    lq_ref, l1_ref = _mp_log_tails(a, b)
+    assert log_marcum_q(a, b) == pytest.approx(lq_ref, rel=1e-6, abs=0.0)
+    assert log1m_marcum_q(a, b) == pytest.approx(l1_ref, rel=1e-6, abs=0.0)
+
+
 def test_marcum_infinite_arguments():
     assert marcum_q(math.inf, 3.0) == 1.0
     assert marcum_q(3.0, math.inf) == 0.0
@@ -265,27 +255,50 @@ def test_marcum_derivative_edge_values():
 
 
 # ----------------------------------------------------------------------
-# incomplete gamma
+# scaled modified Bessel functions used by the Marcum derivatives
 # ----------------------------------------------------------------------
 
-def test_gamma_fn_known_values():
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma_fn(1.0) == 1.0
-    assert gamma_fn(1.5) == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-15)
-    assert gamma_fn(3.0) == 2.0
-    assert gamma_fn(6.0) == 120.0
-    assert gamma_fn(4.25) == pytest.approx(math.gamma(4.25), rel=1e-14)
-    for bad in (0.0, -1.5, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            gamma_fn(bad)
+def _mp_bessel_i_scaled(order: int, z: float) -> float:
+    with mpmath.workdps(50):
+        return float(mpmath.besseli(order, z) * mpmath.exp(-z))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("z", [0.5, 100.0, 600.0, 601.0, 800.0, 5000.0, 1e8])
+def test_bessel_i_scaled_matches_scipy(order, z):
+    # log_marcum_q_da and marcum_q_daa evaluate e^{-z} I_order(z) at z = ab
+    # with scipy's i0e / i1e / ive; pin their accuracy against 50 digits
+    # over the arguments those derivatives reach.
+    got = {0: special.i0e, 1: special.i1e, 2: lambda v: special.ive(2, v)}[order](z)
+    assert float(got) == pytest.approx(_mp_bessel_i_scaled(order, z), rel=_SCIPY_RTOL)
+
+
+# ----------------------------------------------------------------------
+# incomplete gamma functions through the closed-form moments
+# ----------------------------------------------------------------------
+
+def _moment_order(s: float) -> int:
+    j = 2.0 * s - 1.0
+    assert j == int(j) and j >= 0.0
+    return int(j)
+
+
+def upper_gamma(s: float, x: float) -> float:
+    # Gamma(s, x) = 2 int_{sqrt x}^inf u^(2s-1) e^{-u^2} du
+    return 2.0 * _power_moment(_moment_order(s), math.sqrt(x), math.inf, False)
+
+
+def lower_gamma(s: float, x: float) -> float:
+    # gamma(s, x) = 2 int_0^{sqrt x} u^(2s-1) e^{-u^2} du
+    return 2.0 * _half_moment(_moment_order(s), math.sqrt(x))
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.5, 4.0, 7.5])
 @pytest.mark.parametrize("x", [0.1, 1.0, 5.0, 20.0, 80.0])
 def test_upper_gamma_matches_scipy(s, x):
-    ref = float(special.gammaincc(s, x) * special.gamma(s))
-    if ref < 1e-280:
-        return
+    # the moment built on scipy's gamma * gammaincc, against 50 digits
+    with mpmath.workdps(50):
+        ref = float(mpmath.gammainc(s, x))
     assert upper_gamma(s, x) == pytest.approx(ref, rel=_SCIPY_RTOL)
 
 
@@ -311,21 +324,7 @@ def test_upper_gamma_half_integer_closed_form():
 @pytest.mark.parametrize("x", [0.3, 2.0, 9.0])
 def test_lower_plus_upper_is_complete(s, x):
     total = lower_gamma(s, x) + upper_gamma(s, x)
-    assert total == pytest.approx(gamma_fn(s), rel=1e-13)
-
-
-def test_incomplete_gamma_boundaries_and_errors():
-    assert upper_gamma(2.5, 0.0) == pytest.approx(gamma_fn(2.5), rel=1e-15)
-    assert lower_gamma(2.5, 0.0) == 0.0
-    for fn in (upper_gamma, lower_gamma):
-        with pytest.raises(ValueError):
-            fn(0.0, 1.0)
-        with pytest.raises(ValueError):
-            fn(-2.0, 1.0)
-        with pytest.raises(ValueError):
-            fn(1.0, -0.5)
-        with pytest.raises(ValueError):
-            fn(math.inf, 1.0)
+    assert total == pytest.approx(math.gamma(s), rel=1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +359,7 @@ def test_i1_squared_coefficients_by_series_convolution():
 def test_i1_squared_partial_series_reproduces_bessel():
     z = 0.8
     approx = sum(i1_squared_taylor_coeff(k) * z ** (2 * k + 2) for k in range(12))
-    assert approx == pytest.approx(bessel_i(1, z) ** 2, rel=1e-13)
+    assert approx == pytest.approx(special.i1(z) ** 2, rel=1e-13)
 
 
 def test_i1_squared_coefficient_validation():
@@ -370,23 +369,3 @@ def test_i1_squared_coefficient_validation():
         i1_squared_taylor_coeff(1.5)  # type: ignore[arg-type]
     with pytest.raises(OverflowError):
         i1_squared_taylor_coeff(65)
-
-
-# ----------------------------------------------------------------------
-# accuracy policy
-# ----------------------------------------------------------------------
-
-def test_accuracy_validation():
-    with pytest.raises(ValueError):
-        Accuracy(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        Accuracy(abs_tol=0.0, rel_tol=0.0)
-    with pytest.raises(ValueError):
-        Accuracy(max_terms=0)
-
-
-def test_loose_accuracy_still_reasonable():
-    loose = Accuracy(abs_tol=1e-6, rel_tol=1e-5)
-    assert marcum_q(2.0, 2.5, acc=loose) == pytest.approx(
-        marcum_q(2.0, 2.5), rel=1e-5
-    )
