@@ -26,7 +26,7 @@ from .closedform import (ModelInvalid, TaylorModel, UnsupportedAlpha,
                          build_taylor_model, closed_form_fisher,
                          default_series_order, f11_closed_form,
                          f22_closed_form)
-from .detection import (DecisionRecord, DetectorConfig, TargetParams,
+from .detection import (Decisions, DetectorConfig, TargetParams,
                         detection_probability, detection_probability_array,
                         detection_probability_derivatives, log_likelihood,
                         signal_coordinate)
@@ -51,7 +51,7 @@ __all__ = [
     "marcum_q", "log_marcum_q", "log1m_marcum_q", "marcum_q_da",
     "marcum_q_daa",
     # detection model
-    "DetectorConfig", "TargetParams", "DecisionRecord", "signal_coordinate",
+    "DetectorConfig", "TargetParams", "Decisions", "signal_coordinate",
     "detection_probability", "detection_probability_array",
     "detection_probability_derivatives", "log_likelihood",
     # Fisher information / CRB

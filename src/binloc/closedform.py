@@ -26,11 +26,10 @@ sb = A xb t + B, where every term is a shifted Gaussian moment
     M_n = int_B^sb (s - B)^n e^(-s^2) ds
         = sum_l binom(n, l) (-B)^l int_B^sb s^(n-l) e^(-s^2) ds,
 
-reducible to upper incomplete gamma functions of half-integer order.
-When B < 0 the power moments must be split at s = 0 (s^j e^(-s^2) is not
-monotone under s -> s^2 there); a paper_faithful_negative_b switch keeps
-the unsplit difference-of-gammas form instead, which silently drops the
-sign of the even powers on [B, 0] — retained only for comparison.
+reducible to incomplete gamma functions of half-integer order.  When
+B < 0 the power moments are split at s = 0: s -> s^2 is not monotone
+there, and the unsplit difference of upper gammas would flip the sign of
+the even powers on [B, 0].
 
 The curvature condition f2 < 1 is required for the Gaussian substitution
 (the completed square must decay); otherwise ModelInvalid is raised.
@@ -187,9 +186,9 @@ def _half_moment(j: int, z: float) -> float:
     return float(0.5 * special.gamma(s) * special.gammainc(s, z * z))
 
 
-def _power_moment(j: int, lo: float, hi: float, split_negative: bool) -> float:
+def _power_moment(j: int, lo: float, hi: float) -> float:
     """int_lo^hi s^j e^{-s^2} ds, lo <= hi."""
-    if not split_negative or lo >= 0.0:
+    if lo >= 0.0:
         # difference-of-upper-gammas form; exact only for lo >= 0
         s = 0.5 * (j + 1)
         return float(0.5 * special.gamma(s) * (special.gammaincc(s, lo * lo)
@@ -202,14 +201,13 @@ def _power_moment(j: int, lo: float, hi: float, split_negative: bool) -> float:
     return sign * _half_moment(j, -lo) + _half_moment(j, hi)
 
 
-def _shifted_moment(n: int, b_lo: float, s_hi: float,
-                    split_negative: bool) -> float:
+def _shifted_moment(n: int, b_lo: float, s_hi: float) -> float:
     """M_n = int_{b_lo}^{s_hi} (s - b_lo)^n e^{-s^2} ds via the binomial
     expansion in power moments."""
     total = 0.0
     for l in range(n + 1):
         coef = math.comb(n, l) * (-b_lo) ** l
-        total += coef * _power_moment(n - l, b_lo, s_hi, split_negative)
+        total += coef * _power_moment(n - l, b_lo, s_hi)
     return total
 
 
@@ -224,8 +222,8 @@ def _series_guard(model: TaylorModel, m: int) -> bool:
 
 
 def f22_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
-                    m: int | None = None, model: TaylorModel | None = None,
-                    paper_faithful_negative_b: bool = False) -> float:
+                    m: int | None = None, model: TaylorModel | None = None
+                    ) -> float:
     """Closed-form F22 (= F33), valid for any alpha >= 1:
 
         F22 = pi^2 rho alpha C sum_k c_k A^(-2k-4) M_{2k+3}.
@@ -238,11 +236,10 @@ def f22_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
             f"I1^2 series order m={m} is short for y_breve="
             f"{model.y_breve:.3g}; closed form may be unreliable",
             RuntimeWarning, stacklevel=2)
-    split = not paper_faithful_negative_b
     total = 0.0
     for k in range(m + 1):
         ck = specfun.i1_squared_taylor_coeff(k)
-        mom = _shifted_moment(2 * k + 3, model.B, model.s_breve, split)
+        mom = _shifted_moment(2 * k + 3, model.B, model.s_breve)
         total += ck * model.A ** (-(2 * k + 4)) * mom
     value = math.pi ** 2 * field.rho * cfg.alpha * model.C * total
     if not math.isfinite(value):
@@ -251,8 +248,8 @@ def f22_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
 
 
 def f11_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
-                    m: int | None = None, model: TaylorModel | None = None,
-                    paper_faithful_negative_b: bool = False) -> float:
+                    m: int | None = None, model: TaylorModel | None = None
+                    ) -> float:
     """Closed-form F11 for alpha in {2, 4}:
 
         alpha = 2:  (pi^2 t^2 rho T / (P sigma2)) C
@@ -272,16 +269,15 @@ def f11_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
             f"I1^2 series order m={m} is short for y_breve="
             f"{model.y_breve:.3g}; closed form may be unreliable",
             RuntimeWarning, stacklevel=2)
-    split = not paper_faithful_negative_b
     t = model.t
     total = 0.0
     for k in range(m + 1):
         ck = specfun.i1_squared_taylor_coeff(k)
         if alpha == 2.0:
-            mom = _shifted_moment(2 * k + 1, model.B, model.s_breve, split)
+            mom = _shifted_moment(2 * k + 1, model.B, model.s_breve)
             total += ck * model.A ** (-(2 * k + 2)) * mom
         else:
-            mom = _shifted_moment(2 * k + 2, model.B, model.s_breve, split)
+            mom = _shifted_moment(2 * k + 2, model.B, model.s_breve)
             total += ck * model.A ** (-(2 * k + 3)) * mom
     P = float(P)
     if alpha == 2.0:

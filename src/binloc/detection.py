@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from . import specfun
 __all__ = [
     "DetectorConfig",
     "TargetParams",
-    "DecisionRecord",
+    "Decisions",
     "signal_coordinate",
     "detection_probability",
     "detection_probability_array",
@@ -108,13 +107,29 @@ class TargetParams:
         _finite("y", self.y)
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
-    """One sensor's position and its binary decision."""
+@dataclass(frozen=True, eq=False)
+class Decisions:
+    """One trial's binary decisions: sensor i sits at (sx[i], sy[i]) and
+    reported detected[i].  Stored as contiguous 1-D arrays of equal
+    length (float, float, bool)."""
 
-    x: float
-    y: float
-    detected: bool
+    sx: np.ndarray
+    sy: np.ndarray
+    detected: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("sx", float), ("sy", float), ("detected", bool)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
+            object.__setattr__(self, name, np.ascontiguousarray(arr))
+        if not len(self.sx) == len(self.sy) == len(self.detected):
+            raise ValueError(
+                f"sx, sy and detected must have equal lengths, got "
+                f"{len(self.sx)}, {len(self.sy)} and {len(self.detected)}")
+
+    def __len__(self) -> int:
+        return len(self.sx)
 
 
 def signal_coordinate(cfg: DetectorConfig, P: float, r: float) -> float:
@@ -229,14 +244,9 @@ def _log_likelihood_arrays(cfg: DetectorConfig, P: float, x0: float, y0: float,
 
 
 def log_likelihood(cfg: DetectorConfig, theta: TargetParams,
-                   records: Sequence[DecisionRecord] | Iterable[DecisionRecord]
-                   ) -> float:
-    """Sum of log P_D over detecting records plus log(1 - P_D) over the
-    rest, under emitter hypothesis theta.  Always <= 0."""
-    recs = list(records)
-    if not recs:
-        return 0.0
-    sx = np.array([rec.x for rec in recs], dtype=float)
-    sy = np.array([rec.y for rec in recs], dtype=float)
-    det = np.array([bool(rec.detected) for rec in recs], dtype=bool)
-    return _log_likelihood_arrays(cfg, theta.P, theta.x, theta.y, sx, sy, det)
+                   decisions: Decisions) -> float:
+    """Sum of log P_D over detecting sensors plus log(1 - P_D) over the
+    rest, under emitter hypothesis theta.  Always <= 0 (0 for no sensors)."""
+    return _log_likelihood_arrays(cfg, theta.P, theta.x, theta.y,
+                                  decisions.sx, decisions.sy,
+                                  decisions.detected)

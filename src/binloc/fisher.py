@@ -64,6 +64,12 @@ _QUAD_REL_TOL = 1e-10
 _QUAD_ABS_TOL = 1e-13
 _QUAD_LIMIT = 200
 
+# tensor-product Gauss-Legendre grid of the off-diagonal cross-check:
+# radial and angular node counts, and the outer radius in units of r_breve
+_OFFDIAG_N_R = 192
+_OFFDIAG_N_PSI = 64
+_OFFDIAG_R_OUTER = 200.0
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed its own error target; the best estimate
@@ -100,7 +106,7 @@ class FieldConfig:
     def r_breve(self) -> float:
         if self.r_breve_override is not None:
             return float(self.r_breve_override)
-        return 1.0 / math.sqrt(4.0 * self.rho)
+        return rmin_expected(self)
 
 
 def rmin_expected(field: FieldConfig) -> float:
@@ -304,23 +310,20 @@ def expected_f22_r_domain(cfg: DetectorConfig, P: float,
 
 
 def offdiag_quadrature_estimate(cfg: DetectorConfig, P: float,
-                                field: FieldConfig,
-                                n_r: int = 192, n_psi: int = 64,
-                                r_outer: float | None = None) -> float:
+                                field: FieldConfig) -> float:
     """Largest |entry| among 2-D tensor-product Gauss-Legendre estimates
     of the three off-diagonal expected-information integrals
 
         F12 = -2 pi rho int int (dP_D/dP)(dP_D/dr) cos(psi) / (Q(1-Q)) r dr dpsi
         F13 = (same with sin), F23 = 2 pi rho int int (dP_D/dr)^2 sin cos ... ,
 
-    which all vanish analytically.  Returned for use as a numerical
-    cross-check against F22."""
+    which all vanish analytically, over r_breve <= r <= 200 r_breve.
+    Returned for use as a numerical cross-check against F22."""
     P = float(P)
     rb = field.r_breve
-    if r_outer is None:
-        r_outer = 200.0 * rb
+    r_outer = _OFFDIAG_R_OUTER * rb
     # radial factors, evaluated once per node
-    nodes_r, weights_r = np.polynomial.legendre.leggauss(n_r)
+    nodes_r, weights_r = np.polynomial.legendre.leggauss(_OFFDIAG_N_R)
     r = 0.5 * (r_outer - rb) * (nodes_r + 1.0) + rb
     wr = 0.5 * (r_outer - rb) * weights_r
     a = np.empty_like(r)   # dP_D/dr
@@ -330,7 +333,7 @@ def offdiag_quadrature_estimate(cfg: DetectorConfig, P: float,
     for i, ri in enumerate(r):
         a[i], b[i] = detection_probability_derivatives(cfg, P, float(ri))
         w[i] = math.exp(_log_weight(signal_coordinate(cfg, P, float(ri)), t))
-    nodes_p, weights_p = np.polynomial.legendre.leggauss(n_psi)
+    nodes_p, weights_p = np.polynomial.legendre.leggauss(_OFFDIAG_N_PSI)
     psi = math.pi * (nodes_p + 1.0)
     wp = math.pi * weights_p
 

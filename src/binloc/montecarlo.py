@@ -27,12 +27,11 @@ import numpy as np
 from scipy import optimize
 
 from .detection import (
-    DecisionRecord,
+    Decisions,
     DetectorConfig,
     TargetParams,
     detection_probability,
     detection_probability_array,
-    log_likelihood,
     _log_likelihood_arrays,
 )
 from .fisher import FieldConfig
@@ -198,17 +197,17 @@ def sample_field(cfg: SimConfig, trial_index: int) -> np.ndarray:
 
 
 def sample_decisions(cfg: SimConfig, sensors: np.ndarray,
-                     trial_index: int) -> list[DecisionRecord]:
-    """Independent Bernoulli(P_D(r_i)) decisions for each sensor."""
+                     trial_index: int) -> Decisions:
+    """Independent Bernoulli(P_D(r_i)) decisions for each sensor of an
+    (n, 2) position array (an empty field gives empty arrays)."""
     sensors = np.asarray(sensors, dtype=float)
     if sensors.size == 0:
-        return []
+        sensors = sensors.reshape(0, 2)
     rng = _substream(cfg.master_seed, trial_index, _PURPOSE_DECISIONS)
     r = np.hypot(sensors[:, 0] - cfg.truth.x, sensors[:, 1] - cfg.truth.y)
     pd = detection_probability_array(cfg.detector, cfg.truth.P, r)
     detected = rng.random(len(r)) < pd
-    return [DecisionRecord(x=float(sx), y=float(sy), detected=bool(d))
-            for (sx, sy), d in zip(sensors, detected)]
+    return Decisions(sx=sensors[:, 0], sy=sensors[:, 1], detected=detected)
 
 
 def nearest_distance_samples(field: FieldConfig, n_trials: int,
@@ -236,19 +235,11 @@ def nearest_distance_samples(field: FieldConfig, n_trials: int,
     return mins
 
 
-def _records_to_arrays(records: list[DecisionRecord]):
-    sx = np.array([rec.x for rec in records], dtype=float)
-    sy = np.array([rec.y for rec in records], dtype=float)
-    detected = np.array([rec.detected for rec in records], dtype=bool)
-    return sx, sy, detected
-
-
-def initial_guess(cfg: DetectorConfig,
-                  records: list[DecisionRecord]) -> TargetParams:
+def initial_guess(cfg: DetectorConfig, decisions: Decisions) -> TargetParams:
     """Detection-centroid position with power chosen so the expected
     number of detections over this very field matches the observed count
     (monotone in P; bisected in log-power)."""
-    sx, sy, detected = _records_to_arrays(records)
+    sx, sy, detected = decisions.sx, decisions.sy, decisions.detected
     if not detected.any():
         raise NoDetections("cannot build an initial guess with no detections")
     cx = float(sx[detected].mean())
@@ -271,7 +262,7 @@ def initial_guess(cfg: DetectorConfig,
     return TargetParams(P=p0, x=cx, y=cy)
 
 
-def ml_estimate(cfg: DetectorConfig, records: list[DecisionRecord],
+def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
                 init: TargetParams) -> TrialResult:
     """Maximize the decision-sequence likelihood over (P, x_T, y_T).
 
@@ -281,7 +272,7 @@ def ml_estimate(cfg: DetectorConfig, records: list[DecisionRecord],
     iteration cap is reported as converged=False rather than raised; the
     returned point is never worse than the initializer.
     """
-    sx, sy, detected = _records_to_arrays(records)
+    sx, sy, detected = decisions.sx, decisions.sy, decisions.detected
     n_det = int(detected.sum())
     if n_det == 0:
         raise NoDetections("maximum-likelihood fit requires >= 1 detection")
@@ -331,7 +322,7 @@ def ml_estimate(cfg: DetectorConfig, records: list[DecisionRecord],
         best, best_val = res.x, float(res.fun)
     theta = TargetParams(P=math.exp(best[0]), x=float(best[1]),
                          y=float(best[2]))
-    return TrialResult(theta_hat=theta, n_sensors=len(records),
+    return TrialResult(theta_hat=theta, n_sensors=len(decisions),
                        n_detections=n_det, converged=bool(res.success),
                        neg_log_lik=best_val)
 
@@ -343,22 +334,21 @@ def run_campaign(cfg: SimConfig) -> list[TrialResult]:
     results = []
     for trial in range(cfg.trials):
         sensors = sample_field(cfg, trial)
-        records = sample_decisions(cfg, sensors, trial)
-        n_det = sum(rec.detected for rec in records)
-        if n_det == 0:
-            if len(records):
-                cx = float(np.mean([rec.x for rec in records]))
-                cy = float(np.mean([rec.y for rec in records]))
+        decisions = sample_decisions(cfg, sensors, trial)
+        if not decisions.detected.any():
+            if len(decisions):
+                cx = float(decisions.sx.mean())
+                cy = float(decisions.sy.mean())
             else:
                 cx = cy = 0.0
             placeholder = TargetParams(P=_POWER_BRACKET[0], x=cx, y=cy)
             results.append(TrialResult(
-                theta_hat=placeholder, n_sensors=len(records),
+                theta_hat=placeholder, n_sensors=len(decisions),
                 n_detections=0, converged=False,
                 neg_log_lik=math.inf))
             continue
-        init = initial_guess(cfg.detector, records)
-        results.append(ml_estimate(cfg.detector, records, init))
+        init = initial_guess(cfg.detector, decisions)
+        results.append(ml_estimate(cfg.detector, decisions, init))
     return results
 
 

@@ -284,9 +284,9 @@ def test_criterion_7_simulator_calibration(capsys) -> None:
     hits: list[np.ndarray] = []
     for k in range(cfg.trials):
         sensors = sample_field(cfg, k)
-        records = sample_decisions(cfg, sensors, k)
+        decisions = sample_decisions(cfg, sensors, k)
         radii.append(np.hypot(sensors[:, 0], sensors[:, 1]))
-        hits.append(np.array([rec.detected for rec in records]))
+        hits.append(decisions.detected)
     r = np.concatenate(radii)
     hit = np.concatenate(hits)
 

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from binloc import specfun
 from binloc.closedform import (
@@ -169,20 +169,27 @@ def test_power_moment_matches_quadrature(j, interval):
         lambda s: s**j * math.exp(-s * s), lo, hi, epsabs=1e-14
     )
     assert err < 1e-10
-    got = _power_moment(j, lo, hi, split_negative=True)
+    got = _power_moment(j, lo, hi)
     assert got == pytest.approx(ref, rel=1e-11, abs=1e-13)
 
 
+def _unsplit_power_moment(j, lo, hi):
+    # difference of upper gammas, with no split at s = 0
+    s = 0.5 * (j + 1)
+    return 0.5 * special.gamma(s) * (special.gammaincc(s, lo * lo)
+                                     - special.gammaincc(s, hi * hi))
+
+
 def test_power_moment_unsplit_exact_only_on_positive_intervals():
-    # the difference-of-gammas shortcut is exact for lo >= 0 ...
+    # the difference-of-gammas shortcut is what _power_moment uses for
+    # lo >= 0 ...
     for j in (0, 1, 2, 3):
-        a = _power_moment(j, 0.4, 1.3, split_negative=True)
-        b = _power_moment(j, 0.4, 1.3, split_negative=False)
-        assert a == b
-    # ... but drops the sign of even powers left of zero
+        assert _power_moment(j, 0.4, 1.3) == _unsplit_power_moment(j, 0.4, 1.3)
+    # ... but it drops the sign of even powers left of zero, which the
+    # split form keeps
     ref, _ = integrate.quad(lambda s: math.exp(-s * s), -1.0, 0.5, epsabs=1e-14)
-    wrong = _power_moment(0, -1.0, 0.5, split_negative=False)
-    assert abs(wrong - ref) > 1e-3
+    assert abs(_unsplit_power_moment(0, -1.0, 0.5) - ref) > 1e-3
+    assert _power_moment(0, -1.0, 0.5) == pytest.approx(ref, rel=1e-11)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7])
@@ -193,7 +200,7 @@ def test_shifted_moment_matches_quadrature(n, b_lo):
         lambda s: (s - b_lo) ** n * math.exp(-s * s), b_lo, s_hi, epsabs=1e-14
     )
     assert err < 1e-12
-    got = _shifted_moment(n, b_lo, s_hi, split_negative=True)
+    got = _shifted_moment(n, b_lo, s_hi)
     assert got == pytest.approx(ref, rel=1e-10, abs=1e-13)
 
 
@@ -273,23 +280,11 @@ def test_closed_form_exact_on_synthetic_surrogate():
 
 
 def test_negative_shift_requires_split_moments():
-    # the unsplit difference-of-gammas form is measurably wrong once the
-    # moment interval starts left of zero
+    # a moment interval that starts left of zero needs the split moments
     model = _synthetic_model(-0.4)
     ref = _surrogate_f22_by_quadrature(model, _FIELD.rho, 2.0, 1)
     split = f22_closed_form(_CFG2, _P, _FIELD, m=1, model=model)
-    unsplit = f22_closed_form(
-        _CFG2, _P, _FIELD, m=1, model=model, paper_faithful_negative_b=True
-    )
     assert split == pytest.approx(ref, rel=1e-11)
-    assert abs(unsplit - ref) / ref > 1e-3
-
-
-def test_split_flag_is_noop_for_positive_shift():
-    # B >= 0 at the reference point: both moment forms coincide exactly
-    a = f22_closed_form(_CFG2, _P, _FIELD)
-    b = f22_closed_form(_CFG2, _P, _FIELD, paper_faithful_negative_b=True)
-    assert a == b
 
 
 def test_f11_unsupported_alpha():

@@ -11,7 +11,7 @@ import pytest
 
 from binloc import specfun
 from binloc.detection import (
-    DecisionRecord,
+    Decisions,
     DetectorConfig,
     TargetParams,
     detection_probability,
@@ -182,43 +182,49 @@ def test_power_slope_consistent_with_marcum_derivative():
 # decision log-likelihood
 # ----------------------------------------------------------------------
 
-def _manual_log_likelihood(cfg, theta, records):
+def _manual_log_likelihood(cfg, theta, decisions):
     total = 0.0
-    for rec in records:
-        r = math.hypot(rec.x - theta.x, rec.y - theta.y)
+    for x, y, detected in zip(decisions.sx, decisions.sy, decisions.detected):
+        r = math.hypot(x - theta.x, y - theta.y)
         q = detection_probability(cfg, theta.P, r)
-        total += math.log(q) if rec.detected else math.log1p(-q)
+        total += math.log(q) if detected else math.log1p(-q)
     return total
+
+
+def test_decisions_validation():
+    dec = Decisions(sx=[1.0, -2.0], sy=[0.0, 3.0], detected=[1, 0])
+    assert len(dec) == 2
+    assert dec.sx.dtype == float and dec.detected.dtype == bool
+    with pytest.raises(ValueError, match="equal lengths"):
+        Decisions(sx=[1.0, 2.0], sy=[0.0], detected=[True, False])
+    with pytest.raises(ValueError, match="equal lengths"):
+        Decisions(sx=[1.0], sy=[0.0], detected=[True, False])
+    with pytest.raises(ValueError, match="1-D"):
+        Decisions(sx=np.zeros((2, 2)), sy=np.zeros((2, 2)),
+                  detected=np.zeros((2, 2), dtype=bool))
+    with pytest.raises(ValueError, match="1-D"):
+        Decisions(sx=1.0, sy=0.0, detected=True)
 
 
 def test_log_likelihood_matches_scalar_sum():
     theta = TargetParams(P=2.0, x=0.5, y=-1.0)
-    records = [
-        DecisionRecord(x=1.0, y=0.0, detected=True),
-        DecisionRecord(x=-2.0, y=3.0, detected=False),
-        DecisionRecord(x=4.0, y=4.0, detected=False),
-        DecisionRecord(x=0.0, y=-1.5, detected=True),
-    ]
-    got = log_likelihood(_CFG, theta, records)
-    assert got == pytest.approx(_manual_log_likelihood(_CFG, theta, records), rel=1e-10)
+    decisions = Decisions(sx=[1.0, -2.0, 4.0, 0.0], sy=[0.0, 3.0, 4.0, -1.5],
+                          detected=[True, False, False, True])
+    got = log_likelihood(_CFG, theta, decisions)
+    assert got == pytest.approx(_manual_log_likelihood(_CFG, theta, decisions), rel=1e-10)
     assert got <= 0.0
 
 
 def test_log_likelihood_empty_is_zero():
-    assert log_likelihood(_CFG, TargetParams(P=2.0, x=0.0, y=0.0), []) == 0.0
-
-
-def test_log_likelihood_accepts_iterables():
-    theta = TargetParams(P=2.0, x=0.0, y=0.0)
-    records = (DecisionRecord(x=1.0, y=1.0, detected=True) for _ in range(1))
-    assert log_likelihood(_CFG, theta, records) < 0.0
+    empty = Decisions(sx=[], sy=[], detected=[])
+    assert log_likelihood(_CFG, TargetParams(P=2.0, x=0.0, y=0.0), empty) == 0.0
 
 
 def test_log_likelihood_far_miss_stays_finite():
     # a non-detection right next to the hypothesized emitter is extremely
     # unlikely but must stay finite (P_D < 1 at any positive range)
     theta = TargetParams(P=2.0, x=0.0, y=0.0)
-    rec = [DecisionRecord(x=1e-3, y=0.0, detected=False)]
+    rec = Decisions(sx=[1e-3], sy=[0.0], detected=[False])
     val = log_likelihood(_CFG, theta, rec)
     assert math.isfinite(val)
     assert val < -1e4
@@ -228,8 +234,8 @@ def test_log_likelihood_sensor_at_hypothesis_point():
     # a sensor exactly at the hypothesized position sees an infinite
     # signal coordinate: certain detection
     theta = TargetParams(P=2.0, x=1.0, y=-2.0)
-    hit = [DecisionRecord(x=1.0, y=-2.0, detected=True)]
-    miss = [DecisionRecord(x=1.0, y=-2.0, detected=False)]
+    hit = Decisions(sx=[1.0], sy=[-2.0], detected=[True])
+    miss = Decisions(sx=[1.0], sy=[-2.0], detected=[False])
     assert log_likelihood(_CFG, theta, hit) == 0.0
     assert log_likelihood(_CFG, theta, miss) == -math.inf
 
@@ -240,11 +246,9 @@ def test_log_likelihood_peaks_near_truth():
     truth = TargetParams(P=2.0, x=0.0, y=0.0)
     rng = np.random.default_rng(7)
     pts = rng.uniform(-6.0, 6.0, size=(40, 2))
-    records = []
-    for px, py in pts:
-        r = math.hypot(px, py)
-        q = detection_probability(_CFG, truth.P, r)
-        records.append(DecisionRecord(x=px, y=py, detected=bool(q > 0.5)))
-    ll_truth = log_likelihood(_CFG, truth, records)
-    ll_off = log_likelihood(_CFG, TargetParams(P=2.0, x=3.0, y=3.0), records)
+    detected = [detection_probability(_CFG, truth.P, math.hypot(px, py)) > 0.5
+                for px, py in pts]
+    decisions = Decisions(sx=pts[:, 0], sy=pts[:, 1], detected=detected)
+    ll_truth = log_likelihood(_CFG, truth, decisions)
+    ll_off = log_likelihood(_CFG, TargetParams(P=2.0, x=3.0, y=3.0), decisions)
     assert ll_truth > ll_off

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from binloc.detection import (
-    DecisionRecord,
+    Decisions,
     DetectorConfig,
     TargetParams,
     detection_probability,
@@ -170,12 +170,17 @@ def test_sample_decisions_deterministic():
     sensors = sample_field(cfg, 0)
     a = sample_decisions(cfg, sensors, 0)
     b = sample_decisions(cfg, sensors, 0)
-    assert a == b
+    for name in ("sx", "sy", "detected"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(a.sx, sensors[:, 0])
+    assert np.array_equal(a.sy, sensors[:, 1])
 
 
 def test_sample_decisions_empty_field():
     cfg = _sim(trials=1, radius=20.0, seed=0)
-    assert sample_decisions(cfg, np.empty((0, 2)), 0) == []
+    dec = sample_decisions(cfg, np.empty((0, 2)), 0)
+    assert len(dec) == 0
+    assert dec.sx.shape == dec.sy.shape == dec.detected.shape == (0,)
 
 
 def test_sample_decisions_threshold_limits():
@@ -183,11 +188,11 @@ def test_sample_decisions_threshold_limits():
     # tau -> 0: false-alarm floor -> 1, every sensor fires
     low = SimConfig(field=_FIELD, detector=DetectorConfig(tau=1e-9, sigma2=0.25),
                     truth=_TRUTH, trials=1, region_radius=20.0, master_seed=3)
-    assert all(rec.detected for rec in sample_decisions(low, sensors, 0))
+    assert sample_decisions(low, sensors, 0).detected.all()
     # tau huge: detection probability ~ 0 at any practical range
     high = SimConfig(field=_FIELD, detector=DetectorConfig(tau=1e4, sigma2=0.25),
                      truth=_TRUTH, trials=1, region_radius=20.0, master_seed=3)
-    assert not any(rec.detected for rec in sample_decisions(high, sensors, 0))
+    assert not sample_decisions(high, sensors, 0).detected.any()
 
 
 def test_sample_decisions_calibrated_at_fixed_range():
@@ -195,8 +200,7 @@ def test_sample_decisions_calibrated_at_fixed_range():
     n = 100_000
     sensors = np.column_stack([np.full(n, 2.0), np.zeros(n)])
     cfg = _sim(trials=1, radius=20.0, seed=20260814)
-    recs = sample_decisions(cfg, sensors, 0)
-    freq = sum(rec.detected for rec in recs) / n
+    freq = sample_decisions(cfg, sensors, 0).detected.sum() / n
     pd = detection_probability(_DET, _TRUTH.P, 2.0)
     se = math.sqrt(pd * (1.0 - pd) / n)
     assert abs(freq - pd) <= 3.0 * se
@@ -234,18 +238,18 @@ def test_nearest_distance_validation():
 def test_initial_guess_centroid_and_power():
     cfg = _sim(trials=1, radius=25.0, seed=6)
     sensors = sample_field(cfg, 0)
-    records = sample_decisions(cfg, sensors, 0)
-    init = initial_guess(_DET, records)
-    det_pts = np.array([(rec.x, rec.y) for rec in records if rec.detected])
-    assert init.x == pytest.approx(det_pts[:, 0].mean(), rel=1e-12)
-    assert init.y == pytest.approx(det_pts[:, 1].mean(), rel=1e-12)
+    decisions = sample_decisions(cfg, sensors, 0)
+    init = initial_guess(_DET, decisions)
+    det = decisions.detected
+    assert init.x == pytest.approx(decisions.sx[det].mean(), rel=1e-12)
+    assert init.y == pytest.approx(decisions.sy[det].mean(), rel=1e-12)
     assert 1e-3 <= init.P <= 1e3
 
 
 def test_initial_guess_requires_detections():
-    records = [DecisionRecord(x=1.0, y=2.0, detected=False)]
+    decisions = Decisions(sx=[1.0], sy=[2.0], detected=[False])
     with pytest.raises(NoDetections):
-        initial_guess(_DET, records)
+        initial_guess(_DET, decisions)
 
 
 # ----------------------------------------------------------------------
@@ -253,36 +257,44 @@ def test_initial_guess_requires_detections():
 # ----------------------------------------------------------------------
 
 def test_ml_estimate_requires_detections():
-    records = [DecisionRecord(x=1.0, y=2.0, detected=False)]
+    decisions = Decisions(sx=[1.0], sy=[2.0], detected=[False])
     with pytest.raises(NoDetections):
-        ml_estimate(_DET, records, _TRUTH)
+        ml_estimate(_DET, decisions, _TRUTH)
 
 
 def test_ml_estimate_never_worse_than_initializer():
     cfg = _sim(trials=1, radius=20.0, seed=17)
     sensors = sample_field(cfg, 0)
-    records = sample_decisions(cfg, sensors, 0)
-    init = initial_guess(_DET, records)
-    res = ml_estimate(_DET, records, init)
-    assert res.neg_log_lik <= -log_likelihood(_DET, init, records) + 1e-12
-    assert res.n_sensors == len(records)
-    assert res.n_detections == sum(rec.detected for rec in records)
+    decisions = sample_decisions(cfg, sensors, 0)
+    init = initial_guess(_DET, decisions)
+    res = ml_estimate(_DET, decisions, init)
+    assert res.neg_log_lik <= -log_likelihood(_DET, init, decisions) + 1e-12
+    assert res.n_sensors == len(decisions) == len(sensors)
+    assert res.n_detections == decisions.detected.sum()
+
+
+def test_ml_estimate_reports_nll_at_its_estimate():
+    # the reported objective is the negative log-likelihood at the
+    # returned estimate, not at some other simplex vertex
+    cfg = _sim(trials=1, radius=20.0, seed=17)
+    decisions = sample_decisions(cfg, sample_field(cfg, 0), 0)
+    res = ml_estimate(_DET, decisions, initial_guess(_DET, decisions))
+    assert res.neg_log_lik == pytest.approx(
+        -log_likelihood(_DET, res.theta_hat, decisions), rel=1e-12)
 
 
 def test_ml_estimate_pulls_toward_detections_from_far_init():
     # one detecting sensor among non-detectors: the likelihood drags the
     # estimate toward the detection even when the initializer is far off
-    records = [DecisionRecord(x=0.5, y=0.0, detected=True)] + [
-        DecisionRecord(x=px, y=py, detected=False)
-        for px, py in [(4.0, 0.0), (0.0, 4.0), (-4.0, 0.0), (0.0, -4.0),
-                       (3.0, 3.0)]
-    ]
+    decisions = Decisions(sx=[0.5, 4.0, 0.0, -4.0, 0.0, 3.0],
+                          sy=[0.0, 0.0, 4.0, 0.0, -4.0, 3.0],
+                          detected=[True] + [False] * 5)
     init_far = TargetParams(P=2.0, x=8.0, y=8.0)
-    res = ml_estimate(_DET, records, init_far)
+    res = ml_estimate(_DET, decisions, init_far)
     d_hat = math.hypot(res.theta_hat.x - 0.5, res.theta_hat.y - 0.0)
     d_init = math.hypot(init_far.x - 0.5, init_far.y - 0.0)
     assert d_hat < d_init
-    assert res.neg_log_lik <= -log_likelihood(_DET, init_far, records)
+    assert res.neg_log_lik <= -log_likelihood(_DET, init_far, decisions)
 
 
 def test_ml_estimate_matches_dense_grid_on_noiseless_disk():
@@ -292,22 +304,14 @@ def test_ml_estimate_matches_dense_grid_on_noiseless_disk():
     # likelihood's own preference
     xs = np.arange(-9.0, 9.01, 1.5)
     cx_true, cy_true = 1.0, -1.5
-    records = []
-    for px in xs:
-        for py in xs:
-            r = math.hypot(px - cx_true, py - cy_true)
-            records.append(
-                DecisionRecord(x=float(px), y=float(py), detected=bool(r < 3.0))
-            )
-    det_pts = np.array([(rec.x, rec.y) for rec in records if rec.detected])
-    cen_x, cen_y = det_pts[:, 0].mean(), det_pts[:, 1].mean()
+    sx, sy = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
+    detected = np.hypot(sx - cx_true, sy - cy_true) < 3.0
+    decisions = Decisions(sx=sx, sy=sy, detected=detected)
+    cen_x, cen_y = sx[detected].mean(), sy[detected].mean()
 
-    init = initial_guess(_DET, records)
-    res = ml_estimate(_DET, records, init)
+    init = initial_guess(_DET, decisions)
+    res = ml_estimate(_DET, decisions, init)
 
-    sx = np.array([rec.x for rec in records])
-    sy = np.array([rec.y for rec in records])
-    detected = np.array([rec.detected for rec in records])
     grid_x = np.linspace(cen_x - 3.0, cen_x + 3.0, 41)
     grid_y = np.linspace(cen_y - 3.0, cen_y + 3.0, 41)
     powers = np.logspace(-1.0, 1.0, 20)

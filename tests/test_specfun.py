@@ -285,7 +285,7 @@ def _moment_order(s: float) -> int:
 
 def upper_gamma(s: float, x: float) -> float:
     # Gamma(s, x) = 2 int_{sqrt x}^inf u^(2s-1) e^{-u^2} du
-    return 2.0 * _power_moment(_moment_order(s), math.sqrt(x), math.inf, False)
+    return 2.0 * _power_moment(_moment_order(s), math.sqrt(x), math.inf)
 
 
 def lower_gamma(s: float, x: float) -> float:
