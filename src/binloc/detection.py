@@ -40,10 +40,6 @@ __all__ = [
     "log_likelihood",
 ]
 
-# Entries whose noncentrality (x^2/2) exceeds this take the scalar
-# log-domain path inside the vectorized Marcum evaluation.
-_VEC_LAMBDA_MAX = 512.0
-
 # Detection probabilities this close to 0 or 1 get their logarithms from
 # the dedicated tail routines instead of log(q) / log1p(-q).
 _EDGE_LO = 1e-250
@@ -165,37 +161,16 @@ def detection_probability_derivatives(cfg: DetectorConfig, P: float,
 # ----------------------------------------------------------------------
 
 def _marcum_q_vec(x: np.ndarray, t: float) -> np.ndarray:
-    """Q1(x_i, t) for an array of signal coordinates, one shared series
-    sweep in linear space; very noncentral entries defer to the scalar
-    log-domain evaluation."""
+    """Q1(x_i, t) for an array of signal coordinates, equal to
+    specfun.marcum_q(x_i, t) entry by entry: one ufunc call, with the
+    entries it cannot answer (x = inf for a sensor on the hypothesis,
+    x^2 beyond ~9.2e18, values below its floor) taken one by one."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape, dtype=float)
-    lam = 0.5 * x * x
-    y = 0.5 * t * t
-    big = lam > _VEC_LAMBDA_MAX
-    if big.any():
-        out[big] = [specfun.marcum_q(float(v), t) for v in x[big]]
-    rest = ~big
-    if rest.any():
-        lam_r = lam[rest]
-        lam_max = float(lam_r.max())
-        pois = np.exp(-lam_r)
-        cum = pois.copy()               # Poisson mass accumulated so far
-        gterm = math.exp(-y)
-        gupper = gterm
-        q = pois * gupper
-        k_min = int(max(lam_max, math.sqrt(lam_max * y))) + 2
-        k_stop = k_min + int(10.0 * math.sqrt(lam_max + 1.0)) + 60
-        for k in range(1, k_stop + 1):
-            pois *= lam_r / k
-            cum += pois
-            gterm *= y / k
-            gupper += gterm
-            q += pois * gupper
-            if k >= k_min and float(cum.min()) > 1.0 - 1e-16:
-                break
-        out[rest] = np.minimum(q, 1.0)
-    return out
+    q = np.asarray(specfun._marcum_q_ufunc(x, t), dtype=float)
+    scalar = ~(q >= specfun._UFUNC_MIN)
+    if scalar.any():
+        q[scalar] = [specfun.marcum_q(float(v), t) for v in x[scalar]]
+    return q
 
 
 def _log_q_pair_vec(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +195,7 @@ def detection_probability_array(cfg: DetectorConfig, P: float,
     r = np.asarray(r, dtype=float)
     if r.size and (not np.all(np.isfinite(r)) or np.any(r <= 0.0)):
         raise ValueError("all ranges must be finite and > 0")
-    x = np.sqrt(cfg.T * P / (cfg.sigma2 * r ** cfg.alpha))
+    x = _signal_coordinate_vec(cfg, P, r)
     return _marcum_q_vec(x, cfg.threshold_coordinate)
 
 

@@ -151,8 +151,7 @@ class FisherResult:
 
 def x_breve(cfg: DetectorConfig, P: float, field: FieldConfig) -> float:
     """Signal coordinate at the inner truncation radius r_breve."""
-    rb = field.r_breve
-    return math.sqrt(cfg.T * float(P) / (cfg.sigma2 * rb ** cfg.alpha))
+    return signal_coordinate(cfg, P, field.r_breve)
 
 
 # ----------------------------------------------------------------------

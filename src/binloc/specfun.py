@@ -6,21 +6,25 @@ statistics.
   in either tail,
 * Taylor coefficients of ``I1(y)^2`` about ``y = 0``.
 
-The Bessel functions in the derivatives come from ``scipy.special``.  Q1
-itself is computed here because scipy's noncentral chi-square loses the
-log-domain tails (``ncx2.logcdf`` returns -inf at (a, b) = (23, 3), where
-log(1 - Q1) = -204.94).
+Q1(a, b) is the upper tail at b^2 of a noncentral chi-square variable
+with 2 degrees of freedom and noncentrality a^2.  Its linear value comes
+from scipy's compiled noncentral chi-square tail ``_ncx2_sf``, the ufunc
+behind ``stats.ncx2.sf``, for scalars and arrays alike, down to 1e-150;
+smaller values, which the ufunc loses, come from the log tail.  The
+Bessel functions in the derivatives come from ``scipy.special`` too.
 
-Q1 is evaluated by the canonical Poisson-mixture series
+The log-domain tails are computed here, because scipy loses them
+(``ncx2.logcdf`` returns -inf at (a, b) = (23, 3), where
+log(1 - Q1) = -204.94).  They sum the Poisson-mixture form
 
     Q1(a, b) = exp(-a^2/2) * sum_k (a^2/2)^k / k!
                           * [exp(-b^2/2) * sum_{j<=k} (b^2/2)^j / j!]
 
-i.e. a Poisson(a^2/2) mixture of upper gamma tails, truncated when the
-remaining Poisson mass can no longer move the sum.  For very noncentral
-arguments (a^2/2 beyond ``_SERIES_LAMBDA_MAX``) the same mixture is summed
-in log space over a windowed range of k, which keeps both tails accurate
-down to values like exp(-1500) where ordinary doubles have long given up.
+(a Poisson(a^2/2) mixture of upper gamma tails) in log space over a
+window of k, which keeps both tails accurate down to values like
+exp(-1500) where ordinary doubles have long given up.  Where the linear
+value still carries full relative accuracy on the side asked for, they
+take its logarithm instead.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 
 from scipy import special
+from scipy.special._ufuncs import _ncx2_sf
 
 __all__ = [
     "marcum_q",
@@ -39,22 +44,22 @@ __all__ = [
     "i1_squared_taylor_coeff",
 ]
 
-# Noncentrality a^2/2 above which the linear-space mixture series is
-# abandoned in favour of the windowed log-space sum.  At 256 the series
-# needs ~450 terms to push the unaccounted Poisson mass below 1e-16, which
-# still fits the term budget.
+# Noncentrality a^2/2 above which the log tails no longer take the
+# logarithm of the linear value.  Beyond it the ufunc's 1 - Q keeps only
+# its absolute accuracy (1.5e-8 relative error at (a, b) = (100, 95)),
+# while the windowed log-space sums stay exact.
 _SERIES_LAMBDA_MAX = 256.0
 
-# Truncation of the linear-space series: stop once both the unaccounted
-# Poisson mass and the last term fall below this floor, after at least
-# this many terms.
-_SERIES_FLOOR = 1e-16
-_SERIES_MIN_BUDGET = 500
-
-# The linear series gives log Q (log(1 - Q)) directly only while 1 - Q
+# The linear value gives log Q (log(1 - Q)) directly only while 1 - Q
 # (Q) keeps at least this much of its own; closer to 1 the complement has
 # lost its relative accuracy and the log-space sums take over.
 _SERIES_COMPLEMENT_MIN = 1e-9
+
+# Smallest ufunc value that marcum_q takes as it is; below it Q comes
+# from exp(log Q).  Once b^2/2 passes ~700 the ufunc loses its value from
+# Q ~ 1e-162 down (1.5e-3 relative error at (30, 60.22), where Q = 1e-200;
+# 0.0 at (30, 62), where Q = 7.84e-225).
+_UFUNC_MIN = 1e-150
 
 # Floor used when converting a log-domain result back to linear space.
 _LOG_TINY = -745.0
@@ -100,39 +105,24 @@ def marcum_q(a: float, b: float) -> float:
         return 1.0
     if math.isinf(a) or math.isinf(b):
         return math.exp(_log_marcum_q_asymptotic(a, b)[0])
-    lam = 0.5 * a * a
-    if lam > _SERIES_LAMBDA_MAX:
-        # deep noncentral regime: assemble from the log-domain tails
-        if 0.5 * b * b <= lam + 1.0:
-            return -math.expm1(log1m_marcum_q(a, b))
-        return math.exp(log_marcum_q(a, b))
-    return _marcum_series(lam, 0.5 * b * b)
+    q = float(_marcum_q_ufunc(a, b))
+    if q >= _UFUNC_MIN:
+        return q
+    return math.exp(log_marcum_q(a, b))
 
 
-def _marcum_series(lam: float, y: float) -> float:
-    # Poisson(lam) mixture of regularized upper gamma tails Q(k+1, y),
-    # with Q(k+1, y) = exp(-y) sum_{j<=k} y^j / j! built incrementally.
-    floor = _SERIES_FLOOR
-    if lam == 0.0:
-        return math.exp(-y)
-    pois = math.exp(-lam)          # Poisson pmf at k
-    cum = pois                     # Poisson cdf through k
-    gterm = math.exp(-y)           # exp(-y) y^k / k!
-    gupper = gterm                 # Q(k+1, y)
-    q = pois * gupper
-    # terms can grow until k ~ max(lam, sqrt(lam*y)); never stop before
-    k_min = int(max(lam, math.sqrt(lam * y))) + 2
-    budget = max(_SERIES_MIN_BUDGET, k_min + 64)
-    for k in range(1, budget + 1):
-        pois *= lam / k
-        cum += pois
-        gterm *= y / k
-        gupper += gterm
-        term = pois * gupper
-        q += term
-        if k >= k_min and (1.0 - cum) <= floor and term <= floor * max(q, 1e-300):
-            break
-    return min(q, 1.0)
+def _marcum_q_ufunc(a, b: float):
+    """Q1(a, b) from scipy's compiled noncentral chi-square tail, for a
+    scalar b and a scalar or array a.
+
+    NaN where the ufunc has no answer: a = inf, a^2 beyond ~9.2e18, and
+    every a once b^2/2 passes _ASYMPTOTIC_HALF_ARG (with both arguments
+    that large it returns 0.43 for Q1(1e6, 1e6) = 0.50).  Values below
+    _UFUNC_MIN are not to be trusted either.
+    """
+    if 0.5 * b * b > _ASYMPTOTIC_HALF_ARG:
+        b = math.nan
+    return _ncx2_sf(b * b, 2.0, a * a)
 
 
 def _log_add(x: float, y: float) -> float:
@@ -186,8 +176,9 @@ def _log_gauss_tail(z: float) -> float:
     if z < 30.0:
         return math.log(0.5 * math.erfc(z / math.sqrt(2.0)))
     # asymptotic expansion; erfc itself underflows near z ~ 38
+    u = 1.0 / (z * z)
     return (-0.5 * z * z - math.log(z) - 0.5 * math.log(2.0 * math.pi)
-            + math.log1p(-1.0 / (z * z) + 3.0 / (z ** 4)))
+            + math.log1p(-u + 3.0 * u * u))
 
 
 def _log_complement(lx: float) -> float:
@@ -238,10 +229,10 @@ def log_marcum_q(a: float, b: float) -> float:
     if lam > _ASYMPTOTIC_HALF_ARG or y > _ASYMPTOTIC_HALF_ARG:
         return _log_marcum_q_asymptotic(a, b)[0]
     if lam <= _SERIES_LAMBDA_MAX and y <= 700.0:
-        # cheap path: the linear-space series keeps full relative accuracy
-        # (all terms positive) whenever its value is representable; once q
-        # has (nearly) rounded to 1, log Q ~ -(1 - Q) needs the complement
-        q = _marcum_series(lam, y)
+        # cheap path: the linear value keeps full relative accuracy here
+        # whenever it is representable; once q has (nearly) rounded to 1,
+        # log Q ~ -(1 - Q) needs the complement
+        q = float(_marcum_q_ufunc(a, b))
         if 1e-280 <= q <= 1.0 - _SERIES_COMPLEMENT_MIN:
             return math.log(q)
     if y >= lam + 1.0:
@@ -278,10 +269,10 @@ def log1m_marcum_q(a: float, b: float) -> float:
     if lam > _ASYMPTOTIC_HALF_ARG or y > _ASYMPTOTIC_HALF_ARG:
         return _log_marcum_q_asymptotic(a, b)[1]
     if lam <= _SERIES_LAMBDA_MAX and y <= 700.0:
-        # cheap path: complement of the linear series, safe while 1 - Q
+        # cheap path: complement of the linear value, safe while 1 - Q
         # retains enough bits of its own (relative error <= ~1e-7 here;
         # the windowed sum below keeps full accuracy beyond)
-        q = _marcum_series(lam, y)
+        q = float(_marcum_q_ufunc(a, b))
         if q <= 1.0 - _SERIES_COMPLEMENT_MIN:
             return math.log1p(-q)
     if y >= lam + 1.0:

@@ -339,10 +339,10 @@ def test_simulate_summary_row_is_frozen(capsys) -> None:
                         "--set", "seed=20260814")
     assert code == EXIT_OK
     assert _data_rows(out)[-1] == (
-        "5,5,0,15.905995751972615,36.210321821344245,59.920294677002197,"
-        "2.7983520233824715,2.8308564803863687,-1.257513970298423,"
-        "3.1549422374138962,4.5621847910894378,5.0416123513597979,"
-        "7.9370572389062115,13.134122667287528")
+        "5,5,0,15.905995767698826,36.210321361183411,59.920291354282583,"
+        "2.7983518831699521,2.830856623386143,-1.257514091553521,"
+        "3.1549422374138962,4.5621847910894378,5.0416123563444248,"
+        "7.937057138042074,13.134121938969898")
 
 
 def test_simulate_no_detection_regime(capsys) -> None:

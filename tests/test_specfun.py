@@ -5,9 +5,11 @@ scaled Bessel functions that the Marcum derivatives take from scipy.
 
 Oracle sources, in order of preference:
  * closed-form identities (exact),
- * scipy.stats / scipy.special evaluated where they are trustworthy,
- * high-precision reference values (mpmath) for the deep tails where
-   double-precision libraries cannot follow.
+ * a 50-digit mpmath Poisson mixture of regularized gamma tails for Q1
+   and both log tails (the linear Q1 is scipy's noncentral chi-square
+   ufunc itself, so scipy cannot be its oracle),
+ * other 50-digit mpmath references (incomplete gamma, scaled Bessel)
+   and frozen high-precision deep-tail values.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import special
 
+from binloc import detection, specfun
 from binloc.closedform import _half_moment, _power_moment
 from binloc.specfun import (
     _SERIES_LAMBDA_MAX,
@@ -29,9 +32,10 @@ from binloc.specfun import (
     marcum_q_da,
     marcum_q_daa,
 )
-from binloc.specfun import _log_marcum_q_asymptotic
+from binloc.specfun import _log_gauss_tail, _log_marcum_q_asymptotic
 
-# Tolerance for the scipy cross-checks (measured headroom is ~1e-14).
+# Tolerance for the linear Q1 against the mpmath oracle (measured
+# headroom is ~1e-14).
 _SCIPY_RTOL = 5e-13
 # Central finite-difference step and tolerances for the derivative checks.
 _FD_STEP = 1e-4
@@ -66,8 +70,51 @@ _ASYMPTOTIC_TABLE = [
 
 
 # ----------------------------------------------------------------------
-# Marcum Q: exact identities and scipy oracle
+# Marcum Q: exact identities and the mpmath oracle
 # ----------------------------------------------------------------------
+
+def _mp_tails(a: float, b: float) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(Q1, 1 - Q1) at 50 digits: Poisson(a^2/2) mixtures of the
+    regularized upper and lower gamma tails at b^2/2, each summed on its
+    own so that neither is taken as the complement of a number near 1.
+    Q(k+1, y) is built upward and P(k+1, y) downward from one mpmath
+    gammainc each, both as sums of positive terms e^(-y) y^k / k!."""
+    if b == 0.0:
+        return mpmath.mpf(1), mpmath.mpf(0)
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(a) ** 2 / 2
+        y = mpmath.mpf(b) ** 2 / 2
+        half = 20.0 * math.sqrt(float(lam) + 1.0) + 60.0
+        ks = range(max(0, int(lam - half)), int(lam + half) + 1)
+        k0 = ks[0]
+        pois = [mpmath.exp(-lam + k0 * mpmath.log(lam) - mpmath.loggamma(k0 + 1))]
+        gterm = [mpmath.exp(-y + k0 * mpmath.log(y) - mpmath.loggamma(k0 + 1))]
+        for k in ks[1:]:
+            pois.append(pois[-1] * lam / k)
+            gterm.append(gterm[-1] * y / k)
+        upper = [mpmath.gammainc(k0 + 1, y, mpmath.inf, regularized=True)]
+        for g in gterm[1:]:
+            upper.append(upper[-1] + g)
+        lower = [mpmath.gammainc(ks[-1] + 1, 0, y, regularized=True)]
+        for g in reversed(gterm[1:]):
+            lower.append(lower[-1] + g)
+        lower.reverse()
+        return (mpmath.fsum(p * u for p, u in zip(pois, upper)),
+                mpmath.fsum(p * l for p, l in zip(pois, lower)))
+
+
+def _mp_marcum_q(a: float, b: float) -> float:
+    return float(_mp_tails(a, b)[0])
+
+
+def _mp_log_tails(a: float, b: float) -> tuple[float, float]:
+    """(log Q1, log(1 - Q1)) from the 50-digit oracle."""
+    q, p = _mp_tails(a, b)
+    with mpmath.workdps(50):
+        lq = mpmath.log(q) if q < 0.5 else mpmath.log1p(-p)
+        l1 = mpmath.log(p) if p < 0.5 else mpmath.log1p(-q)
+        return float(lq), float(l1)
+
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0])
 def test_marcum_equal_argument_identity(a):
@@ -90,19 +137,61 @@ def test_marcum_matches_noncentral_chi_square_tail():
     # of freedom and noncentrality a^2.
     for a in np.linspace(0.25, 20.0, 10):
         for b in np.linspace(0.0, 20.0, 9):
-            ref = float(stats.ncx2.sf(b * b, 2, a * a))
+            ref = _mp_marcum_q(float(a), float(b))
             if ref < 1e-280:
                 continue
             assert marcum_q(float(a), float(b)) == pytest.approx(ref, rel=_SCIPY_RTOL)
 
 
 def test_marcum_beyond_series_cap_matches_scipy():
-    # lambda = a^2/2 > 256 leaves the linear-space series; the log-domain
-    # assembly must agree where scipy is still accurate.
+    # lambda = a^2/2 > 256, where the log tails leave the linear value
+    # for their windowed sums; marcum_q keeps the ufunc value there.
     for a in (22.64, 30.0, 45.0):
         for b in (15.0, 22.6, 30.0, 44.0):
-            ref = float(stats.ncx2.sf(b * b, 2, a * a))
-            assert marcum_q(a, b) == pytest.approx(ref, rel=1e-11)
+            assert marcum_q(a, b) == pytest.approx(_mp_marcum_q(a, b), rel=1e-11)
+
+
+def test_marcum_ufunc_path_and_its_fallbacks():
+    # just above the ufunc floor its value is taken as it is
+    a, b = 30.0, 56.12
+    q = marcum_q(a, b)
+    assert q == float(specfun._marcum_q_ufunc(a, b))
+    assert specfun._UFUNC_MIN < q < 1e3 * specfun._UFUNC_MIN
+    assert q == pytest.approx(_mp_marcum_q(a, b), rel=1e-12)
+    # below it the ufunc loses its value (0.0 at (30, 62), 1.5e-3 off at
+    # (30, 60.22)); the log tail answers
+    for a, b in ((30.0, 62.0), (30.0, 60.22), (5.0, 40.25)):
+        assert float(specfun._marcum_q_ufunc(a, b)) < specfun._UFUNC_MIN
+        assert marcum_q(a, b) == pytest.approx(_mp_marcum_q(a, b), rel=1e-10)
+    assert marcum_q(30.0, 62.0) == pytest.approx(7.840357e-225, rel=1e-6)
+    assert detection._marcum_q_vec(np.array([30.0]), 62.0)[0] == marcum_q(30.0, 62.0)
+    # with both half-arguments past the asymptotic cap the ufunc returns
+    # 0.43 for Q1(1e6, 1e6) = 1/2 + 2e-7; the asymptotic branch answers
+    assert marcum_q(1e6, 1e6) == pytest.approx(0.5, abs=1e-6)
+    assert detection._marcum_q_vec(np.array([1e6]), 1e6)[0] == marcum_q(1e6, 1e6)
+    # the vector path: e^(-t^2/2) at x = 0, the oracle inside, certain
+    # detection at x = inf (a sensor on the hypothesis), beyond the
+    # ufunc's range (x^2 = 1e300) and far out in the linear range
+    t = 1.2
+    x = np.array([0.0, 1.0, math.inf, 1e150, 50.0])
+    q = detection._marcum_q_vec(x, t)
+    assert q[0] == pytest.approx(math.exp(-0.5 * t * t), rel=1e-15)
+    assert q[1] == pytest.approx(_mp_marcum_q(1.0, t), rel=1e-14)
+    assert list(q[2:]) == [1.0, 1.0, 1.0]
+    assert list(q) == [marcum_q(float(v), t) for v in x]
+    log_q, log_1mq = detection._log_q_pair_vec(x, t)
+    assert log_q[0] == pytest.approx(-0.5 * t * t, rel=1e-15)
+    assert log_1mq[0] == pytest.approx(math.log1p(-math.exp(-0.5 * t * t)), rel=1e-15)
+    lq_ref, l1_ref = _mp_log_tails(1.0, t)
+    assert log_q[1] == pytest.approx(lq_ref, rel=1e-14)
+    assert log_1mq[1] == pytest.approx(l1_ref, rel=1e-14)
+    assert list(log_q[2:]) == [0.0, 0.0, 0.0]
+    assert log_1mq[2] == -math.inf
+    # the edge entries take their complements from the log tail
+    assert log_1mq[3] == log1m_marcum_q(1e150, t)
+    assert log_1mq[3] == pytest.approx(-0.5e300, rel=1e-12)
+    assert log_1mq[4] == log1m_marcum_q(50.0, t)
+    assert -1300.0 < log_1mq[4] < -1100.0
 
 
 def test_marcum_monotone_in_arguments():
@@ -143,6 +232,21 @@ def test_marcum_asymptotic_branch_accuracy(a, b, ref, side, tol):
     assert got == pytest.approx(ref, abs=tol)
 
 
+def test_asymptotic_branch_finite_beyond_z4_overflow():
+    # z**4 overflows a double from z ~ 1.16e77; the Gaussian tail must not
+    # raise on either side, and at z = 1e200 its log is -inf (z*z = inf)
+    for z in (1.1e77, 1.3e77):
+        assert _log_gauss_tail(z) == pytest.approx(-0.5 * z * z, rel=1e-15)
+    assert _log_gauss_tail(1e200) == -math.inf
+    assert marcum_q(1e80, 1.2) == 1.0
+    lqs = [log_marcum_q(1.0, b) for b in (1e76, 1.1e77, 1.3e77, 1e78, 1e200)]
+    assert all(x > y for x, y in zip(lqs, lqs[1:4]))
+    assert lqs[3] == pytest.approx(-0.5e156, rel=1e-12) and lqs[4] == -math.inf
+    log_q, log_1mq = detection._log_q_pair_vec(np.array([1e80, 2.0]), 1.2)
+    assert log_q[0] == 0.0 and log_1mq[0] == pytest.approx(-0.5e160, rel=1e-12)
+    assert math.isfinite(log_q[1]) and math.isfinite(log_1mq[1])
+
+
 def test_asymptotic_branch_continuous_with_windowed_sums():
     # Just below the half-argument cap both routes are computable; the
     # handover must be smooth at the scale of the approximation error.
@@ -152,24 +256,6 @@ def test_asymptotic_branch_continuous_with_windowed_sums():
         lq_a, l1_a = _log_marcum_q_asymptotic(a, b)
         assert abs(lq_w - lq_a) <= max(2e-3, 1e-4 * abs(lq_w))
         assert abs(l1_w - l1_a) <= max(2e-3, 1e-4 * abs(l1_w))
-
-
-def _mp_log_tails(a: float, b: float) -> tuple[float, float]:
-    """(log Q1, log(1 - Q1)) from a 50-digit Poisson(a^2/2) mixture of
-    regularized gamma tails, each side summed on its own so that neither
-    is taken as the complement of a number near 1."""
-    with mpmath.workdps(50):
-        lam = mpmath.mpf(a) ** 2 / 2
-        y = mpmath.mpf(b) ** 2 / 2
-        half = 20.0 * math.sqrt(float(lam) + 1.0) + 60.0
-        q = p = mpmath.mpf(0)
-        for k in range(max(0, int(lam - half)), int(lam + half) + 1):
-            pois = mpmath.exp(-lam + k * mpmath.log(lam) - mpmath.loggamma(k + 1))
-            q += pois * mpmath.gammainc(k + 1, y, mpmath.inf, regularized=True)
-            p += pois * mpmath.gammainc(k + 1, 0, y, regularized=True)
-        lq = mpmath.log(q) if q < 0.5 else mpmath.log1p(-p)
-        l1 = mpmath.log(p) if p < 0.5 else mpmath.log1p(-q)
-        return float(lq), float(l1)
 
 
 _A_BELOW_CAP = math.sqrt(2.0 * (_SERIES_LAMBDA_MAX - 0.2))
