@@ -174,17 +174,27 @@ def _marcum_q_vec(x: np.ndarray, t: float) -> np.ndarray:
 
 
 def _log_q_pair_vec(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(log P_D, log(1 - P_D)) element-wise, safe at both edges."""
+    """(log P_D, log(1 - P_D)) element-wise, safe at both edges: on an
+    edge entry the small side equals specfun.log_marcum_q(x_i, t) or
+    specfun.log1m_marcum_q(x_i, t).  The edge entries take it from one
+    call of the Neumann-series tails; only those past the half-argument
+    cap (x = inf among them) are taken one by one."""
     q = _marcum_q_vec(x, t)
     with np.errstate(divide="ignore"):
         log_q = np.log(q)
         log_1mq = np.log1p(-q)
     lo = q < _EDGE_LO
     hi = (1.0 - q) < _EDGE_HI
-    for idx in np.flatnonzero(lo):
-        log_q[idx] = specfun.log_marcum_q(float(x.flat[idx]), t)
-    for idx in np.flatnonzero(hi):
-        log_1mq[idx] = specfun.log1m_marcum_q(float(x.flat[idx]), t)
+    capped = 0.5 * np.maximum(x, t) ** 2 > specfun._ASYMPTOTIC_HALF_ARG
+    series = (lo | hi) & ~capped
+    if series.any():
+        lq, l1 = specfun._log_tails(x[series], t)
+        log_q[lo & ~capped] = lq[lo[series]]
+        log_1mq[hi & ~capped] = l1[hi[series]]
+    for idx in np.flatnonzero(lo & capped):
+        log_q.flat[idx] = specfun.log_marcum_q(float(x.flat[idx]), t)
+    for idx in np.flatnonzero(hi & capped):
+        log_1mq.flat[idx] = specfun.log1m_marcum_q(float(x.flat[idx]), t)
     return log_q, log_1mq
 
 

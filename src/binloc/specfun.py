@@ -15,22 +15,24 @@ Bessel functions in the derivatives come from ``scipy.special`` too.
 
 The log-domain tails are computed here, because scipy loses them
 (``ncx2.logcdf`` returns -inf at (a, b) = (23, 3), where
-log(1 - Q1) = -204.94).  They sum the Poisson-mixture form
+log(1 - Q1) = -204.94).  They sum the Neumann series
 
-    Q1(a, b) = exp(-a^2/2) * sum_k (a^2/2)^k / k!
-                          * [exp(-b^2/2) * sum_{j<=k} (b^2/2)^j / j!]
+    Q1(a, b)     = exp(-(a-b)^2/2) * sum_{k>=0} (a/b)^k ive(k, ab),  a < b,
+    1 - Q1(a, b) = exp(-(a-b)^2/2) * sum_{k>=1} (b/a)^k ive(k, ab),  a >= b,
 
-(a Poisson(a^2/2) mixture of upper gamma tails) in log space over a
-window of k, which keeps both tails accurate down to values like
-exp(-1500) where ordinary doubles have long given up.  Where the linear
-value still carries full relative accuracy on the side asked for, they
-take its logarithm instead.
+over scipy's exponentially scaled Bessel function ``ive``.  The Gaussian
+factor stays in log space and the sum has positive terms, so the smaller
+side keeps full relative accuracy down to values like exp(-1500), where
+ordinary doubles have long given up; the larger side is its complement.
+Where the linear value still carries full relative accuracy on the side
+asked for, they take its logarithm instead.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import special
 from scipy.special._ufuncs import _ncx2_sf
 
@@ -47,28 +49,32 @@ __all__ = [
 # Noncentrality a^2/2 above which the log tails no longer take the
 # logarithm of the linear value.  Beyond it the ufunc's 1 - Q keeps only
 # its absolute accuracy (1.5e-8 relative error at (a, b) = (100, 95)),
-# while the windowed log-space sums stay exact.
+# while the Neumann series stays exact.
 _SERIES_LAMBDA_MAX = 256.0
 
 # The linear value gives log Q (log(1 - Q)) directly only while 1 - Q
 # (Q) keeps at least this much of its own; closer to 1 the complement has
-# lost its relative accuracy and the log-space sums take over.
+# lost its relative accuracy and the Neumann series takes over.
 _SERIES_COMPLEMENT_MIN = 1e-9
 
-# Smallest ufunc value that marcum_q takes as it is; below it Q comes
-# from exp(log Q).  Once b^2/2 passes ~700 the ufunc loses its value from
-# Q ~ 1e-162 down (1.5e-3 relative error at (30, 60.22), where Q = 1e-200;
-# 0.0 at (30, 62), where Q = 7.84e-225).
+# Smallest ufunc value that marcum_q takes as it is, and whose logarithm
+# log_marcum_q takes; below it Q comes from exp(log Q).  Once b^2/2
+# passes ~700 the ufunc loses its value from Q ~ 1e-162 down (1.5e-3
+# relative error at (30, 60.22), where Q = 1e-200; 0.0 at (30, 62),
+# where Q = 7.84e-225).
 _UFUNC_MIN = 1e-150
 
-# Floor used when converting a log-domain result back to linear space.
-_LOG_TINY = -745.0
-
-# Half-argument (a^2/2 or b^2/2) beyond which the windowed mixture sums
-# would need ~sqrt(argument) terms; switch to Gaussian tail asymptotics.
-# Far outside the accuracy-contracted domain -- these values exist so that
-# optimizers probing absurd parameters see finite, monotone surfaces.
+# Half-argument (a^2/2 or b^2/2) beyond which the log tails switch to
+# Gaussian tail asymptotics: near a = b the Neumann series runs longest,
+# to about 11,000 terms at the cap.  Far outside the accuracy-contracted
+# domain -- these values exist so that optimizers probing absurd
+# parameters see finite, monotone surfaces.
 _ASYMPTOTIC_HALF_ARG = 1e6
+
+# Orders of the Neumann series evaluated per ive call.  One call covers
+# the ~25 terms a likelihood edge sensor needs; ive costs ~1.2 us a term,
+# and each further pass over the sum costs about as much as a call.
+_NEUMANN_BLOCK = 32
 
 
 def _check_nonneg(name: str, value: float) -> float:
@@ -125,52 +131,6 @@ def _marcum_q_ufunc(a, b: float):
     return _ncx2_sf(b * b, 2.0, a * a)
 
 
-def _log_add(x: float, y: float) -> float:
-    if x == -math.inf:
-        return y
-    if y == -math.inf:
-        return x
-    hi, lo = (x, y) if x >= y else (y, x)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-def _log_pg_small(k: float, y: float) -> float:
-    """log of the regularized lower gamma P(k+1, y) via its ascending
-    series, efficient when y is comfortably below k."""
-    # P(k+1, y) = y^(k+1) e^(-y) / Gamma(k+2) * sum_{n>=0} prod_j y/(k+1+j)
-    s = 1.0
-    term = 1.0
-    n = 1
-    while n < 4000:
-        term *= y / (k + 1.0 + n)
-        s += term
-        if term <= 1e-17 * s:
-            break
-        n += 1
-    return (k + 1.0) * math.log(y) - y - math.lgamma(k + 2.0) + math.log(s)
-
-
-def _log_qg_partial_sum(k_max: int, y: float):
-    """Yield log Q(k+1, y) = -y + log sum_{j<=k} y^j/j! for k = 0..k_max."""
-    log_y = math.log(y) if y > 0.0 else -math.inf
-    log_sum = 0.0  # j = 0 term: log(1)
-    log_term = 0.0
-    for k in range(0, k_max + 1):
-        if k > 0:
-            log_term += log_y - math.log(k)
-            log_sum = _log_add(log_sum, log_term)
-        yield -y + log_sum
-
-
-def _poisson_window(lam: float) -> tuple[int, int]:
-    if lam == 0.0:
-        return 0, 0
-    half = 10.0 * math.sqrt(lam) + 50.0
-    lo = max(0, int(lam - half))
-    hi = int(lam + half) + 1
-    return lo, hi
-
-
 def _log_gauss_tail(z: float) -> float:
     """log of the standard normal upper tail, robust for any finite z."""
     if z < 30.0:
@@ -181,20 +141,9 @@ def _log_gauss_tail(z: float) -> float:
             + math.log1p(-u + 3.0 * u * u))
 
 
-def _log_complement(lx: float) -> float:
-    """log(1 - exp(lx)) for lx <= 0."""
-    if lx == -math.inf:
-        return 0.0
-    if lx >= 0.0:
-        return -math.inf
-    if lx > -math.log(2.0):
-        return math.log(-math.expm1(lx))
-    return math.log1p(-math.exp(lx))
-
-
 def _log_marcum_q_asymptotic(a: float, b: float) -> tuple[float, float]:
     """(log Q1, log(1 - Q1)) from the leading Gaussian/Laplace term, for
-    arguments so large that the mixture sums are impractical.
+    arguments so large that the Neumann series is impractical.
 
     Around the transition b ~ a the noncentral chi-square is effectively
     Gaussian in the amplitude, giving Q1(a, b) ~ Phi_c(b - a) sqrt(b/a);
@@ -213,9 +162,9 @@ def _log_marcum_q_asymptotic(a: float, b: float) -> tuple[float, float]:
     z = b - a
     if z >= 0.0:
         lq = min(_log_gauss_tail(z) + 0.5 * math.log(b / max(a, 5e-324)), 0.0)
-        return lq, _log_complement(lq)
+        return lq, float(_log_complement(lq))
     l1 = min(_log_gauss_tail(-z) + 0.5 * math.log(a / b), 0.0)
-    return _log_complement(l1), l1
+    return float(_log_complement(l1)), l1
 
 
 def log_marcum_q(a: float, b: float) -> float:
@@ -230,32 +179,12 @@ def log_marcum_q(a: float, b: float) -> float:
         return _log_marcum_q_asymptotic(a, b)[0]
     if lam <= _SERIES_LAMBDA_MAX and y <= 700.0:
         # cheap path: the linear value keeps full relative accuracy here
-        # whenever it is representable; once q has (nearly) rounded to 1,
+        # from its floor up; once q has (nearly) rounded to 1,
         # log Q ~ -(1 - Q) needs the complement
         q = float(_marcum_q_ufunc(a, b))
-        if 1e-280 <= q <= 1.0 - _SERIES_COMPLEMENT_MIN:
+        if _UFUNC_MIN <= q <= 1.0 - _SERIES_COMPLEMENT_MIN:
             return math.log(q)
-    if y >= lam + 1.0:
-        # Q is the small side; sum the mixture directly in log space.  The
-        # summand Pois(k; lam) * Q(k+1, y) peaks near k ~ sqrt(lam*y) (the
-        # gamma tail is dominated by its last term while k < y), so the
-        # window must reach past that saddle, not just the Poisson bulk.
-        lo, _ = _poisson_window(lam)
-        k_peak = max(lam, math.sqrt(lam * y))
-        hi = int(k_peak + 10.0 * math.sqrt(k_peak + 1.0)) + 60
-        log_lam = math.log(lam) if lam > 0.0 else -math.inf
-        total = -math.inf
-        for k, log_qg in zip(range(0, hi + 1), _log_qg_partial_sum(hi, y)):
-            if k < lo:
-                continue
-            log_pois = -lam if k == 0 else (-lam + k * log_lam - math.lgamma(k + 1.0))
-            total = _log_add(total, log_pois + log_qg)
-        return min(total, 0.0)
-    # Q is the big side
-    lm = log1m_marcum_q(a, b)
-    if lm > _LOG_TINY:
-        return math.log1p(-math.exp(lm))
-    return -math.exp(lm) if lm > -math.inf else 0.0
+    return _log_tails(a, b)[0].item()
 
 
 def log1m_marcum_q(a: float, b: float) -> float:
@@ -270,53 +199,61 @@ def log1m_marcum_q(a: float, b: float) -> float:
         return _log_marcum_q_asymptotic(a, b)[1]
     if lam <= _SERIES_LAMBDA_MAX and y <= 700.0:
         # cheap path: complement of the linear value, safe while 1 - Q
-        # retains enough bits of its own (relative error <= ~1e-7 here;
-        # the windowed sum below keeps full accuracy beyond)
+        # retains enough bits of its own (relative error <= ~1e-7 here)
         q = float(_marcum_q_ufunc(a, b))
         if q <= 1.0 - _SERIES_COMPLEMENT_MIN:
             return math.log1p(-q)
-    if y >= lam + 1.0:
-        # 1 - Q is the big side; complement the small one
-        lq = log_marcum_q(a, b)
-        if lq > _LOG_TINY:
-            return math.log1p(-math.exp(lq))
-        return -math.exp(lq) if lq > -math.inf else 0.0
-    # 1 - Q = sum_k Pois(k; lam) P(k+1, y), windowed log-space sum.  Once
-    # y < k the gamma factor is dominated by its first term y^(k+1)/(k+1)!,
-    # so the summand peaks at k* = sqrt(lam*y); the window spans that
-    # saddle and the Poisson bulk (they coincide when y ~ lam).
-    k_star = math.sqrt(lam * y)
-    half = 12.0 * math.sqrt(max(k_star, lam)) + 60.0
-    lo = max(0, int(min(k_star, lam) - half))
-    hi = int(max(k_star, lam) + half) + 1
-    log_lam = math.log(lam) if lam > 0.0 else -math.inf
-    log_y = math.log(y)
-    total = -math.inf
-    best = -math.inf
-    # running partial sum exp(-y) sum_{j<=k} y^j/j!, kept in linear space
-    # (terms with j << y underflow harmlessly; Q(k+1, y) ~ 0 there anyway)
-    log_gterm = -y
-    qg = math.exp(-y)
-    for k in range(0, hi + 1):
-        if k > 0:
-            log_gterm += log_y - math.log(k)
-            qg += math.exp(log_gterm)
-        if k < lo:
-            continue
-        if y <= k + 1.0:
-            log_pg = _log_pg_small(float(k), y)
-        else:
-            # order below y: the lower tail is O(1); complement the sum
-            log_pg = math.log1p(-min(qg, 1.0)) if qg < 1.0 else -math.inf
-        log_pois = -lam if k == 0 else (-lam + k * log_lam - math.lgamma(k + 1.0))
-        term = log_pois + log_pg
-        total = _log_add(total, term)
-        best = max(best, term)
-        # the summand is unimodal with its peak at k*; once well past it
-        # and far below the peak, the remaining tail cannot matter
-        if k > k_star + 10.0 and term < best - 120.0:
-            break
-    return min(total, 0.0)
+    return _log_tails(a, b)[1].item()
+
+
+def _log_tails(a, b: float):
+    """(log Q1(a, b), log(1 - Q1(a, b))) for an array a >= 0 and a
+    scalar b > 0, both half-arguments within _ASYMPTOTIC_HALF_ARG.
+
+    The smaller side comes from the Neumann series over scipy's scaled
+    Bessel function ive,
+
+        Q1(a, b)     = exp(-(a-b)^2/2) sum_{k>=0} (a/b)^k ive(k, ab),  a < b,
+        1 - Q1(a, b) = exp(-(a-b)^2/2) sum_{k>=1} (b/a)^k ive(k, ab),  a >= b,
+
+    and the larger side is its complement.  The terms are positive and
+    fall monotonically in k, so each entry's sum stops at its first term
+    below 1e-17 of the sum.  Terms are evaluated _NEUMANN_BLOCK orders at
+    a time and added in order; an entry gets the same value in any array.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    below = a < b
+    z = a * b
+    r = np.minimum(a, b) / np.maximum(a, b)
+    total = np.where(below, special.ive(0, z), 0.0)
+    # rounding errors of the additions, each exact since no term exceeds
+    # a nonzero sum before it; near a = b the sum runs to ~10^4 terms
+    carry = np.zeros_like(total)
+    live = np.arange(a.size)
+    k = np.arange(1, _NEUMANN_BLOCK + 1)[:, None]
+    while live.size:
+        terms = r[live] ** k * special.ive(k, z[live])
+        sums = np.cumsum(np.vstack([total[live], terms]), axis=0)
+        ends = ~(terms > 1e-17 * sums[1:])
+        done = ends.any(axis=0)
+        last = np.where(done, ends.argmax(axis=0), _NEUMANN_BLOCK - 1)
+        cols = np.arange(live.size)
+        total[live] = sums[last + 1, cols]
+        carry[live] += np.cumsum((sums[:-1] - sums[1:]) + terms, axis=0)[last, cols]
+        live = live[~done]
+        k = k + _NEUMANN_BLOCK
+    with np.errstate(divide="ignore"):
+        small = np.minimum(np.log(total + carry) - 0.5 * (a - b) ** 2, 0.0)
+    big = _log_complement(small)
+    return np.where(below, small, big), np.where(below, big, small)
+
+
+def _log_complement(lx):
+    """log(1 - exp(lx)) element-wise, for lx <= 0."""
+    lx = np.asarray(lx, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(lx > -math.log(2.0), np.log(-np.expm1(lx)),
+                        np.log1p(-np.exp(lx)))
 
 
 def log_marcum_q_da(a: float, b: float) -> float:

@@ -1,15 +1,22 @@
 """Tests for the special-function layer: Marcum Q, its log tails and
 amplitude derivatives, the Maclaurin coefficients of I1(y)^2, the
 incomplete gamma functions that the closed-form moments evaluate, and the
-scaled Bessel functions that the Marcum derivatives take from scipy.
+scaled Bessel functions that the Marcum derivatives and log tails take
+from scipy.
 
-Oracle sources, in order of preference:
- * closed-form identities (exact),
+The log tails sum the Neumann series of scaled Bessel functions
+exp(-(a-b)^2/2) sum_k (a/b)^(+-k) ive(k, ab); their oracles use other
+formulas.  Oracle sources, in order of preference:
+ * closed-form identities (exact), among them Q1(a, a) = (1 + i0e(a^2))/2,
  * a 50-digit mpmath Poisson mixture of regularized gamma tails for Q1
    and both log tails (the linear Q1 is scipy's noncentral chi-square
-   ufunc itself, so scipy cannot be its oracle),
+   ufunc itself, so scipy cannot be its oracle); its window of k spans
+   both the Poisson bulk at lambda = a^2/2 and the summand's saddle at
+   sqrt(lambda b^2/2),
  * other 50-digit mpmath references (incomplete gamma, scaled Bessel)
    and frozen high-precision deep-tail values.
+The vector edge path of the likelihood is checked against the scalar
+tails by a derandomized property test.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from binloc import detection, specfun
@@ -78,14 +87,18 @@ def _mp_tails(a: float, b: float) -> tuple[mpmath.mpf, mpmath.mpf]:
     regularized upper and lower gamma tails at b^2/2, each summed on its
     own so that neither is taken as the complement of a number near 1.
     Q(k+1, y) is built upward and P(k+1, y) downward from one mpmath
-    gammainc each, both as sums of positive terms e^(-y) y^k / k!."""
+    gammainc each, both as sums of positive terms e^(-y) y^k / k!.
+    Where the gamma factor is far from 1 the summand peaks at
+    k* = sqrt(lambda y), not in the Poisson bulk at lambda, so the window
+    of k spans both."""
     if b == 0.0:
         return mpmath.mpf(1), mpmath.mpf(0)
     with mpmath.workdps(50):
         lam = mpmath.mpf(a) ** 2 / 2
         y = mpmath.mpf(b) ** 2 / 2
-        half = 20.0 * math.sqrt(float(lam) + 1.0) + 60.0
-        ks = range(max(0, int(lam - half)), int(lam + half) + 1)
+        k_lo, k_hi = sorted((float(lam), math.sqrt(float(lam * y))))
+        half = 20.0 * math.sqrt(k_hi + 1.0) + 60.0
+        ks = range(max(0, int(k_lo - half)), int(k_hi + half) + 1)
         k0 = ks[0]
         pois = [mpmath.exp(-lam + k0 * mpmath.log(lam) - mpmath.loggamma(k0 + 1))]
         gterm = [mpmath.exp(-y + k0 * mpmath.log(y) - mpmath.loggamma(k0 + 1))]
@@ -116,11 +129,16 @@ def _mp_log_tails(a: float, b: float) -> tuple[float, float]:
         return float(lq), float(l1)
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0, 30.0, 100.0, 400.0,
+                               math.sqrt(1.8e6)])
 def test_marcum_equal_argument_identity(a):
-    # Q1(a, a) = (1 + exp(-a^2) I0(a^2)) / 2
-    ref = 0.5 * (1.0 + special.i0e(a * a))
-    assert marcum_q(a, a) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+    # Q1(a, a) = (1 + exp(-a^2) I0(a^2)) / 2; from a = 30 on the log
+    # tails sum up to ~10^4 Neumann terms
+    i0e = float(special.i0e(a * a))
+    assert marcum_q(a, a) == pytest.approx(0.5 * (1.0 + i0e), rel=1e-13, abs=1e-13)
+    log_half = math.log(0.5)
+    assert log_marcum_q(a, a) == pytest.approx(log_half + math.log1p(i0e), rel=1e-14, abs=0.0)
+    assert log1m_marcum_q(a, a) == pytest.approx(log_half + math.log1p(-i0e), rel=1e-14, abs=0.0)
 
 
 def test_marcum_limits():
@@ -140,15 +158,15 @@ def test_marcum_matches_noncentral_chi_square_tail():
             ref = _mp_marcum_q(float(a), float(b))
             if ref < 1e-280:
                 continue
-            assert marcum_q(float(a), float(b)) == pytest.approx(ref, rel=_SCIPY_RTOL)
+            assert marcum_q(float(a), float(b)) == pytest.approx(ref, rel=_SCIPY_RTOL, abs=0.0)
 
 
 def test_marcum_beyond_series_cap_matches_scipy():
     # lambda = a^2/2 > 256, where the log tails leave the linear value
-    # for their windowed sums; marcum_q keeps the ufunc value there.
+    # for the Neumann series; marcum_q keeps the ufunc value there.
     for a in (22.64, 30.0, 45.0):
         for b in (15.0, 22.6, 30.0, 44.0):
-            assert marcum_q(a, b) == pytest.approx(_mp_marcum_q(a, b), rel=1e-11)
+            assert marcum_q(a, b) == pytest.approx(_mp_marcum_q(a, b), rel=1e-11, abs=0.0)
 
 
 def test_marcum_ufunc_path_and_its_fallbacks():
@@ -157,13 +175,13 @@ def test_marcum_ufunc_path_and_its_fallbacks():
     q = marcum_q(a, b)
     assert q == float(specfun._marcum_q_ufunc(a, b))
     assert specfun._UFUNC_MIN < q < 1e3 * specfun._UFUNC_MIN
-    assert q == pytest.approx(_mp_marcum_q(a, b), rel=1e-12)
+    assert q == pytest.approx(_mp_marcum_q(a, b), rel=1e-12, abs=0.0)
     # below it the ufunc loses its value (0.0 at (30, 62), 1.5e-3 off at
     # (30, 60.22)); the log tail answers
     for a, b in ((30.0, 62.0), (30.0, 60.22), (5.0, 40.25)):
         assert float(specfun._marcum_q_ufunc(a, b)) < specfun._UFUNC_MIN
-        assert marcum_q(a, b) == pytest.approx(_mp_marcum_q(a, b), rel=1e-10)
-    assert marcum_q(30.0, 62.0) == pytest.approx(7.840357e-225, rel=1e-6)
+        assert marcum_q(a, b) == pytest.approx(_mp_marcum_q(a, b), rel=1e-10, abs=0.0)
+    assert marcum_q(30.0, 62.0) == pytest.approx(7.840357e-225, rel=1e-6, abs=0.0)
     assert detection._marcum_q_vec(np.array([30.0]), 62.0)[0] == marcum_q(30.0, 62.0)
     # with both half-arguments past the asymptotic cap the ufunc returns
     # 0.43 for Q1(1e6, 1e6) = 1/2 + 2e-7; the asymptotic branch answers
@@ -219,11 +237,11 @@ def test_marcum_deep_tails_match_frozen_references(a, b, lq_ref, l1_ref):
         lq = log_marcum_q(a, b)
         assert lq == pytest.approx(lq_ref, rel=1e-10)
         # the complement is 1 - exp(lq); its log is -exp(lq) to double precision
-        assert log1m_marcum_q(a, b) == pytest.approx(-math.exp(lq), rel=1e-6)
+        assert log1m_marcum_q(a, b) == pytest.approx(-math.exp(lq), rel=1e-6, abs=0.0)
     if l1_ref is not None:
         l1 = log1m_marcum_q(a, b)
         assert l1 == pytest.approx(l1_ref, rel=1e-10)
-        assert log_marcum_q(a, b) == pytest.approx(-math.exp(l1), rel=1e-6)
+        assert log_marcum_q(a, b) == pytest.approx(-math.exp(l1), rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("a,b,ref,side,tol", _ASYMPTOTIC_TABLE)
@@ -247,9 +265,11 @@ def test_asymptotic_branch_finite_beyond_z4_overflow():
     assert math.isfinite(log_q[1]) and math.isfinite(log_1mq[1])
 
 
-def test_asymptotic_branch_continuous_with_windowed_sums():
-    # Just below the half-argument cap both routes are computable; the
-    # handover must be smooth at the scale of the approximation error.
+def test_asymptotic_branch_continuous_with_neumann_series():
+    # Just below the half-argument cap both routes are computable: the
+    # Neumann series runs to 840 (b = 1400), 1,100 (b = 1300) and 10,700
+    # (b = a) terms there.  The handover must be smooth at the scale of the
+    # asymptotic form's approximation error.
     a = math.sqrt(2.0 * 9.0e5)
     for b in (1300.0, a, 1400.0):
         lq_w, l1_w = log_marcum_q(a, b), log1m_marcum_q(a, b)
@@ -268,13 +288,57 @@ _A_ABOVE_CAP = math.sqrt(2.0 * (_SERIES_LAMBDA_MAX + 0.06))
     # either side of the series cap lambda = a^2/2 = 256, both tails
     (_A_BELOW_CAP, 5.0), (_A_ABOVE_CAP, 5.0), (_A_BELOW_CAP, 30.0), (_A_ABOVE_CAP, 30.0),
     # 1 - Q = 1e-8 and 1e-10: either side of the switch from the linear
-    # series to the log-space sums, at small and large noncentrality
+    # value to the Neumann series, at small and large noncentrality
     (8.0, 2.494823), (8.0, 1.761585), (22.0, 16.414229), (22.0, 15.665477),
 ])
 def test_log_tails_match_mpmath_oracle(a, b):
     lq_ref, l1_ref = _mp_log_tails(a, b)
     assert log_marcum_q(a, b) == pytest.approx(lq_ref, rel=1e-6, abs=0.0)
     assert log1m_marcum_q(a, b) == pytest.approx(l1_ref, rel=1e-6, abs=0.0)
+
+
+# Thresholds for the edge-path property test: the campaign's t, y = t^2/2
+# either side of 700 (there Q reaches below _EDGE_LO, and below y = 700
+# the scalar log Q takes log(ufunc) down to its floor), and t either side
+# of the half-argument cap.
+_Y700 = math.sqrt(1400.0)
+_PROPERTY_T = (1.79, math.sqrt(1399.9), math.sqrt(1400.1), 1414.0, 1500.0)
+_X_CAP = math.sqrt(2.0 * specfun._ASYMPTOTIC_HALF_ARG)
+
+
+@st.composite
+def _edge_case(draw):
+    """(x, t): an array of signal coordinates with 0, inf, a = b, lambda
+    = 256, the cap, values near t and values reaching past both edges."""
+    t = draw(st.sampled_from(_PROPERTY_T))
+    lam256 = math.sqrt(2.0 * _SERIES_LAMBDA_MAX)
+    entry = st.one_of(
+        st.sampled_from([0.0, math.inf, t, lam256, _X_CAP]),
+        st.floats(-10.0, 10.0).map(lambda d: max(t + d, 0.0)),
+        st.floats(0.0, 2.0 * t + 16.0),
+        st.floats(lam256 - 0.01, lam256 + 0.01),
+        st.floats(_X_CAP - 0.5, _X_CAP + 0.5),
+    )
+    return np.array(draw(st.lists(entry, min_size=1, max_size=12))), t
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(case=_edge_case())
+@example(case=(np.array([0.0, 1.9, 2.2, 2.75, 3.5, 3.7, _Y700, 44.0, 44.2, math.inf]),
+               math.sqrt(1399.9)))
+@example(case=(np.array([8.3, 8.5, _X_CAP * (1 - 1e-12), _X_CAP * (1 + 1e-12)]), 1.79))
+@example(case=(np.array([1380.0, 1414.0, 1420.6, 1420.8]), 1414.0))
+def test_log_q_pair_vec_matches_scalar_tails(case):
+    # on each edge entry the vector path's small side is the scalar tail,
+    # to the bit; every entry's two logs sum to 1 in probability
+    x, t = case
+    log_q, log_1mq = detection._log_q_pair_vec(x, t)
+    q = detection._marcum_q_vec(x, t)
+    for i in np.flatnonzero(q < detection._EDGE_LO):
+        assert log_q[i] == log_marcum_q(x[i], t)
+    for i in np.flatnonzero(1.0 - q < detection._EDGE_HI):
+        assert log_1mq[i] == log1m_marcum_q(x[i], t)
+    assert np.all(np.abs(np.logaddexp(log_q, log_1mq)) <= 1e-12)
 
 
 def test_marcum_infinite_arguments():
