@@ -160,38 +160,63 @@ def detection_probability_derivatives(cfg: DetectorConfig, P: float,
 # vectorized evaluation (hot path for simulation and field-level checks)
 # ----------------------------------------------------------------------
 
-def _marcum_q_vec(x: np.ndarray, t: float) -> np.ndarray:
-    """Q1(x_i, t) for an array of signal coordinates, equal to
-    specfun.marcum_q(x_i, t) entry by entry: one ufunc call, with the
-    entries it cannot answer (x = inf for a sensor on the hypothesis,
-    x^2 beyond ~9.2e18, values below its floor) taken one by one."""
+def _capped(x: np.ndarray, t: float) -> np.ndarray:
+    """Entries past the log tails' half-argument cap (x = inf among
+    them), which take the scalar asymptotic routines."""
+    return 0.5 * np.maximum(x, t) ** 2 > specfun._ASYMPTOTIC_HALF_ARG
+
+
+def _marcum_q_and_deep_logs(x: np.ndarray, t: float):
+    """(q, deep, log_q_deep): Q1(x_i, t) for an array of signal
+    coordinates, equal to specfun.marcum_q(x_i, t) entry by entry.
+
+    One ufunc call answers every entry it can.  The entries below its
+    floor and inside the cap (deep marks them) take log Q from one call
+    of the Neumann-series tails, returned as log_q_deep, and q = exp of
+    it; only the capped ones (x = inf for a sensor on the hypothesis,
+    x^2 beyond ~9.2e18) are taken one by one.
+    """
     x = np.asarray(x, dtype=float)
     q = np.asarray(specfun._marcum_q_ufunc(x, t), dtype=float)
-    scalar = ~(q >= specfun._UFUNC_MIN)
-    if scalar.any():
-        q[scalar] = [specfun.marcum_q(float(v), t) for v in x[scalar]]
-    return q
+    deep = ~(q >= specfun._UFUNC_MIN)
+    log_q_deep = np.empty(0)
+    if deep.any():
+        capped = deep & _capped(x, t)
+        q[capped] = [specfun.marcum_q(float(v), t) for v in x[capped]]
+        deep &= ~capped
+        if deep.any():
+            log_q_deep = specfun._log_tails(x[deep], t)[0]
+            # math.exp, as marcum_q takes it: np.exp may differ in the
+            # last bit
+            q[deep] = [math.exp(v) for v in log_q_deep]
+    return q, deep, log_q_deep
+
+
+def _marcum_q_vec(x: np.ndarray, t: float) -> np.ndarray:
+    """Q1(x_i, t) for an array of signal coordinates, equal to
+    specfun.marcum_q(x_i, t) entry by entry."""
+    return _marcum_q_and_deep_logs(x, t)[0]
 
 
 def _log_q_pair_vec(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """(log P_D, log(1 - P_D)) element-wise, safe at both edges: on an
     edge entry the small side equals specfun.log_marcum_q(x_i, t) or
-    specfun.log1m_marcum_q(x_i, t).  The edge entries take it from one
-    call of the Neumann-series tails; only those past the half-argument
-    cap (x = inf among them) are taken one by one."""
-    q = _marcum_q_vec(x, t)
+    specfun.log1m_marcum_q(x_i, t).  Entries below the ufunc's floor
+    keep the log Q their linear value came from; the high-edge entries
+    take log(1 - Q) from one call of the Neumann-series tails; only
+    those past the half-argument cap (x = inf among them) are taken one
+    by one."""
+    q, deep, log_q_deep = _marcum_q_and_deep_logs(x, t)
     with np.errstate(divide="ignore"):
         log_q = np.log(q)
         log_1mq = np.log1p(-q)
-    lo = q < _EDGE_LO
+    log_q[deep] = log_q_deep
+    capped = _capped(x, t)
     hi = (1.0 - q) < _EDGE_HI
-    capped = 0.5 * np.maximum(x, t) ** 2 > specfun._ASYMPTOTIC_HALF_ARG
-    series = (lo | hi) & ~capped
+    series = hi & ~capped
     if series.any():
-        lq, l1 = specfun._log_tails(x[series], t)
-        log_q[lo & ~capped] = lq[lo[series]]
-        log_1mq[hi & ~capped] = l1[hi[series]]
-    for idx in np.flatnonzero(lo & capped):
+        log_1mq[series] = specfun._log_tails(x[series], t)[1]
+    for idx in np.flatnonzero((q < _EDGE_LO) & capped):
         log_q.flat[idx] = specfun.log_marcum_q(float(x.flat[idx]), t)
     for idx in np.flatnonzero(hi & capped):
         log_1mq.flat[idx] = specfun.log1m_marcum_q(float(x.flat[idx]), t)

@@ -271,6 +271,17 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
     Nelder-Mead simplex refines the best candidate.  Hitting the
     iteration cap is reported as converged=False rather than raised; the
     returned point is never worse than the initializer.
+
+    A simplex that starts at or above the initializer's power floor
+    (1e-3) and takes its best vertex below it is collapsing: the
+    likelihood has no interior maximum, and its supremum is P -> 0 with
+    the emitter on a detecting sensor, which then detects with certainty
+    while every other sensor sits at the false-alarm floor.  The fit
+    stops the simplex there and returns that limit at the log-power
+    wall, P = e^-30 on the detecting sensor nearest the simplex, with
+    converged=True (the supremum is attained to double precision), when
+    its nll is no higher than the simplex's best; otherwise it reruns
+    the simplex without the stop.
     """
     sx, sy, detected = decisions.sx, decisions.sy, decisions.detected
     n_det = int(detected.sum())
@@ -314,10 +325,31 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
                 if val < best_val:
                     best, best_val = cand, val
 
+    options = {"maxiter": _NM_MAX_ITER, "xatol": _NM_XATOL,
+               "fatol": _NM_FATOL}
+    log_p_floor = math.log(_POWER_BRACKET[0])
+
+    def stop_on_collapse(xk: np.ndarray) -> None:
+        if xk[0] < log_p_floor:
+            raise StopIteration
+
+    # a simplex that starts below the floor has not collapsed through it
     res = optimize.minimize(
-        nll, best, method="Nelder-Mead",
-        options={"maxiter": _NM_MAX_ITER, "xatol": _NM_XATOL,
-                 "fatol": _NM_FATOL})
+        nll, best, method="Nelder-Mead", options=options,
+        callback=stop_on_collapse if best[0] >= log_p_floor else None)
+    if res.status == 99:
+        # the simplex is collapsing to zero power: the likelihood's
+        # supremum puts the emitter on a detecting sensor (certain
+        # detection there, the false-alarm floor everywhere else), which
+        # the log-power wall attains; the simplex would only crawl to it
+        j = int(np.argmin(np.hypot(det_x - res.x[1], det_y - res.x[2])))
+        cand = np.array([-_LOG_POWER_WALL, det_x[j], det_y[j]])
+        val = nll(cand)
+        if val <= res.fun:
+            res = optimize.OptimizeResult(x=cand, fun=val, success=True)
+        else:
+            res = optimize.minimize(nll, best, method="Nelder-Mead",
+                                    options=options)
     if res.fun <= best_val:
         best, best_val = res.x, float(res.fun)
     theta = TargetParams(P=math.exp(best[0]), x=float(best[1]),

@@ -22,6 +22,7 @@ from binloc.detection import (
     log_likelihood,
 )
 from binloc.detection import _log_likelihood_arrays
+from binloc import montecarlo
 from binloc.fisher import FieldConfig
 from binloc.montecarlo import (
     AllTrialsFailed,
@@ -297,16 +298,21 @@ def test_ml_estimate_pulls_toward_detections_from_far_init():
     assert res.neg_log_lik <= -log_likelihood(_DET, init_far, decisions)
 
 
+def _noiseless_disk() -> Decisions:
+    # a 13 x 13 lattice whose sensors detect exactly inside a disk of
+    # radius 3 around (1, -1.5)
+    xs = np.arange(-9.0, 9.01, 1.5)
+    sx, sy = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
+    return Decisions(sx=sx, sy=sy, detected=np.hypot(sx - 1.0, sy + 1.5) < 3.0)
+
+
 def test_ml_estimate_matches_dense_grid_on_noiseless_disk():
     # zero-noise limit: decisions are 1 exactly inside a disk; the
     # location estimate must sit within one grid step of the detection
     # centroid, which a dense 41 x 41 x 20 grid search confirms is the
     # likelihood's own preference
-    xs = np.arange(-9.0, 9.01, 1.5)
-    cx_true, cy_true = 1.0, -1.5
-    sx, sy = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
-    detected = np.hypot(sx - cx_true, sy - cy_true) < 3.0
-    decisions = Decisions(sx=sx, sy=sy, detected=detected)
+    decisions = _noiseless_disk()
+    sx, sy, detected = decisions.sx, decisions.sy, decisions.detected
     cen_x, cen_y = sx[detected].mean(), sy[detected].mean()
 
     init = initial_guess(_DET, decisions)
@@ -331,6 +337,75 @@ def test_ml_estimate_matches_dense_grid_on_noiseless_disk():
     assert math.hypot(res.theta_hat.x - cen_x, res.theta_hat.y - cen_y) <= step
     # refining past the grid can only improve the likelihood
     assert res.neg_log_lik <= best_val
+
+
+def _count_minimize_calls(monkeypatch) -> list:
+    calls = []
+    minimize = montecarlo.optimize.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("callback"))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo.optimize, "minimize", counted)
+    return calls
+
+
+def test_ml_estimate_collapsed_trial_returns_the_supremum(monkeypatch):
+    # campaign-ref's second trial (criterion 8's point) has no interior
+    # maximum: the likelihood's supremum is P -> 0 with the emitter on a
+    # detecting sensor, which detects with certainty while every other
+    # sensor sits at the false-alarm floor.  The fit stops the simplex
+    # once it falls below the power floor and returns that limit at the
+    # log-power wall.
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    cfg = SimConfig(field=_FIELD, detector=det, truth=_TRUTH, trials=1,
+                    region_radius=60.0, master_seed=8210255658006863255)
+    decisions = sample_decisions(cfg, sample_field(cfg, 0), 0)
+    n, n_det = len(decisions), int(decisions.detected.sum())
+    assert (n, n_det) == (586, 118)
+    calls = _count_minimize_calls(monkeypatch)
+    res = ml_estimate(det, decisions, initial_guess(det, decisions))
+    assert len(calls) == 1
+    assert res.converged
+    assert res.theta_hat.P == math.exp(-30.0)
+    on = ((decisions.sx == res.theta_hat.x)
+          & (decisions.sy == res.theta_hat.y))
+    assert on.sum() == 1 and decisions.detected[on].all()
+    p_fa = det.false_alarm_probability
+    closed = -((n_det - 1) * math.log(p_fa) + (n - n_det) * math.log1p(-p_fa))
+    assert res.neg_log_lik == pytest.approx(closed, rel=0.0, abs=1e-9)
+    assert res.neg_log_lik == -log_likelihood(det, res.theta_hat, decisions)
+
+
+def test_ml_estimate_rejected_collapse_reruns_the_plain_simplex(monkeypatch):
+    # with the power floor raised to 3, just above the disk's interior
+    # maximum (P = 2.46), the simplex walking down from P = 100 crosses
+    # it near that maximum (nll 37.82); the candidate on a sensor at the
+    # wall (nll 44.83) is worse, so the fit reruns the simplex without
+    # the stop and returns what a fit that never stops returns
+    decisions = _noiseless_disk()
+    init = TargetParams(P=100.0, x=5.0, y=5.0)
+    monkeypatch.setattr(montecarlo, "_POWER_BRACKET", (1e-300, 1e3))
+    plain = ml_estimate(_DET, decisions, init)
+    monkeypatch.setattr(montecarlo, "_POWER_BRACKET", (3.0, 1e3))
+    calls = _count_minimize_calls(monkeypatch)
+    res = ml_estimate(_DET, decisions, init)
+    assert [cb is None for cb in calls] == [False, True]
+    assert res == plain
+    assert res.converged and 1.0 < res.theta_hat.P < 10.0
+
+
+def test_ml_estimate_start_below_the_power_floor_is_not_stopped(monkeypatch):
+    # a simplex that starts below the floor has not collapsed through
+    # it; stopping it would return the collapsed candidate (nll 44.83)
+    # instead of the disk's interior maximum (nll 37.50)
+    decisions = _noiseless_disk()
+    calls = _count_minimize_calls(monkeypatch)
+    res = ml_estimate(_DET, decisions, TargetParams(P=1e-5, x=5.0, y=5.0))
+    assert calls == [None]
+    assert res.converged and 1.0 < res.theta_hat.P < 10.0
+    assert res.neg_log_lik == pytest.approx(37.4971880233, abs=1e-9)
 
 
 # ----------------------------------------------------------------------

@@ -341,6 +341,31 @@ def test_log_q_pair_vec_matches_scalar_tails(case):
     assert np.all(np.abs(np.logaddexp(log_q, log_1mq)) <= 1e-12)
 
 
+def test_vector_entries_below_the_ufunc_floor_take_one_tail_call(monkeypatch):
+    # at y = t^2/2 = 700 every Q1(x, t) with x <= 3 is below the ufunc's
+    # floor (1e-304 to 3e-259): one Neumann-series call gives their log Q,
+    # which the linear value and the log pair share; each entry still
+    # equals the scalar routines to the bit (np.exp of the log would miss
+    # marcum_q's math.exp in the last bit on 2 of these 50 entries)
+    x, t = np.linspace(0.0, 3.0, 50), _Y700
+    sizes = []
+    log_tails = specfun._log_tails
+
+    def counted(a, b):
+        sizes.append(np.size(a))
+        return log_tails(a, b)
+
+    monkeypatch.setattr(specfun, "_log_tails", counted)
+    log_q, log_1mq = detection._log_q_pair_vec(x, t)
+    assert sizes == [50]
+    q = detection._marcum_q_vec(x, t)
+    monkeypatch.undo()
+    assert np.all(q < specfun._UFUNC_MIN)
+    assert list(q) == [marcum_q(float(v), t) for v in x]
+    assert list(log_q) == [log_marcum_q(float(v), t) for v in x]
+    assert np.all(np.abs(np.logaddexp(log_q, log_1mq)) <= 1e-12)
+
+
 def test_marcum_infinite_arguments():
     assert marcum_q(math.inf, 3.0) == 1.0
     assert marcum_q(3.0, math.inf) == 0.0
