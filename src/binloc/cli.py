@@ -58,6 +58,9 @@ _CHECK_DAA_TOL = 1e-4
 _CHECK_OFFDIAG_REL = 1e-10
 _FD_STEP = 1e-4
 
+# Largest tau sweep accepted (the default sweep has 96 points).
+_SWEEP_MAX_POINTS = 1_000_000
+
 
 class ConfigError(ValueError):
     """A configuration key, value, or combination is unusable."""
@@ -280,6 +283,10 @@ def sweep_points(settings: Settings) -> list[float]:
         raise ConfigError("sweep.step must be > 0")
     if start > stop:
         raise ConfigError("sweep.start must be <= sweep.stop")
+    # the loop below makes floor((stop - start) / step + 1e-9) + 1 points
+    if (stop - start) / step + 1e-9 >= _SWEEP_MAX_POINTS:
+        raise ConfigError(f"the sweep has more than {_SWEEP_MAX_POINTS:,} "
+                          f"points; raise sweep.step")
     points: list[float] = []
     k = 0
     while True:
@@ -307,6 +314,7 @@ def _bound(fval: float) -> float:
 
 def cmd_crb(settings: Settings, out: IO[str]) -> int:
     field = _field(settings)
+    P = _truth(settings).P
     points = sweep_points(settings)
     _emit(out, "# binloc crb")
     for line in _effective_config_lines(settings):
@@ -318,16 +326,15 @@ def cmd_crb(settings: Settings, out: IO[str]) -> int:
         rows = []
         for method in sorted(settings.methods):
             if method == "quadrature":
-                res = expected_fim_quadrature(det, settings.P, field)
+                res = expected_fim_quadrature(det, P, field)
                 rows.append((tau, method, "", res.F11, res.F22, res.quality))
             else:
                 try:
-                    res = closed_form_fisher(det, settings.P, field,
-                                             settings.m)
+                    res = closed_form_fisher(det, P, field, settings.m)
                     rows.append((tau, method, res.m,
                                  res.F11, res.F22, res.quality))
                 except ModelInvalid:
-                    fallback = expected_fim_quadrature(det, settings.P, field)
+                    fallback = expected_fim_quadrature(det, P, field)
                     rows.append((tau, "quadrature", "",
                                  fallback.F11, fallback.F22,
                                  "closed-form-invalid,quadrature-fallback"))
@@ -455,6 +462,7 @@ def _check_taylor_quality(det: DetectorConfig, P: float, field: FieldConfig,
 def cmd_check(settings: Settings, out: IO[str]) -> int:
     det = _detector(settings)
     field = _field(settings)
+    P = _truth(settings).P
     _emit(out, "# binloc check")
     for line in _effective_config_lines(settings):
         _emit(out, line)
@@ -464,7 +472,7 @@ def cmd_check(settings: Settings, out: IO[str]) -> int:
     checks.append(("marcum-identity", ok, detail))
     ok, detail = _check_marcum_derivatives()
     checks.append(("marcum-derivatives", ok, detail))
-    ok, detail = _check_diagonality(det, settings.P, field)
+    ok, detail = _check_diagonality(det, P, field)
     checks.append(("fim-diagonality", ok, detail))
 
     if "closed-form" in settings.methods:
@@ -473,8 +481,7 @@ def cmd_check(settings: Settings, out: IO[str]) -> int:
                            f"UnsupportedAlpha: closed-form F11 requires "
                            f"alpha in {{2, 4}}, got {_fmt(settings.alpha)}"))
         else:
-            ok, detail = _check_taylor_quality(det, settings.P, field,
-                                               settings.m)
+            ok, detail = _check_taylor_quality(det, P, field, settings.m)
             checks.append(("taylor-quality", ok, detail))
 
     rb = rmin_expected(field)
@@ -484,7 +491,7 @@ def cmd_check(settings: Settings, out: IO[str]) -> int:
                    f"r_breve = {_fmt(rb)} (1/sqrt(4 rho) = {_fmt(expected)})"))
 
     if settings.region_radius is not None:
-        excess = far_field_excess(det, settings.P, settings.region_radius)
+        excess = far_field_excess(det, P, settings.region_radius)
         _emit(out, f"# far_field_excess(region_radius)={_fmt(excess)}")
 
     failed = 0

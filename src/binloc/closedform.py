@@ -131,8 +131,7 @@ def build_taylor_model(cfg: DetectorConfig, P: float,
     xb = x_breve(cfg, P, field)
 
     # f needs each tail on its own: f' and f'' divide Q' and Q'' by both
-    lq = specfun.log_marcum_q(xb, t)
-    l1 = specfun.log1m_marcum_q(xb, t)
+    lq, l1 = specfun.log_marcum_q_pair(xb, t)
     f_val = -(lq + l1)
 
     lqp = specfun.log_marcum_q_da(xb, t)     # log Q'

@@ -18,6 +18,10 @@ The partial derivatives follow from dQ1/dx = t I1(x t) exp(-(x^2+t^2)/2):
     dP_D/dP = +(t x / 2 P)       exp(-(t^2+x^2)/2) I1(t x)
 
 so r dP_D/dr = -alpha P dP_D/dP identically.
+
+The array P_D and the log-likelihood evaluate all sensors in one call of
+specfun's array entry points, under the scalar routines' branch policy:
+a log P_D or log(1 - P_D) the linear value has lost comes from the log tails.
 """
 
 from __future__ import annotations
@@ -39,12 +43,6 @@ __all__ = [
     "detection_probability_derivatives",
     "log_likelihood",
 ]
-
-# Detection probabilities this close to 0 or 1 get their logarithms from
-# the dedicated tail routines instead of log(q) / log1p(-q).
-_EDGE_LO = 1e-250
-_EDGE_HI = 1e-11
-
 
 def _positive(name: str, value: float) -> float:
     value = float(value)
@@ -160,69 +158,6 @@ def detection_probability_derivatives(cfg: DetectorConfig, P: float,
 # vectorized evaluation (hot path for simulation and field-level checks)
 # ----------------------------------------------------------------------
 
-def _capped(x: np.ndarray, t: float) -> np.ndarray:
-    """Entries past the log tails' half-argument cap (x = inf among
-    them), which take the scalar asymptotic routines."""
-    return 0.5 * np.maximum(x, t) ** 2 > specfun._ASYMPTOTIC_HALF_ARG
-
-
-def _marcum_q_and_deep_logs(x: np.ndarray, t: float):
-    """(q, deep, log_q_deep): Q1(x_i, t) for an array of signal
-    coordinates, equal to specfun.marcum_q(x_i, t) entry by entry.
-
-    One ufunc call answers every entry it can.  The entries below its
-    floor and inside the cap (deep marks them) take log Q from one call
-    of the Neumann-series tails, returned as log_q_deep, and q = exp of
-    it; only the capped ones (x = inf for a sensor on the hypothesis,
-    x^2 beyond ~9.2e18) are taken one by one.
-    """
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(specfun._marcum_q_ufunc(x, t), dtype=float)
-    deep = ~(q >= specfun._UFUNC_MIN)
-    log_q_deep = np.empty(0)
-    if deep.any():
-        capped = deep & _capped(x, t)
-        q[capped] = [specfun.marcum_q(float(v), t) for v in x[capped]]
-        deep &= ~capped
-        if deep.any():
-            log_q_deep = specfun._log_tails(x[deep], t)[0]
-            # math.exp, as marcum_q takes it: np.exp may differ in the
-            # last bit
-            q[deep] = [math.exp(v) for v in log_q_deep]
-    return q, deep, log_q_deep
-
-
-def _marcum_q_vec(x: np.ndarray, t: float) -> np.ndarray:
-    """Q1(x_i, t) for an array of signal coordinates, equal to
-    specfun.marcum_q(x_i, t) entry by entry."""
-    return _marcum_q_and_deep_logs(x, t)[0]
-
-
-def _log_q_pair_vec(x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(log P_D, log(1 - P_D)) element-wise, safe at both edges: on an
-    edge entry the small side equals specfun.log_marcum_q(x_i, t) or
-    specfun.log1m_marcum_q(x_i, t).  Entries below the ufunc's floor
-    keep the log Q their linear value came from; the high-edge entries
-    take log(1 - Q) from one call of the Neumann-series tails; only
-    those past the half-argument cap (x = inf among them) are taken one
-    by one."""
-    q, deep, log_q_deep = _marcum_q_and_deep_logs(x, t)
-    with np.errstate(divide="ignore"):
-        log_q = np.log(q)
-        log_1mq = np.log1p(-q)
-    log_q[deep] = log_q_deep
-    capped = _capped(x, t)
-    hi = (1.0 - q) < _EDGE_HI
-    series = hi & ~capped
-    if series.any():
-        log_1mq[series] = specfun._log_tails(x[series], t)[1]
-    for idx in np.flatnonzero((q < _EDGE_LO) & capped):
-        log_q.flat[idx] = specfun.log_marcum_q(float(x.flat[idx]), t)
-    for idx in np.flatnonzero(hi & capped):
-        log_1mq.flat[idx] = specfun.log1m_marcum_q(float(x.flat[idx]), t)
-    return log_q, log_1mq
-
-
 def detection_probability_array(cfg: DetectorConfig, P: float,
                                 r: np.ndarray) -> np.ndarray:
     """Vectorized P_D over an array of ranges (all > 0)."""
@@ -231,7 +166,7 @@ def detection_probability_array(cfg: DetectorConfig, P: float,
     if r.size and (not np.all(np.isfinite(r)) or np.any(r <= 0.0)):
         raise ValueError("all ranges must be finite and > 0")
     x = _signal_coordinate_vec(cfg, P, r)
-    return _marcum_q_vec(x, cfg.threshold_coordinate)
+    return specfun.marcum_q_array(x, cfg.threshold_coordinate)
 
 
 def _signal_coordinate_vec(cfg: DetectorConfig, P: float,
@@ -249,7 +184,7 @@ def _log_likelihood_arrays(cfg: DetectorConfig, P: float, x0: float, y0: float,
     certain detection (contribution 0 if it detected, -inf otherwise)."""
     r = np.hypot(sx - x0, sy - y0)
     x = _signal_coordinate_vec(cfg, P, r)
-    log_q, log_1mq = _log_q_pair_vec(x, cfg.threshold_coordinate)
+    log_q, log_1mq = specfun.log_marcum_q_pair_array(x, cfg.threshold_coordinate)
     return float(np.where(detected, log_q, log_1mq).sum())
 
 

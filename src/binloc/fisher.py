@@ -194,7 +194,8 @@ def _log_weight(x: float, t: float) -> float:
     """log of the Bernoulli information weight 1 / (Q (1-Q)), Q = Q1(x, t),
     assembled from the log tails so that it stays finite where 1 - Q
     underflows."""
-    return -(specfun.log_marcum_q(x, t) + specfun.log1m_marcum_q(x, t))
+    log_q, log_1mq = specfun.log_marcum_q_pair(x, t)
+    return -(log_q + log_1mq)
 
 
 def _log_kernel(x: float, t: float, power: float) -> float:

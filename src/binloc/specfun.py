@@ -3,7 +3,7 @@ statistics.
 
 * ``Q1(a, b)`` and its first and second partial derivatives in ``a``,
 * log-domain evaluations of ``Q1`` and ``1 - Q1`` that stay finite far out
-  in either tail,
+  in either tail, as one pair for a scalar or an array of ``a``,
 * Taylor coefficients of ``I1(y)^2`` about ``y = 0``.
 
 Q1(a, b) is the upper tail at b^2 of a noncentral chi-square variable
@@ -24,8 +24,10 @@ over scipy's exponentially scaled Bessel function ``ive``.  The Gaussian
 factor stays in log space and the sum has positive terms, so the smaller
 side keeps full relative accuracy down to values like exp(-1500), where
 ordinary doubles have long given up; the larger side is its complement.
-Where the linear value still carries full relative accuracy on the side
-asked for, they take its logarithm instead.
+Where the linear value still carries full relative accuracy on a side,
+that side is its logarithm instead.  Scalars and arrays share this one
+policy, so an array entry gets the scalar values to the bit, bar the
+last bit of a linear log (np.log against math.log).
 """
 
 from __future__ import annotations
@@ -38,8 +40,11 @@ from scipy.special._ufuncs import _ncx2_sf
 
 __all__ = [
     "marcum_q",
+    "marcum_q_array",
     "log_marcum_q",
     "log1m_marcum_q",
+    "log_marcum_q_pair",
+    "log_marcum_q_pair_array",
     "marcum_q_da",
     "log_marcum_q_da",
     "marcum_q_daa",
@@ -52,8 +57,8 @@ __all__ = [
 # while the Neumann series stays exact.
 _SERIES_LAMBDA_MAX = 256.0
 
-# The linear value gives log Q (log(1 - Q)) directly only while 1 - Q
-# (Q) keeps at least this much of its own; closer to 1 the complement has
+# The linear value gives log Q and log(1 - Q) directly only while 1 - Q
+# keeps at least this much of its own; closer to 1 the complement has
 # lost its relative accuracy and the Neumann series takes over.
 _SERIES_COMPLEMENT_MIN = 1e-9
 
@@ -94,6 +99,13 @@ def _check_nonneg_or_inf(name: str, value: float) -> float:
     return value
 
 
+def _check_array(a, b: float) -> tuple[np.ndarray, float]:
+    a = np.asarray(a, dtype=float)
+    if not np.all(a >= 0.0):
+        raise ValueError("every entry of a must be >= 0")
+    return a, _check_nonneg_or_inf("b", b)
+
+
 # ----------------------------------------------------------------------
 # Marcum Q and derivatives
 # ----------------------------------------------------------------------
@@ -109,12 +121,24 @@ def marcum_q(a: float, b: float) -> float:
     b = _check_nonneg_or_inf("b", b)
     if b == 0.0:
         return 1.0
-    if math.isinf(a) or math.isinf(b):
-        return math.exp(_log_marcum_q_asymptotic(a, b)[0])
     q = float(_marcum_q_ufunc(a, b))
     if q >= _UFUNC_MIN:
         return q
     return math.exp(log_marcum_q(a, b))
+
+
+def marcum_q_array(a, b: float) -> np.ndarray:
+    """Q1(a_i, b) for an array a and a scalar b, equal to marcum_q(a_i, b)
+    entry by entry."""
+    a, b = _check_array(a, b)
+    if b == 0.0:
+        return np.ones_like(a)
+    q = np.asarray(_marcum_q_ufunc(a, b), dtype=float)
+    low = ~(q >= _UFUNC_MIN)
+    if low.any():
+        # math.exp, as marcum_q takes it: np.exp may differ in the last bit
+        q[low] = [math.exp(v) for v in _log_pair(a[low], b, q[low])[0]]
+    return q
 
 
 def _marcum_q_ufunc(a, b: float):
@@ -169,41 +193,70 @@ def _log_marcum_q_asymptotic(a: float, b: float) -> tuple[float, float]:
 
 def log_marcum_q(a: float, b: float) -> float:
     """log Q1(a, b), accurate even when Q1 underflows linear doubles."""
-    a = _check_nonneg_or_inf("a", a)
-    b = _check_nonneg_or_inf("b", b)
-    if b == 0.0:
-        return 0.0
-    lam = 0.5 * a * a
-    y = 0.5 * b * b
-    if lam > _ASYMPTOTIC_HALF_ARG or y > _ASYMPTOTIC_HALF_ARG:
-        return _log_marcum_q_asymptotic(a, b)[0]
-    if lam <= _SERIES_LAMBDA_MAX and y <= 700.0:
-        # cheap path: the linear value keeps full relative accuracy here
-        # from its floor up; once q has (nearly) rounded to 1,
-        # log Q ~ -(1 - Q) needs the complement
-        q = float(_marcum_q_ufunc(a, b))
-        if _UFUNC_MIN <= q <= 1.0 - _SERIES_COMPLEMENT_MIN:
-            return math.log(q)
-    return _log_tails(a, b)[0].item()
+    return log_marcum_q_pair(a, b)[0]
 
 
 def log1m_marcum_q(a: float, b: float) -> float:
     """log(1 - Q1(a, b)), accurate deep into the left tail."""
+    return log_marcum_q_pair(a, b)[1]
+
+
+def log_marcum_q_pair(a: float, b: float) -> tuple[float, float]:
+    """(log Q1(a, b), log(1 - Q1(a, b))), each side accurate even where
+    its linear value underflows."""
     a = _check_nonneg_or_inf("a", a)
     b = _check_nonneg_or_inf("b", b)
     if b == 0.0:
-        return -math.inf
-    lam = 0.5 * a * a
-    y = 0.5 * b * b
-    if lam > _ASYMPTOTIC_HALF_ARG or y > _ASYMPTOTIC_HALF_ARG:
-        return _log_marcum_q_asymptotic(a, b)[1]
-    if lam <= _SERIES_LAMBDA_MAX and y <= 700.0:
-        # cheap path: complement of the linear value, safe while 1 - Q
-        # retains enough bits of its own (relative error <= ~1e-7 here)
-        q = float(_marcum_q_ufunc(a, b))
-        if q <= 1.0 - _SERIES_COMPLEMENT_MIN:
-            return math.log1p(-q)
-    return _log_tails(a, b)[1].item()
+        return 0.0, -math.inf
+    q = float(_marcum_q_ufunc(a, b))
+    if _linear_logs(a, b, q)[0]:
+        # both sides from the linear value, without the array round trip
+        return math.log(q), math.log1p(-q)
+    log_q, log_1mq = _log_pair(np.array([a]), b, np.array([q]))
+    return log_q.item(), log_1mq.item()
+
+
+def log_marcum_q_pair_array(a, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log Q1(a_i, b), log(1 - Q1(a_i, b))) for an array a and a scalar
+    b.  An entry that log_marcum_q_pair takes from the log tails or the
+    asymptotic form gets the same two values here, to the bit."""
+    a, b = _check_array(a, b)
+    if b == 0.0:
+        return np.zeros_like(a), np.full_like(a, -math.inf)
+    return _log_pair(a, b, np.asarray(_marcum_q_ufunc(a, b), dtype=float))
+
+
+def _linear_logs(a, b: float, q):
+    """Masks (bools, for a float a) of where log Q1 and log(1 - Q1) are
+    the logarithms of the linear value q = Q1(a, b)."""
+    both = ((0.5 * a * a <= _SERIES_LAMBDA_MAX) & (0.5 * b * b <= 700.0)
+            & (q <= 1.0 - _SERIES_COMPLEMENT_MIN))
+    return both & (q >= _UFUNC_MIN), both
+
+
+def _log_pair(a: np.ndarray, b: float, q: np.ndarray):
+    """(log Q1(a, b), log(1 - Q1(a, b))) for an array a >= 0, a scalar
+    b > 0 and q = _marcum_q_ufunc(a, b).  Each side is the log of q where
+    _linear_logs allows it; every other entry takes both sides from one
+    _log_tails call, or from the asymptotic form past the half-argument
+    cap (a = inf among them), but keeps a log1p(-q) that is allowed."""
+    on_q, on_1mq = _linear_logs(a, b, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q = np.log(q)
+        log_1mq = np.log1p(-q)
+    rest = ~on_q
+    if rest.any():
+        with np.errstate(over="ignore"):
+            capped = rest & (0.5 * np.maximum(a, b) ** 2 > _ASYMPTOTIC_HALF_ARG)
+        series = rest & ~capped
+        if series.any():
+            lq, l1 = _log_tails(a[series], b)
+            log_q[series] = lq
+            log_1mq[series] = np.where(on_1mq[series], log_1mq[series], l1)
+        for i in np.flatnonzero(capped):
+            log_q.flat[i], log_1mq.flat[i] = _log_marcum_q_asymptotic(
+                float(a.flat[i]), b)
+    return log_q, log_1mq
 
 
 def _log_tails(a, b: float):

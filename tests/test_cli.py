@@ -91,6 +91,7 @@ def test_single_point_sweep_is_allowed() -> None:
     (1.0, 0.5, 0.02),
     (float("nan"), 2.0, 0.02),
     (0.1, float("inf"), 0.02),
+    (0.1, 2.0, 1e-12),
 ])
 def test_bad_sweep_rejected(start: float, stop: float, step: float) -> None:
     s = replace(Settings(), sweep_start=start, sweep_stop=stop,
@@ -169,6 +170,8 @@ def test_override_precedence(tmp_path) -> None:
     ("check", "--set", "sigma2=0"),
     ("simulate", "--set", "trials=0"),
     ("simulate", "--set", "region_radius=-5"),
+    ("crb", "--set", "P=-1"),
+    ("check", "--set", "P=nan"),
 ])
 def test_config_errors_exit_2(capsys, argv: tuple[str, ...]) -> None:
     code, out, err = _run(capsys, *argv)

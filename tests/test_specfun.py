@@ -15,8 +15,8 @@ formulas.  Oracle sources, in order of preference:
    sqrt(lambda b^2/2),
  * other 50-digit mpmath references (incomplete gamma, scaled Bessel)
    and frozen high-precision deep-tail values.
-The vector edge path of the likelihood is checked against the scalar
-tails by a derandomized property test.
+The array entry points are checked against the scalar log pair by a
+derandomized property test.
 """
 
 from __future__ import annotations
@@ -37,7 +37,10 @@ from binloc.specfun import (
     i1_squared_taylor_coeff,
     log1m_marcum_q,
     log_marcum_q,
+    log_marcum_q_pair,
+    log_marcum_q_pair_array,
     marcum_q,
+    marcum_q_array,
     marcum_q_da,
     marcum_q_daa,
 )
@@ -182,22 +185,22 @@ def test_marcum_ufunc_path_and_its_fallbacks():
         assert float(specfun._marcum_q_ufunc(a, b)) < specfun._UFUNC_MIN
         assert marcum_q(a, b) == pytest.approx(_mp_marcum_q(a, b), rel=1e-10, abs=0.0)
     assert marcum_q(30.0, 62.0) == pytest.approx(7.840357e-225, rel=1e-6, abs=0.0)
-    assert detection._marcum_q_vec(np.array([30.0]), 62.0)[0] == marcum_q(30.0, 62.0)
+    assert marcum_q_array(np.array([30.0]), 62.0)[0] == marcum_q(30.0, 62.0)
     # with both half-arguments past the asymptotic cap the ufunc returns
     # 0.43 for Q1(1e6, 1e6) = 1/2 + 2e-7; the asymptotic branch answers
     assert marcum_q(1e6, 1e6) == pytest.approx(0.5, abs=1e-6)
-    assert detection._marcum_q_vec(np.array([1e6]), 1e6)[0] == marcum_q(1e6, 1e6)
-    # the vector path: e^(-t^2/2) at x = 0, the oracle inside, certain
+    assert marcum_q_array(np.array([1e6]), 1e6)[0] == marcum_q(1e6, 1e6)
+    # the array path: e^(-t^2/2) at x = 0, the oracle inside, certain
     # detection at x = inf (a sensor on the hypothesis), beyond the
     # ufunc's range (x^2 = 1e300) and far out in the linear range
     t = 1.2
     x = np.array([0.0, 1.0, math.inf, 1e150, 50.0])
-    q = detection._marcum_q_vec(x, t)
+    q = marcum_q_array(x, t)
     assert q[0] == pytest.approx(math.exp(-0.5 * t * t), rel=1e-15)
     assert q[1] == pytest.approx(_mp_marcum_q(1.0, t), rel=1e-14)
     assert list(q[2:]) == [1.0, 1.0, 1.0]
     assert list(q) == [marcum_q(float(v), t) for v in x]
-    log_q, log_1mq = detection._log_q_pair_vec(x, t)
+    log_q, log_1mq = log_marcum_q_pair_array(x, t)
     assert log_q[0] == pytest.approx(-0.5 * t * t, rel=1e-15)
     assert log_1mq[0] == pytest.approx(math.log1p(-math.exp(-0.5 * t * t)), rel=1e-15)
     lq_ref, l1_ref = _mp_log_tails(1.0, t)
@@ -260,7 +263,7 @@ def test_asymptotic_branch_finite_beyond_z4_overflow():
     lqs = [log_marcum_q(1.0, b) for b in (1e76, 1.1e77, 1.3e77, 1e78, 1e200)]
     assert all(x > y for x, y in zip(lqs, lqs[1:4]))
     assert lqs[3] == pytest.approx(-0.5e156, rel=1e-12) and lqs[4] == -math.inf
-    log_q, log_1mq = detection._log_q_pair_vec(np.array([1e80, 2.0]), 1.2)
+    log_q, log_1mq = log_marcum_q_pair_array(np.array([1e80, 2.0]), 1.2)
     assert log_q[0] == 0.0 and log_1mq[0] == pytest.approx(-0.5e160, rel=1e-12)
     assert math.isfinite(log_q[1]) and math.isfinite(log_1mq[1])
 
@@ -290,17 +293,28 @@ _A_ABOVE_CAP = math.sqrt(2.0 * (_SERIES_LAMBDA_MAX + 0.06))
     # 1 - Q = 1e-8 and 1e-10: either side of the switch from the linear
     # value to the Neumann series, at small and large noncentrality
     (8.0, 2.494823), (8.0, 1.761585), (22.0, 16.414229), (22.0, 15.665477),
+    # either side of b^2/2 = 700, past which log Q leaves the linear value
+    # (Q ~ 1e-100 here)
+    (16.0, math.sqrt(1399.9)), (16.0, math.sqrt(1400.1)),
+    # Q = 3.5e-150 and 3.3e-151: either side of the ufunc floor 1e-150
+    (5.0, 31.1), (5.0, 31.2),
 ])
 def test_log_tails_match_mpmath_oracle(a, b):
+    # the scalar routines and the array entry points, on one entry
     lq_ref, l1_ref = _mp_log_tails(a, b)
     assert log_marcum_q(a, b) == pytest.approx(lq_ref, rel=1e-6, abs=0.0)
     assert log1m_marcum_q(a, b) == pytest.approx(l1_ref, rel=1e-6, abs=0.0)
+    log_q, log_1mq = log_marcum_q_pair_array(np.array([a]), b)
+    assert log_q[0] == pytest.approx(lq_ref, rel=1e-6, abs=0.0)
+    assert log_1mq[0] == pytest.approx(l1_ref, rel=1e-6, abs=0.0)
+    assert marcum_q_array(np.array([a]), b)[0] == pytest.approx(
+        math.exp(lq_ref), rel=1e-6, abs=0.0)
 
 
-# Thresholds for the edge-path property test: the campaign's t, y = t^2/2
-# either side of 700 (there Q reaches below _EDGE_LO, and below y = 700
-# the scalar log Q takes log(ufunc) down to its floor), and t either side
-# of the half-argument cap.
+# Thresholds for the array-path property test: the campaign's t, y = t^2/2
+# either side of 700 (there Q reaches below 1e-250, and below y = 700
+# log Q takes log(ufunc) down to its floor), and t either side of the
+# half-argument cap.
 _Y700 = math.sqrt(1400.0)
 _PROPERTY_T = (1.79, math.sqrt(1399.9), math.sqrt(1400.1), 1414.0, 1500.0)
 _X_CAP = math.sqrt(2.0 * specfun._ASYMPTOTIC_HALF_ARG)
@@ -328,25 +342,47 @@ def _edge_case(draw):
                math.sqrt(1399.9)))
 @example(case=(np.array([8.3, 8.5, _X_CAP * (1 - 1e-12), _X_CAP * (1 + 1e-12)]), 1.79))
 @example(case=(np.array([1380.0, 1414.0, 1420.6, 1420.8]), 1414.0))
-def test_log_q_pair_vec_matches_scalar_tails(case):
-    # on each edge entry the vector path's small side is the scalar tail,
-    # to the bit; every entry's two logs sum to 1 in probability
+def test_log_pair_array_matches_scalar_tails(case):
+    # every entry the array path takes from the log tails or the
+    # asymptotic form (the band 1 - Q < 1e-9 among them) equals the scalar
+    # pair to the bit, and the linear ones differ at most in the last
+    # bits (np.log against math.log); the linear value equals marcum_q to
+    # the bit; every entry's two logs sum to 1 in probability
     x, t = case
-    log_q, log_1mq = detection._log_q_pair_vec(x, t)
-    q = detection._marcum_q_vec(x, t)
-    for i in np.flatnonzero(q < detection._EDGE_LO):
-        assert log_q[i] == log_marcum_q(x[i], t)
-    for i in np.flatnonzero(1.0 - q < detection._EDGE_HI):
-        assert log_1mq[i] == log1m_marcum_q(x[i], t)
+    log_q, log_1mq = log_marcum_q_pair_array(x, t)
+    scalar = [log_marcum_q_pair(float(v), t) for v in x]
+    on_q, _ = specfun._linear_logs(x, t, specfun._marcum_q_ufunc(x, t))
+    for i in np.flatnonzero(~on_q):
+        assert (log_q[i], log_1mq[i]) == scalar[i]
+    np.testing.assert_allclose(np.column_stack([log_q, log_1mq]), scalar,
+                               rtol=1e-15, atol=0.0)
+    assert list(marcum_q_array(x, t)) == [marcum_q(float(v), t) for v in x]
     assert np.all(np.abs(np.logaddexp(log_q, log_1mq)) <= 1e-12)
+
+
+@pytest.mark.parametrize("x", [8.028282, 8.349294])
+def test_log_likelihood_band_sensor_matches_oracle(x):
+    # one missing sensor at 1 - Q = 1e-10 and 1.2e-11 from the emitter, at
+    # criterion 8's threshold t = 1.789: its log-likelihood is the log
+    # tail's log(1 - Q), not log1p of a rounded linear value (1.0e-6 and
+    # 1.1e-5 off)
+    cfg = detection.DetectorConfig(tau=0.40, sigma2=0.25)
+    r = math.sqrt(8.0) / x
+    decisions = detection.Decisions(np.array([r]), np.array([0.0]),
+                                    np.array([False]))
+    ll = detection.log_likelihood(cfg, detection.TargetParams(2.0, 0.0, 0.0),
+                                  decisions)
+    x_r = detection.signal_coordinate(cfg, 2.0, r)
+    assert ll == pytest.approx(_mp_log_tails(x_r, cfg.threshold_coordinate)[1],
+                               rel=0.0, abs=1e-12)
 
 
 def test_vector_entries_below_the_ufunc_floor_take_one_tail_call(monkeypatch):
     # at y = t^2/2 = 700 every Q1(x, t) with x <= 3 is below the ufunc's
-    # floor (1e-304 to 3e-259): one Neumann-series call gives their log Q,
-    # which the linear value and the log pair share; each entry still
-    # equals the scalar routines to the bit (np.exp of the log would miss
-    # marcum_q's math.exp in the last bit on 2 of these 50 entries)
+    # floor (1e-304 to 3e-259): one Neumann-series call gives their log
+    # pair, and one their linear value; each entry still equals the scalar
+    # routines to the bit (np.exp of the log would miss marcum_q's
+    # math.exp in the last bit on 2 of these 50 entries)
     x, t = np.linspace(0.0, 3.0, 50), _Y700
     sizes = []
     log_tails = specfun._log_tails
@@ -356,9 +392,9 @@ def test_vector_entries_below_the_ufunc_floor_take_one_tail_call(monkeypatch):
         return log_tails(a, b)
 
     monkeypatch.setattr(specfun, "_log_tails", counted)
-    log_q, log_1mq = detection._log_q_pair_vec(x, t)
+    log_q, log_1mq = log_marcum_q_pair_array(x, t)
     assert sizes == [50]
-    q = detection._marcum_q_vec(x, t)
+    q = marcum_q_array(x, t)
     monkeypatch.undo()
     assert np.all(q < specfun._UFUNC_MIN)
     assert list(q) == [marcum_q(float(v), t) for v in x]
@@ -386,6 +422,11 @@ def test_marcum_rejects_bad_arguments(bad):
             fn(bad, 1.0)
         with pytest.raises(ValueError):
             fn(1.0, bad)
+    for fn in (marcum_q_array, log_marcum_q_pair_array):
+        with pytest.raises(ValueError):
+            fn(np.array([1.0, bad]), 1.0)
+        with pytest.raises(ValueError):
+            fn(np.array([1.0]), bad)
 
 
 # ----------------------------------------------------------------------
