@@ -33,6 +33,7 @@ from .detection import (
     detection_probability,
     detection_probability_array,
     _log_likelihood_arrays,
+    _nll_lower_bound,
 )
 from .fisher import FieldConfig
 
@@ -69,6 +70,10 @@ _NM_MAX_ITER = 2000
 _NM_XATOL = 1e-6
 _NM_FATOL = 1e-9
 _POWER_BRACKET = (1e-3, 1e3)
+# relative slack of the grid guard's screen: a candidate is skipped only
+# when its nll lower bound beats the running best by more than this, far
+# above the ~1e-12 rounding of a sum of some 600 sensor terms
+_SCREEN_MARGIN = 1e-9
 # log-power beyond which the objective returns +inf (|ln P| > 30 means
 # P outside [1e-13, 1e13]; no physical fit lives there)
 _LOG_POWER_WALL = 30.0
@@ -267,10 +272,25 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
     """Maximize the decision-sequence likelihood over (P, x_T, y_T).
 
     Works in (ln P, x, y) so positivity of P is structural.  A coarse
-    grid around the initializer guards against local maxima, then a
+    grid around the detection centroid (9 x 9 positions at 0.25, 1 and 4
+    times the initializer's power) guards against local maxima, then a
     Nelder-Mead simplex refines the best candidate.  Hitting the
     iteration cap is reported as converged=False rather than raised; the
     returned point is never worse than the initializer.
+
+    The grid is screened: each row of nine candidates first gets a lower
+    bound on its nll from one array pass, exact for the few sensors near
+    a candidate and closed-form for the rest, and a candidate whose
+    bound exceeds the running best by more than a 1e-9 relative margin
+    skips its full evaluation.  It could not have beaten the best under
+    the strict comparison, so the guard picks the same start as an
+    exhaustive one, after some ten full evaluations instead of 243.
+
+    With a single detection the nll's global lower bound,
+    -(n - 1) log(1 - p_fa), is the limit P -> 0 with the emitter on the
+    detecting sensor; the fit returns it at once, at the log-power wall
+    described below, with converged=True, and runs neither the grid nor
+    the simplex.
 
     A simplex that starts at or above the initializer's power floor
     (1e-3) and takes its best vertex below it is collapsing: the
@@ -300,6 +320,17 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
                                       sx, sy, detected)
         return val if math.isfinite(val) else math.inf
 
+    det_x, det_y = sx[detected], sy[detected]
+    if n_det == 1:
+        # the collapsed supremum attains the nll's global lower bound,
+        # -(n - 1) log(1 - p_fa), from every start: nothing to search
+        cand = np.array([-_LOG_POWER_WALL, det_x[0], det_y[0]])
+        theta = TargetParams(P=math.exp(cand[0]), x=float(cand[1]),
+                             y=float(cand[2]))
+        return TrialResult(theta_hat=theta, n_sensors=len(decisions),
+                           n_detections=1, converged=True,
+                           neg_log_lik=nll(cand))
+
     start = np.array([math.log(init.P), init.x, init.y])
     best = start
     best_val = nll(start)
@@ -309,8 +340,9 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
     # centroid's own sampling uncertainty (per-coordinate standard error
     # ~ std(detecting coords)/sqrt(n)); a wider net would hunt the whole
     # region and lock onto chance clusters of false alarms far from any
-    # plausible position
-    det_x, det_y = sx[detected], sy[detected]
+    # plausible position.  Each row of candidates is screened first: one
+    # whose nll lower bound exceeds the running best cannot pass the
+    # strict test below, so it skips the full evaluation.
     cen_x, cen_y = float(det_x.mean()), float(det_y.mean())
     span = 3.0 * max(float(det_x.std()), float(det_y.std())) / math.sqrt(n_det)
     if span == 0.0:
@@ -319,8 +351,13 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
     for fac in _GRID_POWER_FACTORS:
         lp = math.log(init.P * fac)
         for dx in offs:
-            for dy in offs:
-                cand = np.array([lp, cen_x + dx, cen_y + dy])
+            cx = cen_x + dx
+            bounds = _nll_lower_bound(cfg, math.exp(lp), cx, cen_y + offs,
+                                      sx, sy, detected)
+            for dy, bound in zip(offs, bounds):
+                if bound > best_val + _SCREEN_MARGIN * (1.0 + abs(best_val)):
+                    continue
+                cand = np.array([lp, cx, cen_y + dy])
                 val = nll(cand)
                 if val < best_val:
                     best, best_val = cand, val

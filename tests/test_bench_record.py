@@ -1,0 +1,54 @@
+"""Tests for tools/bench_record.py's summary of paired benchmark runs."""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                     "bench_record.py")
+_spec = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+
+def _run(wall: float, failed: int = 0, above: int = 0) -> tuple[dict, dict]:
+    record = {"above_truth": above}
+    result = {"failed": failed, "attempted": 56,
+              "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+    return record, result
+
+
+def test_pairs_are_summarized_per_side_and_per_pair():
+    pairs = [{"first": first, "parent": _run(p, above=1), "change": _run(c)}
+             for first, p, c in (("parent", 4.0, 2.0), ("change", 5.0, 2.5),
+                                 ("parent", 4.5, 4.6), ("change", 4.2, 2.2))]
+    entry = bench_record.summarize_entry("campaign-ref", 4721, pairs)
+    assert entry["pairs"] == 4
+    assert entry["first_in_pair"] == ["parent", "change", "parent", "change"]
+    assert entry["attempted"] == {"parent": [56] * 4, "change": [56] * 4}
+    assert entry["above_truth"] == {"parent": [1] * 4, "change": [0] * 4}
+    wall = entry["metrics"]["wall_s"]
+    assert wall["parent"]["runs"] == [4.0, 5.0, 4.5, 4.2]
+    # inclusive quartiles of 4.0, 4.2, 4.5, 5.0
+    assert wall["parent"]["q1"] == pytest.approx(4.15)
+    assert wall["parent"]["median"] == pytest.approx(4.35)
+    assert wall["parent"]["q3"] == pytest.approx(4.625)
+    assert wall["parent_iqr"] == pytest.approx(0.475)
+    assert (wall["change_lower_in"], wall["change_higher_in"]) == (3, 1)
+    assert wall["median_rel_change"] == pytest.approx(2.35 / 4.35 - 1.0)
+
+
+def test_equal_runs_count_for_neither_side():
+    wall = bench_record.compare([0.0566] * 3, [0.0566] * 3)
+    assert (wall["change_lower_in"], wall["change_higher_in"]) == (0, 0)
+    assert wall["median_rel_change"] == 0.0 and wall["parent_iqr"] == 0.0
+    assert bench_record.compare([0.0], [0.0])["median_rel_change"] is None
+
+
+def test_plan_entries_parse():
+    assert bench_record.parse_plan(["campaign-ref:20260814:5",
+                                    "crb-sweep:1:3"]) == [
+        ("campaign-ref", 20260814, 5), ("crb-sweep", 1, 3)]

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binloc import specfun
 from binloc.detection import (
@@ -20,6 +22,7 @@ from binloc.detection import (
     log_likelihood,
     signal_coordinate,
 )
+from binloc.detection import _log_likelihood_arrays, _nll_lower_bound
 
 # Reference operating point used throughout: tau = 0.5, sigma2 = 0.25,
 # T = 1, alpha = 2, P = 2.
@@ -252,3 +255,43 @@ def test_log_likelihood_peaks_near_truth():
     ll_truth = log_likelihood(_CFG, truth, decisions)
     ll_off = log_likelihood(_CFG, TargetParams(P=2.0, x=3.0, y=3.0), decisions)
     assert ll_truth > ll_off
+
+
+_COORD = st.floats(-30.0, 30.0)
+
+
+@st.composite
+def _bound_case(draw):
+    # a detector anywhere in alpha in [1, 6] and tau/sigma2 in [0.1, 10],
+    # a field of 1-60 sensors with random decisions, and 1-4 hypotheses
+    # of any power, the first of them exactly on a sensor
+    sigma2 = draw(st.floats(0.05, 4.0))
+    cfg = DetectorConfig(tau=draw(st.floats(0.1, 10.0)) * sigma2,
+                         sigma2=sigma2, alpha=draw(st.floats(1.0, 6.0)))
+    n = draw(st.integers(1, 60))
+    sx, sy = (np.array(draw(st.lists(_COORD, min_size=n, max_size=n)))
+              for _ in range(2))
+    detected = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    m = draw(st.integers(1, 4))
+    P = 10.0 ** np.array(draw(st.lists(st.floats(-13.0, 13.0),
+                                       min_size=m, max_size=m)))
+    x0, y0 = (np.array(draw(st.lists(_COORD, min_size=m, max_size=m)))
+              for _ in range(2))
+    j = draw(st.integers(0, n - 1))
+    x0[0], y0[0] = sx[j], sy[j]
+    return cfg, P, x0, y0, Decisions(sx=sx, sy=sy, detected=detected)
+
+
+@settings(deadline=None)
+@given(case=_bound_case())
+def test_nll_lower_bound_never_exceeds_the_nll(case):
+    # the grid guard's screen may only skip a hypothesis whose nll is at
+    # least its bound; with a sensor on the hypothesis the nll is 0 or
+    # +inf in that sensor's term
+    cfg, P, x0, y0, d = case
+    bounds = _nll_lower_bound(cfg, P, x0, y0, d.sx, d.sy, d.detected)
+    assert bounds.shape == P.shape
+    for k, bound in enumerate(bounds):
+        nll = -_log_likelihood_arrays(cfg, P[k], x0[k], y0[k],
+                                      d.sx, d.sy, d.detected)
+        assert bound <= nll + 1e-12 * (1.0 + abs(nll))

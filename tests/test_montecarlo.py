@@ -408,6 +408,95 @@ def test_ml_estimate_start_below_the_power_floor_is_not_stopped(monkeypatch):
     assert res.neg_log_lik == pytest.approx(37.4971880233, abs=1e-9)
 
 
+def _reference_trial(tau: float, seed: int) -> Decisions:
+    # one trial of a one-trial campaign at criterion 8's point (P = 2,
+    # sigma2 = 0.25, rho = 0.05, R = 60) with threshold tau
+    cfg = SimConfig(field=_FIELD, detector=DetectorConfig(tau=tau, sigma2=0.25),
+                    truth=_TRUTH, trials=1, region_radius=60.0,
+                    master_seed=seed)
+    return sample_decisions(cfg, sample_field(cfg, 0), 0)
+
+
+def test_ml_estimate_single_detection_returns_the_global_supremum(monkeypatch):
+    # with one detection the nll's global lower bound, -(n - 1) log(1 -
+    # p_fa), is the limit P -> 0 on the detecting sensor; the wall point
+    # attains it from any start, so neither the grid nor the simplex
+    # runs.  A simplex started below the power floor used to crawl here
+    # for 553 evaluations to P = 9.8e-14 (nll 4.834322045545065).
+    det = DetectorConfig(tau=1.2, sigma2=0.25)
+    decisions = _reference_trial(1.2, 1466814125164838466)
+    n, n_det = len(decisions), int(decisions.detected.sum())
+    assert (n, n_det) == (586, 1)
+    calls = _count_minimize_calls(monkeypatch)
+    res = ml_estimate(det, decisions, initial_guess(det, decisions))
+    assert calls == []
+    assert res.converged and res.theta_hat.P == math.exp(-30.0)
+    j = int(np.flatnonzero(decisions.detected)[0])
+    assert (res.theta_hat.x, res.theta_hat.y) == (decisions.sx[j],
+                                                  decisions.sy[j])
+    closed = -(n - 1) * math.log1p(-det.false_alarm_probability)
+    assert abs(res.neg_log_lik - closed) <= 1e-12
+    assert res.neg_log_lik <= 4.834322045545065
+    assert res.neg_log_lik == -log_likelihood(det, res.theta_hat, decisions)
+
+
+def _unscreened(monkeypatch) -> None:
+    # a screen whose bounds are all -inf lets every grid candidate
+    # through to its full evaluation: the exhaustive grid guard
+    monkeypatch.setattr(montecarlo, "_nll_lower_bound",
+                        lambda cfg, P, x0, y0, *arrays:
+                        np.full(np.shape(y0), -math.inf))
+
+
+@pytest.mark.parametrize("seed", [
+    8210255658006863255,    # collapses to zero power (campaign-ref call 1)
+    20260814,               # interior maximum (campaign-ref call 0)
+    8931513741054456221,    # interior maximum (campaign-ref call 4)
+])
+def test_ml_estimate_screened_grid_matches_the_exhaustive_one(monkeypatch,
+                                                              seed):
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    decisions = _reference_trial(0.4, seed)
+    init = initial_guess(det, decisions)
+    screened = ml_estimate(det, decisions, init)
+    _unscreened(monkeypatch)
+    plain = ml_estimate(det, decisions, init)
+    assert screened == plain
+
+
+def test_ml_estimate_screen_skips_most_grid_evaluations(monkeypatch):
+    # on the collapsed campaign-ref trial the exhaustive guard makes 245
+    # nll evaluations outside the simplex: the start, 243 candidates and
+    # the collapse candidate
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    decisions = _reference_trial(0.4, 8210255658006863255)
+    init = initial_guess(det, decisions)
+    in_minimize, outside = [False], []
+    nll_arrays, minimize = (montecarlo._log_likelihood_arrays,
+                            montecarlo.optimize.minimize)
+
+    def counted_nll(*args):
+        if not in_minimize[0]:
+            outside.append(args[1:4])
+        return nll_arrays(*args)
+
+    def flagged_minimize(*args, **kwargs):
+        in_minimize[0] = True
+        try:
+            return minimize(*args, **kwargs)
+        finally:
+            in_minimize[0] = False
+
+    monkeypatch.setattr(montecarlo, "_log_likelihood_arrays", counted_nll)
+    monkeypatch.setattr(montecarlo.optimize, "minimize", flagged_minimize)
+    ml_estimate(det, decisions, init)
+    assert len(outside) <= 40
+    _unscreened(monkeypatch)
+    outside.clear()
+    ml_estimate(det, decisions, init)
+    assert len(outside) == 245
+
+
 # ----------------------------------------------------------------------
 # campaign and report
 # ----------------------------------------------------------------------
