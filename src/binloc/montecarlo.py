@@ -316,8 +316,9 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
             # powers this extreme are never plausible fits; walling them
             # off keeps the simplex away from degenerate likelihoods
             return math.inf
-        val = -_log_likelihood_arrays(cfg, math.exp(log_p), x0, y0,
-                                      sx, sy, detected)
+        # 0.0 - ll, not -ll: a certain outcome (ll = 0) has nll 0, not -0
+        val = 0.0 - _log_likelihood_arrays(cfg, math.exp(log_p), x0, y0,
+                                           sx, sy, detected)
         return val if math.isfinite(val) else math.inf
 
     det_x, det_y = sx[detected], sy[detected]

@@ -7,11 +7,15 @@ statistics.
 * Taylor coefficients of ``I1(y)^2`` about ``y = 0``.
 
 Q1(a, b) is the upper tail at b^2 of a noncentral chi-square variable
-with 2 degrees of freedom and noncentrality a^2.  Its linear value comes
-from scipy's compiled noncentral chi-square tail ``_ncx2_sf``, the ufunc
-behind ``stats.ncx2.sf``, for scalars and arrays alike, down to 1e-150;
-smaller values, which the ufunc loses, come from the log tail.  The
-Bessel functions in the derivatives come from ``scipy.special`` too.
+with 2 degrees of freedom and noncentrality a^2.  For a weak signal,
+lambda = a^2/2 <= 0.25 at a threshold with b^2/2 <= 32, where most
+sensors of a Poisson field sit, its linear value is the Poisson mixture
+e^-lambda sum_k lambda^k/k! Q(k+1, b^2/2) as one polynomial in lambda,
+whose coefficients are cached per threshold.  Elsewhere it comes from
+scipy's compiled noncentral chi-square tail ``_ncx2_sf``, the ufunc
+behind ``stats.ncx2.sf``.  Both serve scalars and arrays alike, down to
+1e-150; smaller values, which the ufunc loses, come from the log tail.
+The Bessel functions in the derivatives come from ``scipy.special`` too.
 
 The log-domain tails are computed here, because scipy loses them
 (``ncx2.logcdf`` returns -inf at (a, b) = (23, 3), where
@@ -32,6 +36,7 @@ last bit of a linear log (np.log against math.log).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -75,6 +80,16 @@ _UFUNC_MIN = 1e-150
 # domain -- these values exist so that optimizers probing absurd
 # parameters see finite, monotone surfaces.
 _ASYMPTOTIC_HALF_ARG = 1e6
+
+# Weak-signal region of the linear value: Q1 comes from its Poisson
+# mixture, a polynomial in lambda = a^2/2, where lambda <= _WEAK_LAMBDA_MAX
+# and s = b^2/2 <= _WEAK_S_MAX.  Most sensors of a Poisson field sit there,
+# near the false-alarm floor.  The polynomial takes 14 terms at s = 1.6 and
+# 18 at the cap.  The remainder bound grows with s (45 terms at s = 288,
+# where a scalar evaluation costs as much as the ufunc); the cap keeps the
+# series short.
+_WEAK_LAMBDA_MAX = 0.25
+_WEAK_S_MAX = 32.0
 
 # Orders of the Neumann series evaluated per ive call.  One call covers
 # the ~25 terms a likelihood edge sensor needs; ive costs ~1.2 us a term,
@@ -121,7 +136,7 @@ def marcum_q(a: float, b: float) -> float:
     b = _check_nonneg_or_inf("b", b)
     if b == 0.0:
         return 1.0
-    q = float(_marcum_q_ufunc(a, b))
+    q = float(_marcum_q_linear(a, b))
     if q >= _UFUNC_MIN:
         return q
     return math.exp(log_marcum_q(a, b))
@@ -133,7 +148,7 @@ def marcum_q_array(a, b: float) -> np.ndarray:
     a, b = _check_array(a, b)
     if b == 0.0:
         return np.ones_like(a)
-    q = np.asarray(_marcum_q_ufunc(a, b), dtype=float)
+    q = np.asarray(_marcum_q_linear(a, b), dtype=float)
     low = ~(q >= _UFUNC_MIN)
     if low.any():
         # math.exp, as marcum_q takes it: np.exp may differ in the last bit
@@ -141,18 +156,96 @@ def marcum_q_array(a, b: float) -> np.ndarray:
     return q
 
 
+def _marcum_q_linear(a, b: float):
+    """The linear value Q1(a, b) for a scalar b > 0 and a float or an
+    array a: the weak-signal polynomial where lambda = a^2/2 <=
+    _WEAK_LAMBDA_MAX and s = b^2/2 <= _WEAK_S_MAX, the ufunc elsewhere.
+
+    The polynomial is evaluated with multiplies and adds only (no exp),
+    in the same order for a float and for an array entry, so both get the
+    same bits.  NaN where the ufunc has no answer (see _marcum_q_ufunc).
+    """
+    if 0.5 * b * b > _WEAK_S_MAX:
+        return _marcum_q_ufunc(a, b)
+    coeffs = _weak_signal_coeffs(b)
+    lam = 0.5 * a * a
+    if isinstance(a, float):
+        if lam <= _WEAK_LAMBDA_MAX:
+            return _horner(coeffs, lam)
+        return _marcum_q_ufunc(a, b)
+    weak = lam <= _WEAK_LAMBDA_MAX
+    q = _horner(coeffs, np.where(weak, lam, 0.0))
+    strong = ~weak
+    if strong.any():
+        q[strong] = _marcum_q_ufunc(a[strong], b)
+    return q
+
+
+def _horner(coeffs: tuple[float, ...], lam):
+    # in place for an array, rebound for a float: the same operations
+    q = coeffs[-1] * lam
+    q += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        q *= lam
+        q += c
+    return q
+
+
+@functools.lru_cache(maxsize=256)
+def _weak_signal_coeffs(b: float) -> tuple[float, ...]:
+    """Coefficients d_n of Q1(a, b) = sum_n d_n lambda^n, lambda = a^2/2,
+    for 0 < s = b^2/2 <= _WEAK_S_MAX.
+
+    Q1 is the Poisson mixture e^-lambda sum_k lambda^k/k! Q(k+1, s) of
+    regularized upper gamma tails; with e^-lambda folded in,
+
+        d_0 = e^-s,   d_n = (-1)^(n-1) s e^-s L_{n-1}^(1)(s) / (n n!),
+
+    with the Laguerre polynomials L_m^(1) from their three-term
+    recurrence.  Szego's bound |L_m^(1)(s)| <= (m+1) e^(s/2) gives
+    |d_n| <= s e^(-s/2) / n!, so the terms from n = N on, at lambda <=
+    _WEAK_LAMBDA_MAX = l, sum to at most s e^(-s/2) l^N/N! / (1 - l/(N+1)).
+    The series stops at the first N where that is below 2^-60 e^-s, and
+    Q1 >= e^-s, so the truncation error is below 2^-60 relative.
+    """
+    s = 0.5 * b * b
+    lam = _WEAK_LAMBDA_MAX
+    # the remainder bound relative to e^-s, at N = 1
+    bound = s * math.exp(0.5 * s) * lam / (1.0 - 0.5 * lam)
+    scale = math.exp(-s)
+    coeffs = [scale]
+    scale *= s          # s e^-s / (n n!) at n = 1
+    lag_prev, lag = 0.0, 1.0
+    n = 1
+    while True:     # keep d_0 and d_1 at least, as _horner needs
+        coeffs.append(scale * lag if n % 2 else -scale * lag)
+        bound *= lam / (n + 1) * (1.0 - lam / (n + 1)) / (1.0 - lam / (n + 2))
+        if bound <= 2.0 ** -60:
+            return tuple(coeffs)
+        lag_prev, lag = lag, ((2 * n - s) * lag - n * lag_prev) / n
+        scale *= (n / (n + 1)) / (n + 1)
+        n += 1
+
+
 def _marcum_q_ufunc(a, b: float):
     """Q1(a, b) from scipy's compiled noncentral chi-square tail, for a
     scalar b and a scalar or array a.
 
-    NaN where the ufunc has no answer: a = inf, a^2 beyond ~9.2e18, and
-    every a once b^2/2 passes _ASYMPTOTIC_HALF_ARG (with both arguments
-    that large it returns 0.43 for Q1(1e6, 1e6) = 0.50).  Values below
-    _UFUNC_MIN are not to be trusted either.
+    NaN where the ufunc has no answer: a = inf, a^2 beyond ~9.2e18, every
+    a once b^2/2 passes _ASYMPTOTIC_HALF_ARG (with both arguments that
+    large it returns 0.43 for Q1(1e6, 1e6) = 0.50), and a^2 > 256 once
+    b^2 < 2^-24.  Below b^2 = 2^-25 Boost sums its series in time linear
+    in a^2 (35 s at a^2 = 1e9) and from a^2 ~ 339 on its tgamma overflows
+    and raises for the whole call; there Q1 rounds to 1 and the log tails
+    give its complement.  Values below _UFUNC_MIN are not to be trusted
+    either.
     """
     if 0.5 * b * b > _ASYMPTOTIC_HALF_ARG:
         b = math.nan
-    return _ncx2_sf(b * b, 2.0, a * a)
+    nc = a * a
+    if b * b < 2.0 ** -24:
+        nc = np.where(nc > 256.0, math.nan, nc)
+    return _ncx2_sf(b * b, 2.0, nc)
 
 
 def _log_gauss_tail(z: float) -> float:
@@ -208,7 +301,7 @@ def log_marcum_q_pair(a: float, b: float) -> tuple[float, float]:
     b = _check_nonneg_or_inf("b", b)
     if b == 0.0:
         return 0.0, -math.inf
-    q = float(_marcum_q_ufunc(a, b))
+    q = float(_marcum_q_linear(a, b))
     if _linear_logs(a, b, q)[0]:
         # both sides from the linear value, without the array round trip
         return math.log(q), math.log1p(-q)
@@ -223,7 +316,7 @@ def log_marcum_q_pair_array(a, b: float) -> tuple[np.ndarray, np.ndarray]:
     a, b = _check_array(a, b)
     if b == 0.0:
         return np.zeros_like(a), np.full_like(a, -math.inf)
-    return _log_pair(a, b, np.asarray(_marcum_q_ufunc(a, b), dtype=float))
+    return _log_pair(a, b, np.asarray(_marcum_q_linear(a, b), dtype=float))
 
 
 def _linear_logs(a, b: float, q):
@@ -236,7 +329,7 @@ def _linear_logs(a, b: float, q):
 
 def _log_pair(a: np.ndarray, b: float, q: np.ndarray):
     """(log Q1(a, b), log(1 - Q1(a, b))) for an array a >= 0, a scalar
-    b > 0 and q = _marcum_q_ufunc(a, b).  Each side is the log of q where
+    b > 0 and q = _marcum_q_linear(a, b).  Each side is the log of q where
     _linear_logs allows it; every other entry takes both sides from one
     _log_tails call, or from the asymptotic form past the half-argument
     cap (a = inf among them), but keeps a log1p(-q) that is allowed."""

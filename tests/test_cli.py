@@ -342,10 +342,10 @@ def test_simulate_summary_row_is_frozen(capsys) -> None:
                         "--set", "seed=20260814")
     assert code == EXIT_OK
     assert _data_rows(out)[-1] == (
-        "5,5,0,15.905995767698826,36.210321361183411,59.920291354282583,"
-        "2.7983518831699521,2.830856623386143,-1.257514091553521,"
-        "3.1549422374138962,4.5621847910894378,5.0416123563444248,"
-        "7.937057138042074,13.134121938969898")
+        "5,5,0,15.905995724302656,36.210321858027783,59.920295255527435,"
+        "2.7983520147303809,2.8308564740176365,-1.2575139442232515,"
+        "3.1549422374138962,4.5621847910894378,5.0416123425894446,"
+        "7.9370572469469947,13.13412279409634")
 
 
 def test_simulate_no_detection_regime(capsys) -> None:
@@ -367,6 +367,51 @@ def test_simulate_no_detection_regime(capsys) -> None:
     assert set(summary[3:]) == {"nan"}
     assert ("# note: no trial produced a detection; "
             "mse/crb summary unavailable") in lines
+
+
+def test_simulate_fields_with_no_or_one_sensor(capsys) -> None:
+    # a 0.5-radius region holds 0.04 sensors on average: at seed 7 trial 2
+    # has one sensor, which detects, and every other field is empty
+    code, out, err = _run(capsys, "simulate", "--set", "region_radius=0.5",
+                          "--set", "trials=8", "--set", "seed=7")
+    assert code == EXIT_OK
+    assert err == ""
+    rows = [row.split(",") for row in _data_rows(out)]
+    assert len(rows) == 9
+    for k, row in enumerate(rows[:8]):
+        if k == 2:
+            continue
+        assert row == [str(k), "0", "0", "0.001", "0", "0", "0", "inf"]
+    # the lone detecting sensor is explained with certainty: nll 0, not -0
+    assert rows[2][:3] == ["2", "1", "1"]
+    assert rows[2][6:] == ["1", "0"]
+    assert rows[8][:3] == ["8", "1", "7"]
+
+
+def test_simulate_every_sensor_detecting(capsys) -> None:
+    # far below the noise floor every sensor detects: trial 1 has 588 of
+    # 588, and its likelihood of 1 prints as nll 0, not -0
+    code, out, err = _run(capsys, "simulate", "--set", "tau=1e-4",
+                          "--set", "trials=2")
+    assert code == EXIT_OK
+    assert err == ""
+    rows = [row.split(",") for row in _data_rows(out)]
+    assert rows[1][:3] == ["1", "588", "588"]
+    assert rows[1][6:] == ["1", "0"]
+    assert rows[0][:3] == ["0", "589", "588"]
+    assert rows[2][:3] == ["2", "2", "0"]
+
+
+def test_simulate_tiny_threshold_runs(capsys) -> None:
+    # at tau = 1e-9 the threshold coordinate is 8.9e-5, where scipy's
+    # noncentral chi-square tail overflows (and takes time linear in x^2)
+    # for strong sensors; the Marcum layer routes them to its log tails
+    code, out, _ = _run(capsys, "simulate", "--set", "tau=1e-9",
+                        "--set", "trials=1")
+    assert code == EXIT_OK
+    rows = [row.split(",") for row in _data_rows(out)]
+    assert rows[0][:3] == ["0", "589", "589"]
+    assert rows[0][6:] == ["1", "0"]
 
 
 # ----------------------------------------------------------------------

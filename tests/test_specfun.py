@@ -9,8 +9,9 @@ exp(-(a-b)^2/2) sum_k (a/b)^(+-k) ive(k, ab); their oracles use other
 formulas.  Oracle sources, in order of preference:
  * closed-form identities (exact), among them Q1(a, a) = (1 + i0e(a^2))/2,
  * a 50-digit mpmath Poisson mixture of regularized gamma tails for Q1
-   and both log tails (the linear Q1 is scipy's noncentral chi-square
-   ufunc itself, so scipy cannot be its oracle); its window of k spans
+   and both log tails (the linear Q1 is a weak-signal polynomial of that
+   mixture or scipy's noncentral chi-square ufunc itself, so scipy
+   cannot be its oracle); its window of k spans
    both the Poisson bulk at lambda = a^2/2 and the summand's saddle at
    sqrt(lambda b^2/2),
  * other 50-digit mpmath references (incomplete gamma, scaled Bessel)
@@ -311,27 +312,95 @@ def test_log_tails_match_mpmath_oracle(a, b):
         math.exp(lq_ref), rel=1e-6, abs=0.0)
 
 
-# Thresholds for the array-path property test: the campaign's t, y = t^2/2
+# The weak-signal polynomial's switches: lambda = a^2/2 = _WEAK_LAMBDA_MAX
+# and s = b^2/2 = _WEAK_S_MAX.
+_A_WEAK_SWITCH = math.sqrt(2.0 * specfun._WEAK_LAMBDA_MAX)
+_B_WEAK_CAP = math.sqrt(2.0 * specfun._WEAK_S_MAX)
+
+
+@pytest.mark.parametrize("b", [
+    0.3, 1.0, math.sqrt(3.2), math.sqrt(9.6), 5.0,
+    _B_WEAK_CAP * (1.0 - 1e-9), _B_WEAK_CAP * (1.0 + 1e-9)])
+@pytest.mark.parametrize("lam", [
+    1e-6, 0.1, specfun._WEAK_LAMBDA_MAX * (1.0 - 1e-9),
+    specfun._WEAK_LAMBDA_MAX * (1.0 + 1e-9), 0.3])
+def test_weak_signal_polynomial_matches_mpmath_oracle(b, lam):
+    # on both sides of each switch (criterion 8's t = sqrt(3.2) and
+    # campaign-hightau's sqrt(9.6) among the thresholds) Q1 is within
+    # 2e-15 of the oracle, and an array entry equals the scalar to the bit
+    a = math.sqrt(2.0 * lam)
+    weak = (0.5 * a * a <= specfun._WEAK_LAMBDA_MAX
+            and 0.5 * b * b <= specfun._WEAK_S_MAX)
+    assert weak == (lam < specfun._WEAK_LAMBDA_MAX and b < _B_WEAK_CAP)
+    q = marcum_q(a, b)
+    assert q == pytest.approx(_mp_marcum_q(a, b), rel=2e-15, abs=0.0)
+    assert marcum_q_array(np.array([a, 0.0, a]), b).tolist()[::2] == [q, q]
+    lq_ref, l1_ref = _mp_log_tails(a, b)
+    assert log_marcum_q_pair(a, b) == pytest.approx((lq_ref, l1_ref), rel=1e-14, abs=0.0)
+
+
+def test_weak_signal_polynomial_length():
+    # the remainder bound stops the series at 14 terms at criterion 8's
+    # threshold and 18 at the cap; at s -> 0 it keeps d_0 and d_1
+    assert len(specfun._weak_signal_coeffs(math.sqrt(3.2))) == 14
+    assert len(specfun._weak_signal_coeffs(_B_WEAK_CAP)) == 18
+    assert specfun._weak_signal_coeffs(1e-10) == (1.0, 0.5 * 1e-10 * 1e-10)
+    assert marcum_q_array(np.array([0.5, 5.0]), 1e-10).tolist() == [1.0, 1.0]
+
+
+def test_marcum_tiny_threshold_strong_signal():
+    # below b^2 = 2^-25 scipy's noncentral chi-square tail overflows (its
+    # tgamma) for a^2 above ~339 and raises for the whole call, after
+    # time linear in a^2; those entries take the log tails
+    a, b = 31.6, 6e-5
+    lq_ref, l1_ref = _mp_log_tails(a, b)
+    assert marcum_q(a, b) == 1.0
+    assert log_marcum_q_pair(a, b) == pytest.approx((lq_ref, l1_ref), rel=1e-13, abs=0.0)
+    x = np.array([31.6, 0.1, 16.5, 20.0, 1e3])
+    assert marcum_q_array(x, b).tolist() == [marcum_q(float(v), b) for v in x]
+    log_q, log_1mq = log_marcum_q_pair_array(x, b)
+    scalar = [log_marcum_q_pair(float(v), b) for v in x]
+    for i in (0, 2, 3, 4):      # past the ufunc, from the log tails
+        assert (log_q[i], log_1mq[i]) == scalar[i]
+    np.testing.assert_allclose(np.column_stack([log_q, log_1mq]), scalar,
+                               rtol=1e-15, atol=0.0)
+    for i in (0, 2, 3):
+        assert (log_q[i], log_1mq[i]) == pytest.approx(
+            _mp_log_tails(float(x[i]), b), rel=1e-13, abs=0.0)
+    # x = 0.1 is a weak-signal entry whose 1 - Q = 1.8e-9 still comes from
+    # the linear value, as the log-pair policy allows down to 1e-9
+    assert (log_q[1], log_1mq[1]) == pytest.approx(
+        _mp_log_tails(0.1, b), rel=1e-6, abs=0.0)
+    assert log_1mq[4] == pytest.approx(-0.5e6, rel=1e-4)
+
+
+# Thresholds for the array-path property test: the campaign's t and
+# campaign-hightau's, the weak-signal cap s = t^2/2 = _WEAK_S_MAX, y = t^2/2
 # either side of 700 (there Q reaches below 1e-250, and below y = 700
 # log Q takes log(ufunc) down to its floor), and t either side of the
 # half-argument cap.
 _Y700 = math.sqrt(1400.0)
-_PROPERTY_T = (1.79, math.sqrt(1399.9), math.sqrt(1400.1), 1414.0, 1500.0)
+_PROPERTY_T = (1.79, math.sqrt(9.6), _B_WEAK_CAP, math.sqrt(1399.9),
+               math.sqrt(1400.1), 1414.0, 1500.0)
 _X_CAP = math.sqrt(2.0 * specfun._ASYMPTOTIC_HALF_ARG)
 
 
 @st.composite
 def _edge_case(draw):
     """(x, t): an array of signal coordinates with 0, inf, a = b, lambda
-    = 256, the cap, values near t and values reaching past both edges."""
+    = 256, the cap, values near t, values either side of the weak-signal
+    switch lambda = _WEAK_LAMBDA_MAX and values reaching past both
+    edges."""
     t = draw(st.sampled_from(_PROPERTY_T))
     lam256 = math.sqrt(2.0 * _SERIES_LAMBDA_MAX)
     entry = st.one_of(
-        st.sampled_from([0.0, math.inf, t, lam256, _X_CAP]),
+        st.sampled_from([0.0, math.inf, t, lam256, _X_CAP, _A_WEAK_SWITCH]),
         st.floats(-10.0, 10.0).map(lambda d: max(t + d, 0.0)),
         st.floats(0.0, 2.0 * t + 16.0),
         st.floats(lam256 - 0.01, lam256 + 0.01),
         st.floats(_X_CAP - 0.5, _X_CAP + 0.5),
+        st.floats(_A_WEAK_SWITCH - 1e-6, _A_WEAK_SWITCH + 1e-6),
+        st.floats(0.0, _A_WEAK_SWITCH),
     )
     return np.array(draw(st.lists(entry, min_size=1, max_size=12))), t
 
@@ -351,7 +420,7 @@ def test_log_pair_array_matches_scalar_tails(case):
     x, t = case
     log_q, log_1mq = log_marcum_q_pair_array(x, t)
     scalar = [log_marcum_q_pair(float(v), t) for v in x]
-    on_q, _ = specfun._linear_logs(x, t, specfun._marcum_q_ufunc(x, t))
+    on_q, _ = specfun._linear_logs(x, t, specfun._marcum_q_linear(x, t))
     for i in np.flatnonzero(~on_q):
         assert (log_q[i], log_1mq[i]) == scalar[i]
     np.testing.assert_allclose(np.column_stack([log_q, log_1mq]), scalar,
