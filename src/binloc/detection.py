@@ -171,7 +171,8 @@ def detection_probability_array(cfg: DetectorConfig, P: float,
 
 def _signal_coordinate_vec(cfg: DetectorConfig, P: float,
                            r: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
+    # inf (certain detection) where r = 0 or T P / r^alpha overflows
+    with np.errstate(divide="ignore", over="ignore"):
         return np.sqrt(cfg.T * P / (cfg.sigma2 * r ** cfg.alpha))
 
 
@@ -214,16 +215,19 @@ def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
     """
     P, x0, y0 = (np.asarray(v, dtype=float)[..., None] for v in (P, x0, y0))
     r2 = (sx - x0) ** 2 + (sy - y0) ** 2
-    with np.errstate(divide="ignore"):
-        lam = 0.5 * cfg.T * P / (cfg.sigma2 * r2 ** (0.5 * cfg.alpha))
     s = cfg.tau / cfg.sigma2
     p_fa = cfg.false_alarm_probability
-    terms = np.where(detected, np.maximum(0.0, s * (1.0 - lam)),
-                     -np.log1p(-p_fa * (1.0 - s * np.expm1(-lam))))
-    near = lam > _BOUND_EXACT_LAMBDA
+    # lam overflows next to a hypothesis, and at a tiny threshold the silent
+    # form reaches log1p(-1); both only for near sensors, whose terms are exact
+    with np.errstate(divide="ignore", over="ignore"):
+        lam = 0.5 * cfg.T * P / (cfg.sigma2 * r2 ** (0.5 * cfg.alpha))
+        terms = np.where(detected, np.maximum(0.0, s * (1.0 - lam)),
+                         -np.log1p(-p_fa * (1.0 - s * np.expm1(-lam))))
+        near = lam > _BOUND_EXACT_LAMBDA
+        x_near = np.sqrt(2.0 * lam[near])
     if near.any():
         log_q, log_1mq = specfun.log_marcum_q_pair_array(
-            np.sqrt(2.0 * lam[near]), cfg.threshold_coordinate)
+            x_near, cfg.threshold_coordinate)
         terms[near] = -np.where(np.broadcast_to(detected, lam.shape)[near],
                                 log_q, log_1mq)
     return terms.sum(axis=-1)

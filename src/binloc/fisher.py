@@ -38,11 +38,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from . import specfun
-from .detection import (DetectorConfig, TargetParams,
-                        detection_probability_derivatives, signal_coordinate)
+from .detection import (DetectorConfig, TargetParams, _signal_coordinate_vec,
+                        signal_coordinate)
 
 __all__ = [
     "FieldConfig",
@@ -63,12 +63,6 @@ _LOG_TINY = -745.0
 _QUAD_REL_TOL = 1e-10
 _QUAD_ABS_TOL = 1e-13
 _QUAD_LIMIT = 200
-
-# tensor-product Gauss-Legendre grid of the off-diagonal cross-check:
-# radial and angular node counts, and the outer radius in units of r_breve
-_OFFDIAG_N_R = 192
-_OFFDIAG_N_PSI = 64
-_OFFDIAG_R_OUTER = 200.0
 
 
 class QuadratureError(RuntimeError):
@@ -165,46 +159,58 @@ def per_sensor_fim(cfg: DetectorConfig, theta: TargetParams,
     Ordering (P, x_T, y_T).  Raises if the sensor sits exactly at the
     hypothesized emitter position.
     """
-    dx = float(sensor_x) - theta.x
-    dy = float(sensor_y) - theta.y
-    r = math.hypot(dx, dy)
-    if r == 0.0:
+    if sensor_x == theta.x and sensor_y == theta.y:
         raise ValueError("sensor coincides with the emitter position")
-    d_dr, d_dP = detection_probability_derivatives(cfg, theta.P, r)
-    # the weight alone can overflow for very close sensors even though the
-    # full product w * v v^T decays there, so fold the scale of v into the
-    # exponent
-    log_w = _log_weight(signal_coordinate(cfg, theta.P, r),
-                        cfg.threshold_coordinate)
-    cos_psi = dx / r
-    sin_psi = dy / r
-    v = np.array([d_dP, -cos_psi * d_dr, -sin_psi * d_dr])
-    scale = float(np.max(np.abs(v)))
-    if scale == 0.0:
-        return np.zeros((3, 3))
-    unit = v / scale
-    return math.exp(log_w + 2.0 * math.log(scale)) * np.outer(unit, unit)
+    log_w, u = _sensor_information(cfg, theta.P, theta.x, theta.y,
+                                   np.array([sensor_x], float),
+                                   np.array([sensor_y], float))
+    return math.exp(log_w[0]) * np.outer(u[:, 0], u[:, 0])
+
+
+def _sensor_information(cfg: DetectorConfig, P: float, x0: float, y0: float,
+                        sx: np.ndarray, sy: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """(log w, u) for sensors at (sx, sy) under the emitter hypothesis
+    (P, x0, y0): sensor i contributes exp(log w_i) u_i u_i^T, u being 3 x n.
+
+    With core = (x/2) Q'(x) the slope vector of P_D is core * u,
+    u = (1/P, alpha dx/r^2, alpha dy/r^2), so w = core^2 / (Q(1-Q)) is
+    the kernel with power 2 over 4.  Unlike 1/(Q(1-Q)) alone, w decays
+    rather than overflows for very close sensors.
+    """
+    dx, dy = sx - x0, sy - y0
+    r = np.hypot(dx, dy)
+    x = _signal_coordinate_vec(cfg, P, r)
+    log_w = _log_kernel_array(x, cfg.threshold_coordinate, 2.0) - math.log(4.0)
+    u = np.stack([np.full_like(r, 1.0 / P), cfg.alpha * dx / (r * r),
+                  cfg.alpha * dy / (r * r)])
+    return log_w, u
 
 
 # ----------------------------------------------------------------------
 # expected information over the field
 # ----------------------------------------------------------------------
 
-def _log_weight(x: float, t: float) -> float:
-    """log of the Bernoulli information weight 1 / (Q (1-Q)), Q = Q1(x, t),
-    assembled from the log tails so that it stays finite where 1 - Q
-    underflows."""
-    log_q, log_1mq = specfun.log_marcum_q_pair(x, t)
-    return -(log_q + log_1mq)
-
-
 def _log_kernel(x: float, t: float, power: float) -> float:
     """log of x^power * Q'(x)^2 / (Q (1-Q)) at signal coordinate x, with
-    Q' = dQ1(x, t)/dx."""
+    Q' = dQ1(x, t)/dx.  The weight 1/(Q(1-Q)) comes from the log tails,
+    so that it stays finite where 1 - Q underflows."""
     if x <= 0.0:
         return -math.inf
+    log_q, log_1mq = specfun.log_marcum_q_pair(x, t)
     return (power * math.log(x) + 2.0 * specfun.log_marcum_q_da(x, t)
-            + _log_weight(x, t))
+            - (log_q + log_1mq))
+
+
+def _log_kernel_array(x: np.ndarray, t: float, power: float) -> np.ndarray:
+    """_log_kernel(x_i, t, power) for an array x, from one
+    log_marcum_q_pair_array call: equal entry by entry bar the last bits
+    of a linear log (np.log against math.log)."""
+    log_q, log_1mq = specfun.log_marcum_q_pair_array(x, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_da = np.log(t * special.i1e(x * t)) - 0.5 * (x - t) ** 2
+        value = power * np.log(x) + 2.0 * log_da - (log_q + log_1mq)
+    return np.where(x > 0.0, value, -math.inf)
 
 
 def _prefactors(cfg: DetectorConfig, P: float,
@@ -309,40 +315,34 @@ def expected_f22_r_domain(cfg: DetectorConfig, P: float,
     return 2.0 * math.pi ** 2 * field.rho * value
 
 
+def _lattice_information(cfg: DetectorConfig, P: float,
+                         field: FieldConfig) -> np.ndarray:
+    """3x3 expected information summed over a polar lattice of sensors
+    around an emitter at the origin: 192 Gauss-Legendre radii on
+    [r_breve, 200 r_breve] by 64 bearings on [0, 2 pi).  The sensor at
+    (r, psi) is weighted 2 pi rho w_r r w_psi, as in c11 and c22, so the
+    diagonal matches the quadrature route up to the cut at 200 r_breve."""
+    rb = field.r_breve
+    half = 0.5 * (200.0 * rb - rb)
+    nodes_r, weights_r = np.polynomial.legendre.leggauss(192)
+    r = (half * (nodes_r + 1.0) + rb)[:, None]
+    wr = (half * weights_r)[:, None]
+    nodes_p, weights_p = np.polynomial.legendre.leggauss(64)
+    psi, wp = math.pi * (nodes_p + 1.0), math.pi * weights_p
+    log_w, u = _sensor_information(cfg, float(P), 0.0, 0.0,
+                                   (r * np.cos(psi)).ravel(),
+                                   (r * np.sin(psi)).ravel())
+    weight = (2.0 * math.pi * field.rho * wr * r * wp).ravel()
+    return (u * (weight * np.exp(log_w))) @ u.T
+
+
 def offdiag_quadrature_estimate(cfg: DetectorConfig, P: float,
                                 field: FieldConfig) -> float:
-    """Largest |entry| among 2-D tensor-product Gauss-Legendre estimates
-    of the three off-diagonal expected-information integrals
-
-        F12 = -2 pi rho int int (dP_D/dP)(dP_D/dr) cos(psi) / (Q(1-Q)) r dr dpsi
-        F13 = (same with sin), F23 = 2 pi rho int int (dP_D/dr)^2 sin cos ... ,
-
-    which all vanish analytically, over r_breve <= r <= 200 r_breve.
-    Returned for use as a numerical cross-check against F22."""
-    P = float(P)
-    rb = field.r_breve
-    r_outer = _OFFDIAG_R_OUTER * rb
-    # radial factors, evaluated once per node
-    nodes_r, weights_r = np.polynomial.legendre.leggauss(_OFFDIAG_N_R)
-    r = 0.5 * (r_outer - rb) * (nodes_r + 1.0) + rb
-    wr = 0.5 * (r_outer - rb) * weights_r
-    a = np.empty_like(r)   # dP_D/dr
-    b = np.empty_like(r)   # dP_D/dP
-    w = np.empty_like(r)   # 1 / (Q (1 - Q))
-    t = cfg.threshold_coordinate
-    for i, ri in enumerate(r):
-        a[i], b[i] = detection_probability_derivatives(cfg, P, float(ri))
-        w[i] = math.exp(_log_weight(signal_coordinate(cfg, P, float(ri)), t))
-    nodes_p, weights_p = np.polynomial.legendre.leggauss(_OFFDIAG_N_PSI)
-    psi = math.pi * (nodes_p + 1.0)
-    wp = math.pi * weights_p
-
-    rho = field.rho
-    # tensor-product sums; the angular factor integrates to ~0
-    f12 = 2.0 * math.pi * rho * np.sum(
-        (wr * r * a * b * w)[:, None] * (wp * (-np.cos(psi)))[None, :])
-    f13 = 2.0 * math.pi * rho * np.sum(
-        (wr * r * a * b * w)[:, None] * (wp * (-np.sin(psi)))[None, :])
-    f23 = 2.0 * math.pi * rho * np.sum(
-        (wr * r * a * a * w)[:, None] * (wp * np.sin(psi) * np.cos(psi))[None, :])
-    return float(max(abs(f12), abs(f13), abs(f23)))
+    """Largest |off-diagonal entry| of the lattice sum of per-sensor
+    matrices w u u^T (_lattice_information), a numerical cross-check
+    against F22: the entries carry the bearing through u and cancel only
+    in the sum over bearings, as they vanish analytically.  The weight
+    2 pi rho w_r r w_psi keeps the package's 2 pi rho convention, which
+    ROADMAP.md questions: a Poisson field of density rho has rho r dr dpsi."""
+    J = _lattice_information(cfg, P, field)
+    return float(max(abs(J[0, 1]), abs(J[0, 2]), abs(J[1, 2])))

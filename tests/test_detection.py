@@ -5,6 +5,7 @@ the decision log-likelihood."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,3 +296,18 @@ def test_nll_lower_bound_never_exceeds_the_nll(case):
         nll = -_log_likelihood_arrays(cfg, P[k], x0[k], y0[k],
                                       d.sx, d.sy, d.detected)
         assert bound <= nll + 1e-12 * (1.0 + abs(nll))
+
+
+def test_nll_lower_bound_tiny_threshold_is_silent():
+    # at tau = 1e-9 the silent closed form rounds to log1p(-1) for near
+    # sensors; they take their exact terms, and numpy must not warn
+    cfg = DetectorConfig(tau=1e-9, sigma2=0.25)
+    sx = np.array([0.2, 0.5, 40.0])
+    sy = np.array([0.0, -2.0, 3.0])
+    detected = np.array([False, True, True])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = _nll_lower_bound(cfg, 2.0, 0.0, 0.0, sx, sy, detected)
+    nll = -_log_likelihood_arrays(cfg, 2.0, 0.0, 0.0, sx, sy, detected)
+    assert math.isfinite(bound)
+    assert bound <= nll + 1e-12 * (1.0 + abs(nll))

@@ -3,8 +3,10 @@ the per-sensor information matrices.
 
 The quadrature results are pinned against frozen high-precision values
 and cross-checked through an independent range-domain formulation of the
-same integral; the analytic zero of the off-diagonal entries is verified
-with a 2-D tensor-product estimate.
+same integral.  A polar lattice of per-sensor matrices checks the
+analytic zero of the off-diagonal entries, and its diagonal reproduces
+the quadrature; the array per-sensor information is checked against the
+scalar routes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import math
 import numpy as np
 import pytest
 
-from binloc.detection import DetectorConfig, TargetParams
+from binloc import specfun
+from binloc.detection import (DetectorConfig, TargetParams,
+                              detection_probability_derivatives,
+                              signal_coordinate)
 from binloc.fisher import (
     FieldConfig,
     FisherResult,
@@ -26,6 +31,9 @@ from binloc.fisher import (
     rmin_expected,
     x_breve,
 )
+from binloc.fisher import (_lattice_information, _log_kernel,
+                           _log_kernel_array, _sensor_information)
+from binloc.montecarlo import SimConfig, sample_field
 
 _FIELD = FieldConfig(rho=0.05)
 _P = 2.0
@@ -135,6 +143,21 @@ def test_range_domain_crosscheck(alpha):
     assert alt == pytest.approx(res.F22, rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("tau", [0.3, 0.7, 1.5])
+def test_lattice_diagonal_matches_quadrature(alpha, tau):
+    # the polar lattice of per-sensor matrices and the 1-D quadrature
+    # share the 2 pi rho convention; they differ by the lattice's cut at
+    # 200 r_breve, whose tail scales as R^(2 - 2 alpha) for F11 and
+    # R^(-2 alpha) for F22 (3.9e-5 for F11 at alpha = 2, 1.2e-9 for F22)
+    cfg = DetectorConfig(tau=tau, sigma2=0.25, alpha=alpha)
+    res = expected_fim_quadrature(cfg, _P, _FIELD)
+    J = _lattice_information(cfg, _P, _FIELD)
+    assert J[0, 0] == pytest.approx(res.F11, rel=1e-4 if alpha == 2.0 else 1e-8)
+    assert J[1, 1] == pytest.approx(res.F22, rel=1e-8)
+    assert J[2, 2] == pytest.approx(res.F33, rel=1e-8)
+
+
 @pytest.mark.parametrize("alpha", [2.0, 4.0])
 def test_offdiagonal_entries_vanish(alpha):
     res = expected_fim_quadrature(_cfg(alpha), _P, _FIELD)
@@ -225,6 +248,44 @@ def test_per_sensor_fim_close_sensor_decay():
     assert np.abs(tiny).max() < 1e-100
     np.testing.assert_array_equal(per_sensor_fim(cfg, theta, 0.04, 0.0),
                                   np.zeros((3, 3)))
+
+
+def test_log_kernel_array_matches_scalar():
+    # every branch of the log pair: the weak-signal polynomial, the ufunc,
+    # the Neumann tails and the asymptotic form past x^2/2 = 1e6
+    xs = np.concatenate([np.logspace(-4.0, 0.0, 60), np.linspace(1.0, 80.0, 160),
+                         [300.0, 1500.0]])
+    for t in (0.2, math.sqrt(3.2), 3.0, 8.0, 40.0):
+        for power in (-1.0, 0.0, 1.0, 2.0):
+            arr = _log_kernel_array(xs, t, power)
+            ref = np.array([_log_kernel(float(x), t, power) for x in xs])
+            finite = np.isfinite(ref)
+            np.testing.assert_array_equal(np.isfinite(arr), finite)
+            err = np.abs(arr - ref)[finite]
+            assert np.all(err <= 4e-15 * np.maximum(1.0, np.abs(ref[finite])))
+
+
+def test_sensor_information_matches_scalar_assembly_over_a_field():
+    # criterion 8's point: one sampled field, ~580 sensors, summed
+    cfg = DetectorConfig(tau=0.40, sigma2=0.25)
+    truth = TargetParams(P=_P, x=0.0, y=0.0)
+    sim = SimConfig(field=_FIELD, detector=cfg, truth=truth, trials=1,
+                    region_radius=60.0, master_seed=20260814)
+    sensors = sample_field(sim, 0)
+    log_w, u = _sensor_information(cfg, _P, truth.x, truth.y,
+                                   sensors[:, 0], sensors[:, 1])
+    J = (u * np.exp(log_w)) @ u.T
+    ref = np.zeros((3, 3))
+    t = cfg.threshold_coordinate
+    for sx, sy in sensors:
+        r = math.hypot(sx, sy)
+        d_dr, d_dP = detection_probability_derivatives(cfg, _P, r)
+        log_q, log_1mq = specfun.log_marcum_q_pair(
+            signal_coordinate(cfg, _P, r), t)
+        v = np.array([d_dP, -(sx / r) * d_dr, -(sy / r) * d_dr])
+        ref += np.outer(v, v) * math.exp(-(log_q + log_1mq))
+    assert len(sensors) > 500
+    np.testing.assert_allclose(J, ref, rtol=1e-12)
 
 
 def test_per_sensor_fim_rejects_coincident_sensor():
