@@ -224,21 +224,14 @@ def _fmt(value: object) -> str:
         return format(value, ".17g")
     if value is None:
         return "auto"
+    if isinstance(value, tuple):
+        return ",".join(map(_fmt, value))
     return str(value)
 
 
 def _effective_config_lines(settings: Settings) -> list[str]:
-    shown = {
-        "tau": settings.tau, "sigma2": settings.sigma2, "T": settings.T,
-        "alpha": settings.alpha, "P": settings.P, "xT": settings.xT,
-        "yT": settings.yT, "rho": settings.rho, "trials": settings.trials,
-        "seed": settings.seed, "region_radius": settings.region_radius,
-        "m": settings.m, "methods": ",".join(settings.methods),
-        "sweep.start": settings.sweep_start,
-        "sweep.stop": settings.sweep_stop,
-        "sweep.step": settings.sweep_step,
-    }
-    return [f"# {key}={_fmt(value)}" for key, value in shown.items()]
+    return [f"# {key}={_fmt(getattr(settings, attr))}"
+            for key, (attr, _) in _KEY_TABLE.items()]
 
 
 def _emit(out: IO[str], line: str) -> None:
@@ -306,12 +299,6 @@ _CRB_COLUMNS = ("tau", "alpha", "method", "m", "F11", "F22",
                 "crb_P", "crb_x", "quality_flag")
 
 
-def _bound(fval: float) -> float:
-    if math.isnan(fval):
-        return math.nan
-    return 1.0 / fval if fval > 0.0 else math.inf
-
-
 def cmd_crb(settings: Settings, out: IO[str]) -> int:
     field = _field(settings)
     P = _truth(settings).P
@@ -326,24 +313,21 @@ def cmd_crb(settings: Settings, out: IO[str]) -> int:
         rows = []
         for method in sorted(settings.methods):
             if method == "quadrature":
-                res = expected_fim_quadrature(det, P, field)
-                rows.append((tau, method, "", res.F11, res.F22, res.quality))
+                rows.append(expected_fim_quadrature(det, P, field))
             else:
                 try:
-                    res = closed_form_fisher(det, P, field, settings.m)
-                    rows.append((tau, method, res.m,
-                                 res.F11, res.F22, res.quality))
+                    rows.append(closed_form_fisher(det, P, field, settings.m))
                 except ModelInvalid:
-                    fallback = expected_fim_quadrature(det, P, field)
-                    rows.append((tau, "quadrature", "",
-                                 fallback.F11, fallback.F22,
-                                 "closed-form-invalid,quadrature-fallback"))
+                    rows.append(replace(
+                        expected_fim_quadrature(det, P, field),
+                        quality="closed-form-invalid,quadrature-fallback"))
                     exit_code = EXIT_FALLBACK
-        for tau_v, method, m_v, f11, f22, quality in rows:
+        for res in rows:
             _emit(out, ",".join([
-                _fmt(tau_v), _fmt(settings.alpha), method, _fmt(m_v) if m_v != "" else "",
-                _fmt(f11), _fmt(f22), _fmt(_bound(f11)), _fmt(_bound(f22)),
-                quality,
+                _fmt(tau), _fmt(settings.alpha), res.method,
+                "" if res.m is None else _fmt(res.m),
+                _fmt(res.F11), _fmt(res.F22), _fmt(res.crb_P), _fmt(res.crb_x),
+                res.quality,
             ]))
     return exit_code
 

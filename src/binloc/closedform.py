@@ -1,11 +1,10 @@
 """Closed-form approximations to the expected Fisher information.
 
-The exact entries are integrals of the form
-
-    int_0^xb x^p I1(x t)^2 e^(-x^2 - t^2) / (Q(x,t) (1 - Q(x,t))) dx.
-
-Two approximations turn them into finite sums of incomplete gamma
-functions:
+Both entries are F_jj = c_jj * int_0^xb x^p Q'(x)^2 / (Q (1 - Q)) dx,
+Q' = t I1(x t) e^(-(x^2 + t^2)/2), with the pairs (c11, p = 1 - 4/alpha)
+and (c22, p = 1) that fisher._prefactors states for the quadrature route
+as well.  Two approximations turn the integral into a finite sum of
+incomplete gamma functions:
 
 1. the log-weight f(x) = ln[1 / (Q(1-Q))] is replaced by its second-order
    Taylor polynomial at the endpoint xb, written f0 + f1 x + f2 x^2 (the
@@ -21,7 +20,12 @@ Completing the square, with y = x t,
     C = e^(f1^2 / (4 (1 - f2)) + f0 - t^2),
 
 and substituting s = A y + B maps the integral onto [B, sb],
-sb = A xb t + B, where every term is a shifted Gaussian moment
+sb = A xb t + B, so that
+
+    int_0^xb x^p Q'^2 / (Q(1-Q)) dx
+        ~ t^(1-p) C sum_{k<=m} c_k A^-(p+2k+3) M_{p+2k+2},
+
+where every term is a shifted Gaussian moment
 
     M_n = int_B^sb (s - B)^n e^(-s^2) ds
         = sum_l binom(n, l) (-B)^l int_B^sb s^(n-l) e^(-s^2) ds,
@@ -34,9 +38,8 @@ the even powers on [B, 0].
 The curvature condition f2 < 1 is required for the Gaussian substitution
 (the completed square must decay); otherwise ModelInvalid is raised.
 
-F22 keeps this structure for every alpha >= 1; F11 needs the kernel power
-1 - 4/alpha to be a nonnegative integer after the y-substitution and is
-provided for alpha in {2, 4} only.
+The moments need an integer n = p + 2k + 2 >= 0.  F22 (p = 1) has one
+for every alpha >= 1; F11 has one for alpha in {2, 4} (p = -1, 0) only.
 """
 
 from __future__ import annotations
@@ -221,13 +224,35 @@ def _series_guard(model: TaylorModel, m: int) -> bool:
     return model.y_breve > 2.0 * (m + 2)
 
 
-def f22_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
-                    m: int | None = None, model: TaylorModel | None = None
-                    ) -> float:
-    """Closed-form F22 (= F33), valid for any alpha >= 1:
+def _surrogate_integral(model: TaylorModel, m: int, p: float) -> float:
+    """The surrogate of int_0^xb x^p Q'^2 / (Q(1-Q)) dx,
 
-        F22 = pi^2 rho alpha C sum_k c_k A^(-2k-4) M_{2k+3}.
-    """
+        t^(1-p) C sum_{k<=m} c_k A^-(p+2k+3) M_{p+2k+2},
+
+    for an integer kernel power p >= -1."""
+    total = 0.0
+    for k in range(m + 1):
+        n = int(p) + 2 * k + 2
+        total += (specfun.i1_squared_taylor_coeff(k) * model.A ** (-(n + 1))
+                  * _shifted_moment(n, model.B, model.s_breve))
+    return model.t ** (1.0 - p) * model.C * total
+
+
+def _entry(cfg: DetectorConfig, P: float, field: FieldConfig, m: int,
+           model: TaylorModel, j: int) -> float:
+    """Closed-form F11 (j = 0) or F22 (j = 1): the constant of
+    fisher._prefactors' pair j times the surrogate integral at its power."""
+    c, p = _prefactors(cfg, float(P), field)[j]
+    value = c * _surrogate_integral(model, m, p)
+    if not math.isfinite(value):
+        raise ModelInvalid(f"closed-form {('F11', 'F22')[j]} overflowed")
+    return value
+
+
+def _public_entry(cfg: DetectorConfig, P: float, field: FieldConfig,
+                   m: int | None, model: TaylorModel | None, j: int) -> float:
+    # the public entries: resolve m and the model, and warn past the
+    # series radius on behalf of their caller
     m = _resolve_m(m, cfg.alpha)
     if model is None:
         model = build_taylor_model(cfg, P, field)
@@ -235,60 +260,39 @@ def f22_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
         warnings.warn(
             f"I1^2 series order m={m} is short for y_breve="
             f"{model.y_breve:.3g}; closed form may be unreliable",
-            RuntimeWarning, stacklevel=2)
-    total = 0.0
-    for k in range(m + 1):
-        ck = specfun.i1_squared_taylor_coeff(k)
-        mom = _shifted_moment(2 * k + 3, model.B, model.s_breve)
-        total += ck * model.A ** (-(2 * k + 4)) * mom
-    value = math.pi ** 2 * field.rho * cfg.alpha * model.C * total
-    if not math.isfinite(value):
-        raise ModelInvalid("closed-form F22 overflowed")
-    return value
+            RuntimeWarning, stacklevel=3)
+    return _entry(cfg, P, field, m, model, j)
+
+
+def f22_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
+                    m: int | None = None, model: TaylorModel | None = None
+                    ) -> float:
+    """Closed-form F22 (= F33), valid for any alpha >= 1: kernel power
+    p = 1 in the series of the module docstring,
+
+        F22 = c22 C sum_k c_k A^(-2k-4) M_{2k+3},
+
+    with c22 from fisher._prefactors.
+    """
+    return _public_entry(cfg, P, field, m, model, 1)
 
 
 def f11_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
                     m: int | None = None, model: TaylorModel | None = None
                     ) -> float:
-    """Closed-form F11 for alpha in {2, 4}:
+    """Closed-form F11 for alpha in {2, 4}, where the kernel power
+    p = 1 - 4/alpha of the module docstring's series is an integer:
 
-        alpha = 2:  (pi^2 t^2 rho T / (P sigma2)) C
-                        sum_k c_k A^(-2k-2) M_{2k+1}
-        alpha = 4:  (pi^2 t rho sqrt(T) / (2 P^(3/2) sqrt(sigma2))) C
-                        sum_k c_k A^(-2k-3) M_{2k+2}
+        alpha = 2 (p = -1):  F11 = c11 t^2 C sum_k c_k A^(-2k-2) M_{2k+1}
+        alpha = 4 (p = 0):   F11 = c11 t C sum_k c_k A^(-2k-3) M_{2k+2}
+
+    with c11 from fisher._prefactors.
     """
     alpha = float(cfg.alpha)
     if alpha not in (2.0, 4.0):
         raise UnsupportedAlpha(
             f"closed-form F11 requires alpha in {{2, 4}}, got {alpha:g}")
-    m = _resolve_m(m, alpha)
-    if model is None:
-        model = build_taylor_model(cfg, P, field)
-    if _series_guard(model, m):
-        warnings.warn(
-            f"I1^2 series order m={m} is short for y_breve="
-            f"{model.y_breve:.3g}; closed form may be unreliable",
-            RuntimeWarning, stacklevel=2)
-    t = model.t
-    total = 0.0
-    for k in range(m + 1):
-        ck = specfun.i1_squared_taylor_coeff(k)
-        if alpha == 2.0:
-            mom = _shifted_moment(2 * k + 1, model.B, model.s_breve)
-            total += ck * model.A ** (-(2 * k + 2)) * mom
-        else:
-            mom = _shifted_moment(2 * k + 2, model.B, model.s_breve)
-            total += ck * model.A ** (-(2 * k + 3)) * mom
-    P = float(P)
-    if alpha == 2.0:
-        pref = math.pi ** 2 * t * t * field.rho * cfg.T / (P * cfg.sigma2)
-    else:
-        pref = (math.pi ** 2 * t * field.rho * math.sqrt(cfg.T)
-                / (2.0 * P ** 1.5 * math.sqrt(cfg.sigma2)))
-    value = pref * model.C * total
-    if not math.isfinite(value):
-        raise ModelInvalid("closed-form F11 overflowed")
-    return value
+    return _public_entry(cfg, P, field, m, model, 0)
 
 
 # ----------------------------------------------------------------------
@@ -296,26 +300,16 @@ def f11_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
 # ----------------------------------------------------------------------
 
 def _gl_reference(cfg: DetectorConfig, P: float, field: FieldConfig,
-                  power: float) -> float:
-    """Fixed-order Gauss-Legendre estimate of the exact integral with
-    kernel x^power, used only to sanity-check the closed form."""
+                  powers: tuple[float, ...]) -> np.ndarray:
+    """Fixed-order Gauss-Legendre estimates of the exact integral with
+    kernel x^p for each p in powers, from one kernel evaluation; used
+    only to sanity-check the closed form."""
     xb = x_breve(cfg, P, field)
-    lg = _log_kernel_array(0.5 * xb * (_QUALITY_U + 1.0),
-                           cfg.threshold_coordinate, power)
+    x = 0.5 * xb * (_QUALITY_U + 1.0)
+    lg = (_log_kernel_array(x, cfg.threshold_coordinate, 0.0)
+          + np.multiply.outer(powers, np.log(x)))
     ws = 0.5 * xb * _QUALITY_W
-    return float(np.sum(np.where(lg > -700.0, ws * np.exp(lg), 0.0)))
-
-
-def _entries(cfg: DetectorConfig, P: float, field: FieldConfig, m: int,
-             model: TaylorModel) -> tuple[float, float | None]:
-    """(F22, F11) in closed form; F11 is None for alpha outside {2, 4}."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        f22 = f22_closed_form(cfg, P, field, m, model)
-        f11 = None
-        if float(cfg.alpha) in (2.0, 4.0):
-            f11 = f11_closed_form(cfg, P, field, m, model)
-    return f22, f11
+    return np.sum(np.where(lg > -700.0, ws * np.exp(lg), 0.0), axis=1)
 
 
 def approximation_quality(cfg: DetectorConfig, P: float, field: FieldConfig,
@@ -328,28 +322,32 @@ def approximation_quality(cfg: DetectorConfig, P: float, field: FieldConfig,
 
     entries is the (F22, F11) pair already computed from the same model
     (F11 None for alpha outside {2, 4}); it is computed here if omitted."""
-    alpha = float(cfg.alpha)
-    m_res = _resolve_m(m, alpha)
+    m_res = _resolve_m(m, float(cfg.alpha))
     if model is None:
         model = build_taylor_model(cfg, P, field)
     flags = []
     if _series_guard(model, m_res):
         flags.append("series-radius")
     if entries is None:
-        entries = _entries(cfg, P, field, m_res, model)
+        entries = (_entry(cfg, P, field, m_res, model, 1),
+                   _f11_or_none(cfg, P, field, m_res, model))
     f22, f11 = entries
     if f22 <= 0.0 or (f11 is not None and f11 <= 0.0):
         flags.append("negative")
     # cheap exact-integral probes
-    c11, c22 = _prefactors(cfg, float(P), field)
-    ref22 = c22 * _gl_reference(cfg, P, field, 1.0)
-    bad = ref22 > 0.0 and abs(f22 - ref22) > _QUALITY_RTOL * ref22
-    if f11 is not None and not bad:
-        ref11 = c11 * _gl_reference(cfg, P, field, 1.0 - 4.0 / alpha)
-        bad = ref11 > 0.0 and abs(f11 - ref11) > _QUALITY_RTOL * ref11
-    if bad:
+    (c11, p11), (c22, p22) = _prefactors(cfg, float(P), field)
+    ref11, ref22 = (c11, c22) * _gl_reference(cfg, P, field, (p11, p22))
+    if any(ref > 0.0 and abs(f - ref) > _QUALITY_RTOL * ref
+           for f, ref in ((f11, ref11), (f22, ref22)) if f is not None):
         flags.append("quadrature-mismatch")
     return ",".join(flags) if flags else "ok"
+
+
+def _f11_or_none(cfg: DetectorConfig, P: float, field: FieldConfig, m: int,
+                 model: TaylorModel) -> float | None:
+    if float(cfg.alpha) in (2.0, 4.0):
+        return _entry(cfg, P, field, m, model, 0)
+    return None
 
 
 def closed_form_fisher(cfg: DetectorConfig, P: float, field: FieldConfig,
@@ -358,9 +356,10 @@ def closed_form_fisher(cfg: DetectorConfig, P: float, field: FieldConfig,
     carries the approximation_quality flags."""
     m_res = _resolve_m(m, float(cfg.alpha))
     model = build_taylor_model(cfg, P, field)
-    f22, f11 = _entries(cfg, P, field, m_res, model)
+    f22 = _entry(cfg, P, field, m_res, model, 1)
+    f11 = _f11_or_none(cfg, P, field, m_res, model)
     quality = approximation_quality(cfg, P, field, m_res, model,
                                     entries=(f22, f11))
     return FisherResult(F11=math.nan if f11 is None else f11, F22=f22,
-                        F33=f22, offdiag_max_abs=0.0, method="closed-form",
-                        m=m_res, quality=quality)
+                        F33=f22, method="closed-form", m=m_res,
+                        quality=quality)

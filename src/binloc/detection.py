@@ -205,8 +205,9 @@ def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
 
     A sensor with lambda = x^2/2 > _BOUND_EXACT_LAMBDA contributes its
     exact term (up to the last bits of x, taken from the squared range
-    rather than hypot).  Any other takes a closed form from the Poisson
-    mixture Q1 e^s = sum_j s^j/j! Pr[Poisson(lambda) >= j], s = t^2/2,
+    rather than hypot where that does not underflow).  Any other takes a
+    closed form from the Poisson mixture
+    Q1 e^s = sum_j s^j/j! Pr[Poisson(lambda) >= j], s = t^2/2,
     whose tail probabilities lie between 1 - e^-lambda (j = 1, and 0 for
     j >= 2) and lambda^j/j!.  With p_fa = e^-s, a detecting sensor has
     Q1 <= p_fa e^(lambda s), so -log Q1 >= max(0, s (1 - lambda)), and a
@@ -214,13 +215,22 @@ def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
     -log(1 - Q1) from below.
     """
     P, x0, y0 = (np.asarray(v, dtype=float)[..., None] for v in (P, x0, y0))
-    r2 = (sx - x0) ** 2 + (sy - y0) ** 2
+    dx, dy = sx - x0, sy - y0
+    r2 = dx * dx + dy * dy
+    r_alpha = r2 ** (0.5 * cfg.alpha)
+    # r2 underflows within ~1e-154 of a hypothesis; only those ranges come
+    # from hypot, as the nll's do, since hypot costs 3.5x the squares
+    tiny = r2 < np.finfo(float).tiny
+    if tiny.any():
+        r = np.hypot(np.broadcast_to(dx, r2.shape)[tiny],
+                     np.broadcast_to(dy, r2.shape)[tiny])
+        r_alpha[tiny] = r ** cfg.alpha
     s = cfg.tau / cfg.sigma2
     p_fa = cfg.false_alarm_probability
     # lam overflows next to a hypothesis, and at a tiny threshold the silent
     # form reaches log1p(-1); both only for near sensors, whose terms are exact
     with np.errstate(divide="ignore", over="ignore"):
-        lam = 0.5 * cfg.T * P / (cfg.sigma2 * r2 ** (0.5 * cfg.alpha))
+        lam = 0.5 * cfg.T * P / (cfg.sigma2 * r_alpha)
         terms = np.where(detected, np.maximum(0.0, s * (1.0 - lam)),
                          -np.log1p(-p_fa * (1.0 - s * np.expm1(-lam))))
         near = lam > _BOUND_EXACT_LAMBDA

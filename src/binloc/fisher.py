@@ -27,6 +27,9 @@ is truncated there: closer sensors are present in less than half the
 fields, and including them would claim information a typical realization
 does not carry).  The integrand is assembled in log space so that the
 1/(1-Q) factor stays usable far past the point where 1 - Q underflows.
+_prefactors states (c11, 1 - 4/alpha) and (c22, 1) once; the adaptive
+quadrature here and the closed form of binloc.closedform both read them,
+so the two routes share c11 and c22 and differ only in the integral.
 
 The bounds are CRB_P = 1/F11 and CRB_x = CRB_y = 1/F22.
 """
@@ -114,33 +117,37 @@ def rmin_expected(field: FieldConfig) -> float:
 class FisherResult:
     """Expected Fisher information and the implied Cramer-Rao bounds.
 
-    F22 == F33 by the circular symmetry of the field; off-diagonals are
-    exact zeros (the bearing integrals vanish), so offdiag_max_abs is 0
-    unless filled in by an explicit 2-D cross-check.  method records how
+    F22 == F33 by the circular symmetry of the field; the off-diagonals
+    are exact zeros (the bearing integrals vanish).  method records how
     the numbers were produced ("quadrature" or "closed-form"); m is the
     series order for the closed form; quality flags suspect closed-form
-    output ("ok" otherwise).
+    output ("ok" otherwise).  A bound is inf for an entry <= 0 and NaN
+    for a NaN entry (the closed-form F11 outside alpha in {2, 4}).
     """
 
     F11: float
     F22: float
     F33: float
-    offdiag_max_abs: float
     method: str
     m: int | None = None
     quality: str = "ok"
 
     @property
     def crb_P(self) -> float:
-        return 1.0 / self.F11 if self.F11 > 0.0 else math.inf
+        return _inverse(self.F11)
 
     @property
     def crb_x(self) -> float:
-        return 1.0 / self.F22 if self.F22 > 0.0 else math.inf
+        return _inverse(self.F22)
 
     @property
     def crb_y(self) -> float:
-        return 1.0 / self.F33 if self.F33 > 0.0 else math.inf
+        return _inverse(self.F33)
+
+
+def _inverse(value: float) -> float:
+    # NaN fails the comparison and passes through 1/value
+    return math.inf if value <= 0.0 else 1.0 / value
 
 
 def x_breve(cfg: DetectorConfig, P: float, field: FieldConfig) -> float:
@@ -213,16 +220,17 @@ def _log_kernel_array(x: np.ndarray, t: float, power: float) -> np.ndarray:
     return np.where(x > 0.0, value, -math.inf)
 
 
-def _prefactors(cfg: DetectorConfig, P: float,
-                field: FieldConfig) -> tuple[float, float]:
-    """(c11, c22): F11 and F22 are these times the integrals of
-    _log_kernel over (0, x_breve] with power 1 - 4/alpha and 1."""
+def _prefactors(cfg: DetectorConfig, P: float, field: FieldConfig
+                ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((c11, 1 - 4/alpha), (c22, 1)): F11 and F22 are each constant
+    times the integral of _log_kernel over (0, x_breve] with that power.
+    The quadrature route and the closed form both read these pairs."""
     alpha = cfg.alpha
     c11 = (2.0 * math.pi ** 2 * field.rho
            * cfg.T ** (2.0 / alpha) * P ** (2.0 / alpha - 2.0)
            / (alpha * cfg.sigma2 ** (2.0 / alpha)))
     c22 = math.pi ** 2 * field.rho * alpha
-    return c11, c22
+    return (c11, 1.0 - 4.0 / alpha), (c22, 1.0)
 
 
 def _integrate_log(log_f: Callable[[float], float], lo: float, hi: float,
@@ -258,18 +266,11 @@ def expected_fim_quadrature(cfg: DetectorConfig, P: float,
         raise ValueError(f"P must be finite and > 0, got {P!r}")
     t = cfg.threshold_coordinate
     xb = x_breve(cfg, P, field)
-    alpha = cfg.alpha
     pts = _x_breakpoints(t, xb)
-
-    i11 = _integrate_log(lambda x: _log_kernel(x, t, 1.0 - 4.0 / alpha),
-                         0.0, xb, pts)
-    i22 = _integrate_log(lambda x: _log_kernel(x, t, 1.0), 0.0, xb, pts)
-
-    c11, c22 = _prefactors(cfg, P, field)
-    f11 = c11 * i11
-    f22 = c22 * i22
-    return FisherResult(F11=f11, F22=f22, F33=f22, offdiag_max_abs=0.0,
-                        method="quadrature")
+    f11, f22 = (c * _integrate_log(lambda x: _log_kernel(x, t, p),
+                                   0.0, xb, pts)
+                for c, p in _prefactors(cfg, P, field))
+    return FisherResult(F11=f11, F22=f22, F33=f22, method="quadrature")
 
 
 def expected_f22_r_domain(cfg: DetectorConfig, P: float,

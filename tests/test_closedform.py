@@ -333,6 +333,7 @@ def test_closed_form_fisher_unsupported_alpha_yields_nan_f11():
     cfg = DetectorConfig(tau=0.5, sigma2=0.25, alpha=3.0)
     res = closed_form_fisher(cfg, _P, _FIELD)
     assert math.isnan(res.F11)
+    assert math.isnan(res.crb_P)
     assert res.F22 > 0.0
     assert res.m == 1
     assert res.crb_x == pytest.approx(1.0 / res.F22, rel=1e-15)

@@ -298,6 +298,20 @@ def test_nll_lower_bound_never_exceeds_the_nll(case):
         assert bound <= nll + 1e-12 * (1.0 + abs(nll))
 
 
+def test_nll_lower_bound_survives_an_underflowing_squared_range():
+    # a silent sensor 3.7e-242 from the hypothesis: its squared range
+    # underflows to 0, but the nll takes the range from hypot and stays
+    # finite, so the bound must too
+    cfg = DetectorConfig(tau=1.0, sigma2=1.0, alpha=1.0)
+    sx = np.array([3.7e-242, 5.0])
+    sy = np.array([0.0, 1.0])
+    detected = np.array([False, True])
+    bound = _nll_lower_bound(cfg, 1.0, 0.0, 0.0, sx, sy, detected)
+    nll = -_log_likelihood_arrays(cfg, 1.0, 0.0, 0.0, sx, sy, detected)
+    assert math.isfinite(nll)
+    assert bound <= nll + 1e-12 * (1.0 + abs(nll))
+
+
 def test_nll_lower_bound_tiny_threshold_is_silent():
     # at tau = 1e-9 the silent closed form rounds to log1p(-1) for near
     # sensors; they take their exact terms, and numpy must not warn

@@ -105,7 +105,6 @@ def test_expected_fim_frozen_values_alpha2():
     assert res.F11 == pytest.approx(_F11_ALPHA2, rel=1e-10)
     assert res.F22 == pytest.approx(_F22_ALPHA2, rel=1e-10)
     assert res.F33 == res.F22
-    assert res.offdiag_max_abs == 0.0
     assert res.method == "quadrature"
     assert res.quality == "ok"
 
@@ -122,7 +121,7 @@ def test_crb_properties():
     assert res.crb_x == pytest.approx(1.0 / res.F22, rel=1e-15)
     assert res.crb_y == res.crb_x
     degenerate = FisherResult(
-        F11=0.0, F22=-1.0, F33=0.0, offdiag_max_abs=0.0, method="quadrature"
+        F11=0.0, F22=-1.0, F33=0.0, method="quadrature"
     )
     assert degenerate.crb_P == math.inf
     assert degenerate.crb_x == math.inf
