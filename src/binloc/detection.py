@@ -20,8 +20,12 @@ The partial derivatives follow from dQ1/dx = t I1(x t) exp(-(x^2+t^2)/2):
 so r dP_D/dr = -alpha P dP_D/dP identically.
 
 The array P_D and the log-likelihood evaluate all sensors in one call of
-specfun's array entry points, under the scalar routines' branch policy:
-a log P_D or log(1 - P_D) the linear value has lost comes from the log tails.
+specfun's array routines.  Each sensor's log-likelihood term takes only
+the side of Q1 its decision uses: log P_D for a detecting sensor, which
+the linear value keeps down to specfun._UFUNC_MIN, and log(1 - P_D) for
+a silent one, from the log tails where the linear value has lost it.
+The ML fit's Newton steps take the gradient and Hessian of the summed
+terms from one more array pass.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import specfun
 
@@ -185,8 +190,93 @@ def _log_likelihood_arrays(cfg: DetectorConfig, P: float, x0: float, y0: float,
     certain detection (contribution 0 if it detected, -inf otherwise)."""
     r = np.hypot(sx - x0, sy - y0)
     x = _signal_coordinate_vec(cfg, P, r)
-    log_q, log_1mq = specfun.log_marcum_q_pair_array(x, cfg.threshold_coordinate)
-    return float(np.where(detected, log_q, log_1mq).sum())
+    return float(_decision_log_terms(x, cfg.threshold_coordinate,
+                                     detected).sum())
+
+
+def _decision_log_terms(x: np.ndarray, t: float, detected: np.ndarray,
+                        tails: bool = True) -> np.ndarray:
+    """Each sensor's log-likelihood term at signal coordinates x >= 0:
+    log Q1(x, t) where it detected, log(1 - Q1(x, t)) where it did not.
+
+    Each sensor gets only the side of Q1 it uses.  A detecting sensor
+    takes the log of the linear value wherever that is at least
+    specfun._UFUNC_MIN: where 1 - Q1 < 1e-9, log Q1 lies in (-1e-9, 0]
+    and log q is within about 1e-16 of it, far below the last place of a
+    likelihood sum.  A silent sensor takes log1p(-q) wherever
+    specfun._linear_logs allows it.  Every other entry comes from the log
+    tails, or, with tails=False, takes an upper bound on its term
+    instead: 0 for a detecting sensor, and the Rayleigh bound
+    1 - Q1(x, t) = Pr[|x + n| <= t] <= Pr[|n| >= x - t] = e^(-(x-t)^2/2)
+    for a silent one with x > t (0 with x <= t).
+    """
+    if t == 0.0:
+        return np.where(detected, 0.0, -math.inf)
+    q = np.asarray(specfun._marcum_q_linear(x, t), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(detected, np.log(q), np.log1p(-q))
+    rest = ~np.where(detected, q >= specfun._UFUNC_MIN,
+                     specfun._linear_logs(x, t, q)[1])
+    if rest.any():
+        x_rest, det_rest = x[rest], detected[rest]
+        if tails:
+            log_q, log_1mq = specfun._log_pair(x_rest, t, q[rest])
+            terms[rest] = np.where(det_rest, log_q, log_1mq)
+        else:
+            # x - t overflows its square only next to a hypothesis
+            with np.errstate(over="ignore"):
+                terms[rest] = np.where(
+                    det_rest, 0.0, -0.5 * np.maximum(x_rest - t, 0.0) ** 2)
+    return terms
+
+
+def _nll_derivatives(cfg: DetectorConfig, P: float, x0: float, y0: float,
+                     sx: np.ndarray, sy: np.ndarray,
+                     detected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of -_log_likelihood_arrays in (ln P, x0, y0),
+    from one pass over the sensors.
+
+    A sensor's term L = log Q1(x, t) or log(1 - Q1(x, t)) depends on the
+    hypothesis only through u = ln x, with gradient
+    grad u = (1/2, alpha dx/(2 r^2), alpha dy/(2 r^2)), (dx, dy) the
+    sensor's offset from (x0, y0).  With sign = +1 where it detected and
+    -1 where not, z = x t and dQ1/dx = t i1e(z) e^(-(x-t)^2/2),
+
+        L_u  = sign z i1e(z) e^(-(x-t)^2/2 - L),
+        L_uu = L_u - L_u^2
+               + sign x^2 (t^2 (i0e(z) - i1e(z)/z) - z i1e(z)) e^(-(x-t)^2/2 - L),
+
+    and the nll's gradient and Hessian are -sum L_u grad u and
+    -sum (L_uu grad u grad u^T + L_u hess u).  Non-finite entries (a
+    sensor on the hypothesis) are left for the caller to reject.
+    """
+    dx, dy = sx - x0, sy - y0
+    r = np.hypot(dx, dy)
+    x = _signal_coordinate_vec(cfg, P, r)
+    t = cfg.threshold_coordinate
+    log_terms = _decision_log_terms(x, t, detected)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = x * t
+        i1 = special.i1e(z)
+        w = np.where(detected, 1.0, -1.0) * np.exp(
+            -0.5 * (x - t) ** 2 - log_terms)
+        l_u = z * i1 * w
+        l_uu = (l_u - l_u * l_u
+                + x * x * (t * t * (special.i0e(z) - i1 / z) - z * i1) * w)
+        k = 0.5 * cfg.alpha / (r * r)
+        grad_u = np.stack([np.full_like(x, 0.5), k * dx, k * dy])
+        # hess u is nonzero in the position block only:
+        # (k / r^2) [[dx^2 - dy^2, 2 dx dy], [2 dx dy, dy^2 - dx^2]]
+        c = l_u * k / (r * r)
+        h_xx = c @ (dx * dx - dy * dy)
+        h_xy = c @ (2.0 * dx * dy)
+        grad = -(grad_u @ l_u)
+        hess = -((grad_u * l_uu) @ grad_u.T)
+    hess[1, 1] -= h_xx
+    hess[2, 2] += h_xx
+    hess[1, 2] -= h_xy
+    hess[2, 1] -= h_xy
+    return grad, hess
 
 
 # Signal half-power lambda = x^2/2 above which a sensor's term in
@@ -205,7 +295,11 @@ def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
 
     A sensor with lambda = x^2/2 > _BOUND_EXACT_LAMBDA contributes its
     exact term (up to the last bits of x, taken from the squared range
-    rather than hypot where that does not underflow).  Any other takes a
+    rather than hypot where that does not underflow), except where that
+    term needs the log tails: there it takes the bound of
+    _decision_log_terms(..., tails=False), 0 for a detecting sensor and
+    the Rayleigh bound (x - t)^2/2 for a silent one with x > t, so the
+    screen never sums a Neumann series.  Any other takes a
     closed form from the Poisson mixture
     Q1 e^s = sum_j s^j/j! Pr[Poisson(lambda) >= j], s = t^2/2,
     whose tail probabilities lie between 1 - e^-lambda (j = 1, and 0 for
@@ -236,10 +330,9 @@ def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
         near = lam > _BOUND_EXACT_LAMBDA
         x_near = np.sqrt(2.0 * lam[near])
     if near.any():
-        log_q, log_1mq = specfun.log_marcum_q_pair_array(
-            x_near, cfg.threshold_coordinate)
-        terms[near] = -np.where(np.broadcast_to(detected, lam.shape)[near],
-                                log_q, log_1mq)
+        terms[near] = -_decision_log_terms(
+            x_near, cfg.threshold_coordinate,
+            np.broadcast_to(detected, lam.shape)[near], tails=False)
     return terms.sum(axis=-1)
 
 

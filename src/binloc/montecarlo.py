@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import linalg, optimize
 
 from .detection import (
     Decisions,
@@ -33,6 +33,7 @@ from .detection import (
     detection_probability,
     detection_probability_array,
     _log_likelihood_arrays,
+    _nll_derivatives,
     _nll_lower_bound,
 )
 from .fisher import FieldConfig
@@ -69,6 +70,19 @@ _GRID_POWER_FACTORS = (0.25, 1.0, 4.0)
 _NM_MAX_ITER = 2000
 _NM_XATOL = 1e-6
 _NM_FATOL = 1e-9
+# the simplex hands over to Newton steps once it is this small; its
+# iterates up to then are a prefix of a full-tolerance run's.  A looser
+# hand-off may leave the simplex in another basin than the full run's;
+# recheck the finished nll against the full simplex before loosening
+_NM_HANDOFF_XATOL = 1e-2
+_NM_HANDOFF_FATOL = 1e-5
+# from the hand-off a finish takes three or four steps
+_NEWTON_MAX_ITER = 20
+# a Newton step (or a backtracked trial step) below this in every
+# coordinate ends the finish: the nll no longer resolves such moves
+_NEWTON_STEP_TOL = 1e-9
+# halvings of one step before its line search counts as stalled
+_NEWTON_MAX_HALVINGS = 40
 _POWER_BRACKET = (1e-3, 1e3)
 # relative slack of the grid guard's screen: a candidate is skipped only
 # when its nll lower bound beats the running best by more than this, far
@@ -278,6 +292,18 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
     iteration cap is reported as converged=False rather than raised; the
     returned point is never worse than the initializer.
 
+    The simplex runs only until it is small (xatol 1e-2, fatol 1e-5);
+    exact Newton steps on the nll finish the fit, from the gradient and
+    Hessian of one pass over the sensors, each step backtracked on the
+    exact nll, until a step falls below 1e-9.  The reported nll is the
+    exact nll at the returned point.  If the Hessian is not positive
+    definite, the line search stalls, the steps run out or an iterate
+    falls below the power floor described below, the simplex resumes
+    from where it stopped at the full tolerances (xatol 1e-6, fatol
+    1e-9) and returns what one uninterrupted run would, to the bit.
+    Newton from the grid's winner does not work: its Hessian is not
+    positive definite on 37 of campaign-ref's 56 trials at seed 20260814.
+
     The grid is screened: each row of nine candidates first gets a lower
     bound on its nll from one array pass, exact for the few sensors near
     a candidate and closed-form for the rest, and a candidate whose
@@ -301,7 +327,7 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
     wall, P = e^-30 on the detecting sensor nearest the simplex, with
     converged=True (the supremum is attained to double precision), when
     its nll is no higher than the simplex's best; otherwise it reruns
-    the simplex without the stop.
+    the simplex and its Newton finish without the stop.
     """
     sx, sy, detected = decisions.sx, decisions.sy, decisions.detected
     n_det = int(detected.sum())
@@ -363,18 +389,14 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
                 if val < best_val:
                     best, best_val = cand, val
 
-    options = {"maxiter": _NM_MAX_ITER, "xatol": _NM_XATOL,
-               "fatol": _NM_FATOL}
-    log_p_floor = math.log(_POWER_BRACKET[0])
-
-    def stop_on_collapse(xk: np.ndarray) -> None:
-        if xk[0] < log_p_floor:
-            raise StopIteration
+    def derivatives(theta_log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _nll_derivatives(cfg, math.exp(theta_log[0]), theta_log[1],
+                                theta_log[2], sx, sy, detected)
 
     # a simplex that starts below the floor has not collapsed through it
-    res = optimize.minimize(
-        nll, best, method="Nelder-Mead", options=options,
-        callback=stop_on_collapse if best[0] >= log_p_floor else None)
+    log_p_floor = math.log(_POWER_BRACKET[0])
+    res = _refine(nll, derivatives, best,
+                  log_p_floor if best[0] >= log_p_floor else None)
     if res.status == 99:
         # the simplex is collapsing to zero power: the likelihood's
         # supremum puts the emitter on a detecting sensor (certain
@@ -386,8 +408,7 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
         if val <= res.fun:
             res = optimize.OptimizeResult(x=cand, fun=val, success=True)
         else:
-            res = optimize.minimize(nll, best, method="Nelder-Mead",
-                                    options=options)
+            res = _refine(nll, derivatives, best, None)
     if res.fun <= best_val:
         best, best_val = res.x, float(res.fun)
     theta = TargetParams(P=math.exp(best[0]), x=float(best[1]),
@@ -395,6 +416,75 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
     return TrialResult(theta_hat=theta, n_sensors=len(decisions),
                        n_detections=n_det, converged=bool(res.success),
                        neg_log_lik=best_val)
+
+
+def _refine(nll, derivatives, start: np.ndarray,
+            log_p_floor: float | None) -> optimize.OptimizeResult:
+    """Nelder-Mead from start to the hand-off tolerances, then Newton
+    steps; where the finish fails, the simplex resumes from its final
+    state at the full tolerances.  A simplex's only state is its
+    vertices, so the resumed run returns exactly what one uninterrupted
+    run at the full tolerances would.  With log_p_floor set, the simplex
+    stops (status 99) once its best vertex falls below it."""
+
+    def stop_on_collapse(xk: np.ndarray) -> None:
+        if xk[0] < log_p_floor:
+            raise StopIteration
+
+    callback = None if log_p_floor is None else stop_on_collapse
+    res = optimize.minimize(
+        nll, start, method="Nelder-Mead", callback=callback,
+        options={"maxiter": _NM_MAX_ITER, "xatol": _NM_HANDOFF_XATOL,
+                 "fatol": _NM_HANDOFF_FATOL})
+    if res.status != 0:
+        # stopped on collapse, or out of iterations as the full run would be
+        return res
+    finish = _newton_finish(nll, derivatives, res.x, float(res.fun),
+                            log_p_floor)
+    if finish is not None:
+        return optimize.OptimizeResult(x=finish[0], fun=finish[1],
+                                       success=True, status=0)
+    return optimize.minimize(
+        nll, res.x, method="Nelder-Mead", callback=callback,
+        options={"maxiter": _NM_MAX_ITER - res.nit + 1, "xatol": _NM_XATOL,
+                 "fatol": _NM_FATOL,
+                 "initial_simplex": res.final_simplex[0]})
+
+
+def _newton_finish(nll, derivatives, theta: np.ndarray, val: float,
+                   log_p_floor: float | None
+                   ) -> tuple[np.ndarray, float] | None:
+    """Newton steps on the nll from theta (nll val), each backtracked by
+    halving until the exact nll does not rise, until a step falls below
+    _NEWTON_STEP_TOL in every coordinate.  Returns the last iterate and
+    its nll, or None where the finish fails: a Hessian that is not
+    positive definite (or not finite), no step that keeps the nll from
+    rising within _NEWTON_MAX_HALVINGS halvings, _NEWTON_MAX_ITER steps
+    without converging, or an iterate below log_p_floor."""
+    for _ in range(_NEWTON_MAX_ITER):
+        grad, hess = derivatives(theta)
+        try:
+            step = -linalg.cho_solve(linalg.cho_factor(hess), grad)
+        except (linalg.LinAlgError, ValueError):
+            return None
+        if not np.isfinite(step).all():
+            return None
+        for _ in range(_NEWTON_MAX_HALVINGS):
+            cand = theta + step
+            cand_val = nll(cand)
+            last = np.max(np.abs(step)) < _NEWTON_STEP_TOL
+            if cand_val <= val or last:
+                break
+            step = 0.5 * step
+        else:
+            return None
+        if cand_val <= val:
+            if log_p_floor is not None and cand[0] < log_p_floor:
+                return None
+            theta, val = cand, cand_val
+        if last:
+            return theta, val
+    return None
 
 
 def run_campaign(cfg: SimConfig) -> list[TrialResult]:

@@ -52,3 +52,11 @@ def test_plan_entries_parse():
     assert bench_record.parse_plan(["campaign-ref:20260814:5",
                                     "crb-sweep:1:3"]) == [
         ("campaign-ref", 20260814, 5), ("crb-sweep", 1, 3)]
+
+
+def test_traced_run_is_the_first_campaign_entry():
+    plan = bench_record.parse_plan(["crb-sweep:20260814:3",
+                                    "campaign-ref:4721:5",
+                                    "campaign-ref:20260814:5"])
+    assert bench_record.traced_entry(plan) == ("campaign-ref", 4721, 5)
+    assert bench_record.traced_entry(plan[:1]) == ("crb-sweep", 20260814, 3)

@@ -342,10 +342,10 @@ def test_simulate_summary_row_is_frozen(capsys) -> None:
                         "--set", "seed=20260814")
     assert code == EXIT_OK
     assert _data_rows(out)[-1] == (
-        "5,5,0,15.905995724302656,36.210321858027783,59.920295255527435,"
-        "2.7983520147303809,2.8308564740176365,-1.2575139442232515,"
-        "3.1549422374138962,4.5621847910894378,5.0416123425894446,"
-        "7.9370572469469947,13.13412279409634")
+        "5,5,0,15.906002183232928,36.210321790338085,59.920291864636546,"
+        "2.7983522673449821,2.830856673427423,-1.2575138548185512,"
+        "3.1549422374138962,4.5621847910894378,5.0416143898314498,"
+        "7.9370572321098711,13.134122050836028")
 
 
 def test_simulate_no_detection_regime(capsys) -> None:

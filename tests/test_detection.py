@@ -325,3 +325,28 @@ def test_nll_lower_bound_tiny_threshold_is_silent():
     nll = -_log_likelihood_arrays(cfg, 2.0, 0.0, 0.0, sx, sy, detected)
     assert math.isfinite(bound)
     assert bound <= nll + 1e-12 * (1.0 + abs(nll))
+
+
+def test_nll_lower_bound_bounds_a_silent_band_sensor_without_log_tails(
+        monkeypatch):
+    # a silent sensor at 1 - Q = 1e-10 next to the hypothesis (criterion
+    # 8's threshold) needs the log tails for its exact term; the screen
+    # takes the Rayleigh bound (x - t)^2/2 = 19.5 instead of 23.0
+    calls = []
+    log_tails = specfun._log_tails
+
+    def counted(a, b):
+        calls.append(np.size(a))
+        return log_tails(a, b)
+
+    cfg = DetectorConfig(tau=0.40, sigma2=0.25)
+    sx = np.array([math.sqrt(8.0) / 8.028282, 30.0])
+    sy = np.array([0.0, 0.0])
+    detected = np.array([False, True])
+    monkeypatch.setattr(specfun, "_log_tails", counted)
+    bound = _nll_lower_bound(cfg, 2.0, 0.0, 0.0, sx, sy, detected)
+    assert calls == []
+    monkeypatch.undo()
+    nll = -_log_likelihood_arrays(cfg, 2.0, 0.0, 0.0, sx, sy, detected)
+    assert math.isfinite(bound)
+    assert 19.0 < bound <= nll

@@ -21,7 +21,7 @@ from binloc.detection import (
     detection_probability,
     log_likelihood,
 )
-from binloc.detection import _log_likelihood_arrays
+from binloc.detection import _log_likelihood_arrays, _nll_derivatives
 from binloc import montecarlo
 from binloc.fisher import FieldConfig
 from binloc.montecarlo import (
@@ -499,6 +499,71 @@ def test_ml_estimate_screen_skips_most_grid_evaluations(monkeypatch):
 
 # ----------------------------------------------------------------------
 # campaign and report
+def test_nll_derivatives_match_central_differences():
+    # campaign-ref's first trial (seed 20260814), off its fit so that the
+    # gradient is not zero: the gradient against central differences of
+    # the nll, the Hessian against central differences of the gradient
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    d = _reference_trial(0.4, 20260814)
+    theta = np.array([math.log(10.0), -1.8, -0.3])
+
+    def nll(v):
+        return -_log_likelihood_arrays(det, math.exp(v[0]), v[1], v[2],
+                                       d.sx, d.sy, d.detected)
+
+    def grad(v):
+        return _nll_derivatives(det, math.exp(v[0]), v[1], v[2],
+                                d.sx, d.sy, d.detected)[0]
+
+    g, hess = _nll_derivatives(det, 10.0, -1.8, -0.3, d.sx, d.sy, d.detected)
+    assert np.all(np.abs(g) > 1e-3)
+    steps = 1e-4 * np.eye(3)
+    fd_g = [(nll(theta + e) - nll(theta - e)) / 2e-4 for e in steps]
+    np.testing.assert_allclose(g, fd_g, rtol=0.0, atol=5e-8)
+    steps = 1e-5 * np.eye(3)
+    fd_hess = [(grad(theta + e) - grad(theta - e)) / 2e-5 for e in steps]
+    np.testing.assert_allclose(hess, fd_hess, rtol=0.0, atol=5e-10)
+
+
+def _full_simplex(nll, derivatives, start, log_p_floor):
+    # the refinement with no Newton finish: one Nelder-Mead run at the
+    # full tolerances, stopped on collapse below log_p_floor
+    def stop_on_collapse(xk):
+        if xk[0] < log_p_floor:
+            raise StopIteration
+
+    return montecarlo.optimize.minimize(
+        nll, start, method="Nelder-Mead",
+        callback=None if log_p_floor is None else stop_on_collapse,
+        options={"maxiter": montecarlo._NM_MAX_ITER,
+                 "xatol": montecarlo._NM_XATOL, "fatol": montecarlo._NM_FATOL})
+
+
+@pytest.mark.parametrize("seed, finishes", [
+    (20260814, 1),               # interior maximum (campaign-ref call 0)
+    (8931513741054456221, 1),    # interior maximum (campaign-ref call 4)
+    (8210255658006863255, 0),    # collapses before the hand-off (call 1)
+])
+def test_ml_estimate_failed_newton_finish_is_the_full_simplex_fit(
+        monkeypatch, seed, finishes):
+    # where the Newton finish fails, the simplex resumes from its own
+    # final state, so the fit is one full-tolerance simplex run to the bit
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    decisions = _reference_trial(0.4, seed)
+    init = initial_guess(det, decisions)
+    finished = ml_estimate(det, decisions, init)
+    monkeypatch.setattr(montecarlo, "_refine", _full_simplex)
+    full = ml_estimate(det, decisions, init)
+    monkeypatch.undo()
+    attempts = []
+    monkeypatch.setattr(montecarlo, "_newton_finish",
+                        lambda *args: attempts.append(args[2]))
+    assert ml_estimate(det, decisions, init) == full
+    assert len(attempts) == finishes
+    # the finish itself ends no higher than the full simplex
+    assert finished.neg_log_lik <= full.neg_log_lik
+
+
 # ----------------------------------------------------------------------
 
 def test_run_campaign_deterministic():

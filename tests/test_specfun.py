@@ -446,6 +446,44 @@ def test_log_likelihood_band_sensor_matches_oracle(x):
                                rel=0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("x", [8.028282, 8.349294])
+def test_log_likelihood_detecting_band_sensor_matches_oracle(x):
+    # the same sensors detecting: log Q lies in (-1e-9, 0], and the log of
+    # the linear value is within a rounding of 1 of it
+    cfg = detection.DetectorConfig(tau=0.40, sigma2=0.25)
+    r = math.sqrt(8.0) / x
+    decisions = detection.Decisions(np.array([r]), np.array([0.0]),
+                                    np.array([True]))
+    ll = detection.log_likelihood(cfg, detection.TargetParams(2.0, 0.0, 0.0),
+                                  decisions)
+    x_r = detection.signal_coordinate(cfg, 2.0, r)
+    assert ll == pytest.approx(_mp_log_tails(x_r, cfg.threshold_coordinate)[0],
+                               rel=0.0, abs=1e-15)
+
+
+def test_log_likelihood_of_detecting_band_sensors_takes_no_log_tails(
+        monkeypatch):
+    # detecting sensors at 1 - Q = 1e-10 and 1.2e-11 use only the Q side,
+    # which their linear value keeps; silent far sensors use log1p(-q)
+    calls = []
+    log_tails = specfun._log_tails
+
+    def counted(a, b):
+        calls.append(np.size(a))
+        return log_tails(a, b)
+
+    monkeypatch.setattr(specfun, "_log_tails", counted)
+    cfg = detection.DetectorConfig(tau=0.40, sigma2=0.25)
+    sx = np.array([math.sqrt(8.0) / 8.028282, math.sqrt(8.0) / 8.349294,
+                   5.0, 20.0])
+    decisions = detection.Decisions(sx, np.zeros(4),
+                                    np.array([True, True, False, False]))
+    ll = detection.log_likelihood(cfg, detection.TargetParams(2.0, 0.0, 0.0),
+                                  decisions)
+    assert calls == []
+    assert -1e-8 > ll > -1.0
+
+
 def test_vector_entries_below_the_ufunc_floor_take_one_tail_call(monkeypatch):
     # at y = t^2/2 = 700 every Q1(x, t) with x <= 3 is below the ufunc's
     # floor (1e-304 to 3e-259): one Neumann-series call gives their log

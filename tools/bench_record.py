@@ -11,7 +11,8 @@ entry WORKLOAD:SEED:PAIRS runs PAIRS pairs, each one parent run and one
 change run, back to back; pair i runs the parent first when i + j is
 even, j the position of SEED among the seeds planned for WORKLOAD, so
 that neither side always runs first.  Last, one traced run per side of
-the first plan entry adds the per-layer counts.
+the first campaign entry of the plan (the first entry if it has none)
+adds the per-layer counts.
 
 --change takes any tree-ish: a commit, or for a staged change the tree
 that `git write-tree` prints.  Run from the root of the repository.
@@ -33,7 +34,7 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "perfbench"))
-from workloads import HELD_OUT_SEED  # noqa: E402
+from workloads import HELD_OUT_SEED, WORKLOADS  # noqa: E402
 
 # the per-layer metrics a traced run contributes to the record
 TRACED_KEYS = (
@@ -130,6 +131,14 @@ def parse_plan(items: list[str]) -> list[tuple[str, int, int]]:
     return plan
 
 
+def traced_entry(plan: list[tuple[str, int, int]]) -> tuple[str, int, int]:
+    """The plan entry whose traced run the record keeps: the first
+    campaign entry, since TRACED_KEYS are campaign metrics, else the
+    first entry."""
+    return next((entry for entry in plan if WORKLOADS[entry[0]].is_campaign),
+                plan[0])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="alternating parent/change perfbench runs as BENCH_<n>.json")
@@ -206,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
             out["workloads"][-1] = summarize_entry(workload, seed, pairs)
             write()
 
-    workload, seed, _ = plan[0]
+    workload, seed, _ = traced_entry(plan)
     out["traced"] = {
         "command": (f"python3 perfbench/run.py --workload {workload} "
                     f"--seed {seed} --seconds {seconds:g} --trace 1"),
