@@ -35,11 +35,14 @@ from scipy import special
 
 from . import specfun
 from .closedform import (M_MAX, ModelInvalid, build_taylor_model,
-                         approximation_quality, closed_form_fisher)
+                         approximation_quality, closed_form_fisher,
+                         _F11_ALPHAS)
 from .detection import DetectorConfig, TargetParams
-from .fisher import (FieldConfig, expected_fim_quadrature,
-                     offdiag_quadrature_estimate, rmin_expected)
-from .montecarlo import SimConfig, far_field_excess, mse_report, run_campaign
+from .fisher import (FieldConfig, QuadratureError,
+                     expected_fim_quadrature, offdiag_quadrature_estimate,
+                     rmin_expected, x_breve, _prefactors)
+from .montecarlo import (SimConfig, far_field_excess, mse_report,
+                         nearest_distance_samples, run_campaign)
 
 __all__ = ["main", "ConfigError", "Settings"]
 
@@ -57,6 +60,8 @@ _CHECK_DA_TOL = 1e-6
 _CHECK_DAA_TOL = 1e-4
 _CHECK_OFFDIAG_REL = 1e-10
 _FD_STEP = 1e-4
+_CHECK_RMIN_FIELDS = 4000
+_CHECK_RMIN_SIGMAS = 4.0
 
 # Largest tau sweep accepted (the default sweep has 96 points).
 _SWEEP_MAX_POINTS = 1_000_000
@@ -229,40 +234,57 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _effective_config_lines(settings: Settings) -> list[str]:
-    return [f"# {key}={_fmt(getattr(settings, attr))}"
-            for key, (attr, _) in _KEY_TABLE.items()]
-
-
 def _emit(out: IO[str], line: str) -> None:
     out.write(line + "\n")
+
+
+def _header(out: IO[str], command: str, settings: Settings) -> None:
+    """The command's name and its effective configuration as comments."""
+    _emit(out, f"# binloc {command}")
+    for key, (attr, _) in _KEY_TABLE.items():
+        _emit(out, f"# {key}={_fmt(getattr(settings, attr))}")
 
 
 # ----------------------------------------------------------------------
 # shared model construction
 # ----------------------------------------------------------------------
 
+def _config(make: Callable[..., object], **kwargs) -> object:
+    """make(**kwargs), reporting a ValueError as a ConfigError."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _detector(settings: Settings, tau: float | None = None) -> DetectorConfig:
-    try:
-        return DetectorConfig(
-            tau=settings.tau if tau is None else tau,
-            sigma2=settings.sigma2, T=settings.T, alpha=settings.alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _field(settings: Settings) -> FieldConfig:
-    try:
-        return FieldConfig(rho=settings.rho)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _config(DetectorConfig, tau=settings.tau if tau is None else tau,
+                   sigma2=settings.sigma2, T=settings.T, alpha=settings.alpha)
 
 
 def _truth(settings: Settings) -> TargetParams:
+    return _config(TargetParams, P=settings.P, x=settings.xT, y=settings.yT)
+
+
+def _check_scales(det: DetectorConfig, P: float, field: FieldConfig) -> None:
+    """Reject settings whose threshold coordinate, signal coordinate at
+    r_breve or information prefactors are not finite and > 0."""
     try:
-        return TargetParams(P=settings.P, x=settings.xT, y=settings.yT)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        (c11, _), (c22, _) = _prefactors(det, P, field)
+    except (OverflowError, ZeroDivisionError):
+        c11 = c22 = math.inf
+    for keys, name, value in (
+            ("tau and sigma2", "threshold coordinate sqrt(2 tau / sigma2)",
+             det.threshold_coordinate),
+            ("T, P, sigma2, alpha and rho", "signal coordinate at r_breve = "
+             "1/sqrt(4 rho), sqrt(T P / (sigma2 r_breve^alpha))",
+             x_breve(det, P, field)),
+            ("T, P, sigma2, alpha and rho", "information prefactor c11", c11),
+            ("alpha and rho", "information prefactor c22", c22)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{keys} give the {name} = {_fmt(value)} at "
+                              f"tau = {_fmt(det.tau)}; it must be finite "
+                              f"and > 0")
 
 
 def sweep_points(settings: Settings) -> list[float]:
@@ -276,18 +298,17 @@ def sweep_points(settings: Settings) -> list[float]:
         raise ConfigError("sweep.step must be > 0")
     if start > stop:
         raise ConfigError("sweep.start must be <= sweep.stop")
-    # the loop below makes floor((stop - start) / step + 1e-9) + 1 points
+    # at most floor((stop - start) / step + 1e-9) + 1 points: start + k step
+    # rounds to start while k step is below half the last place of start
     if (stop - start) / step + 1e-9 >= _SWEEP_MAX_POINTS:
         raise ConfigError(f"the sweep has more than {_SWEEP_MAX_POINTS:,} "
                           f"points; raise sweep.step")
     points: list[float] = []
-    k = 0
-    while True:
+    for k in range(math.floor((stop - start) / step + 1e-9) + 1):
         value = start + k * step
         if value > stop + 1e-9 * step:
             break
         points.append(round(value, 12))
-        k += 1
     return points
 
 
@@ -300,16 +321,16 @@ _CRB_COLUMNS = ("tau", "alpha", "method", "m", "F11", "F22",
 
 
 def cmd_crb(settings: Settings, out: IO[str]) -> int:
-    field = _field(settings)
+    field = _config(FieldConfig, rho=settings.rho)
     P = _truth(settings).P
     points = sweep_points(settings)
-    _emit(out, "# binloc crb")
-    for line in _effective_config_lines(settings):
-        _emit(out, line)
+    dets = [_detector(settings, tau) for tau in points]
+    for det in dets:
+        _check_scales(det, P, field)
+    _header(out, "crb", settings)
     _emit(out, "# columns: " + ",".join(_CRB_COLUMNS))
     exit_code = EXIT_OK
-    for tau in points:
-        det = _detector(settings, tau)
+    for tau, det in zip(points, dets):
         rows = []
         for method in sorted(settings.methods):
             if method == "quadrature":
@@ -345,18 +366,14 @@ _SUMMARY_COLUMNS = ("n_trials", "n_converged", "n_failed",
 
 def cmd_simulate(settings: Settings, out: IO[str]) -> int:
     det = _detector(settings)
-    field = _field(settings)
+    field = _config(FieldConfig, rho=settings.rho)
     truth = _truth(settings)
-    try:
-        sim = SimConfig(field=field, detector=det, truth=truth,
-                        trials=settings.trials,
-                        region_radius=settings.region_radius,
-                        master_seed=settings.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    _emit(out, "# binloc simulate")
-    for line in _effective_config_lines(settings):
-        _emit(out, line)
+    sim = _config(SimConfig, field=field, detector=det, truth=truth,
+                  trials=settings.trials,
+                  region_radius=settings.region_radius,
+                  master_seed=settings.seed)
+    _check_scales(det, truth.P, field)
+    _header(out, "simulate", settings)
     _emit(out, f"# effective_region_radius={_fmt(sim.radius)}")
     _emit(out, "# columns: " + ",".join(_TRIAL_COLUMNS))
     results = run_campaign(sim)
@@ -435,9 +452,9 @@ def _check_taylor_quality(det: DetectorConfig, P: float, field: FieldConfig,
                           m: int | None) -> tuple[bool, str]:
     try:
         model = build_taylor_model(det, P, field)
+        quality = approximation_quality(det, P, field, m, model)
     except ModelInvalid as exc:
         return False, f"ModelInvalid: {exc}"
-    quality = approximation_quality(det, P, field, m, model)
     ok = quality == "ok"
     return ok, (f"quality flags: {quality} (f2 = {model.f2:.6g}, "
                 f"y_breve = {model.y_breve:.6g})")
@@ -445,11 +462,10 @@ def _check_taylor_quality(det: DetectorConfig, P: float, field: FieldConfig,
 
 def cmd_check(settings: Settings, out: IO[str]) -> int:
     det = _detector(settings)
-    field = _field(settings)
+    field = _config(FieldConfig, rho=settings.rho)
     P = _truth(settings).P
-    _emit(out, "# binloc check")
-    for line in _effective_config_lines(settings):
-        _emit(out, line)
+    _check_scales(det, P, field)
+    _header(out, "check", settings)
 
     checks: list[tuple[str, bool, str]] = []
     ok, detail = _check_marcum_identity()
@@ -460,19 +476,26 @@ def cmd_check(settings: Settings, out: IO[str]) -> int:
     checks.append(("fim-diagonality", ok, detail))
 
     if "closed-form" in settings.methods:
-        if float(settings.alpha) not in (2.0, 4.0):
+        if float(settings.alpha) not in _F11_ALPHAS:
+            alphas = ", ".join(map(_fmt, _F11_ALPHAS))
             checks.append(("closed-form-f11", False,
                            f"UnsupportedAlpha: closed-form F11 requires "
-                           f"alpha in {{2, 4}}, got {_fmt(settings.alpha)}"))
+                           f"alpha in {{{alphas}}}, got {_fmt(settings.alpha)}"))
         else:
             ok, detail = _check_taylor_quality(det, P, field, settings.m)
             checks.append(("taylor-quality", ok, detail))
 
+    # nearest distances scale as 1/sqrt(rho), so one seeded draw at unit
+    # density, on a disk of 4 r_breve = 2, serves every rho
     rb = rmin_expected(field)
-    expected = 1.0 / math.sqrt(4.0 * settings.rho)
-    ok = abs(rb - expected) <= 1e-12 * expected
-    checks.append(("nearest-sensor-distance", ok,
-                   f"r_breve = {_fmt(rb)} (1/sqrt(4 rho) = {_fmt(expected)})"))
+    d = nearest_distance_samples(FieldConfig(rho=1.0), _CHECK_RMIN_FIELDS,
+                                 region_radius=2.0)
+    scaled = rb * math.sqrt(field.rho)
+    z = (d.mean() - scaled) / (d.std() / math.sqrt(len(d)))
+    checks.append(("nearest-sensor-distance", abs(z) <= _CHECK_RMIN_SIGMAS,
+                   f"r_breve = {_fmt(rb)}, sampled mean / r_breve = "
+                   f"{d.mean() / scaled:.4f} ({z:+.2f} standard errors, "
+                   f"tol {_CHECK_RMIN_SIGMAS:g})"))
 
     if settings.region_radius is not None:
         excess = far_field_excess(det, P, settings.region_radius)
@@ -533,6 +556,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return command(settings, sys.stdout)
     except ConfigError as exc:
         print(f"binloc: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except QuadratureError as exc:   # as for F11 at alpha = 1
+        print(f"binloc: config error: the expected information does not "
+              f"converge at these settings: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

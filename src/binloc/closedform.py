@@ -52,9 +52,9 @@ import numpy as np
 from scipy import special
 
 from . import specfun
-from .detection import DetectorConfig
-from .fisher import (FieldConfig, FisherResult, x_breve, _log_kernel_array,
-                     _prefactors)
+from .detection import DetectorConfig, _positive
+from .fisher import (FieldConfig, FisherResult, x_breve, _LOG_TINY,
+                     _log_kernel_array, _prefactors)
 from .fisher import _log_kernel  # noqa: F401 (hooked by perfbench/spans.py)
 
 __all__ = [
@@ -72,6 +72,9 @@ __all__ = [
 
 # hard cap on the I1^2 series order
 M_MAX = 10
+
+# path-loss exponents whose F11 kernel power 1 - 4/alpha is an integer
+_F11_ALPHAS = (2.0, 4.0)
 
 # quality probe: 16-node Gauss-Legendre estimate of the exact integral
 _QUALITY_U, _QUALITY_W = np.polynomial.legendre.leggauss(16)
@@ -128,9 +131,7 @@ def build_taylor_model(cfg: DetectorConfig, P: float,
     """Taylor-expand f(x) = -ln Q - ln(1-Q) at x = x_breve and complete
     the square.  All ratios are assembled from log-domain pieces so the
     model survives endpoints deep in either tail of Q."""
-    P = float(P)
-    if not (math.isfinite(P) and P > 0.0):
-        raise ValueError(f"P must be finite and > 0, got {P!r}")
+    P = _positive("P", P)
     t = cfg.threshold_coordinate
     xb = x_breve(cfg, P, field)
 
@@ -239,11 +240,17 @@ def _surrogate_integral(model: TaylorModel, m: int, p: float) -> float:
 
 
 def _entry(cfg: DetectorConfig, P: float, field: FieldConfig, m: int,
-           model: TaylorModel, j: int) -> float:
-    """Closed-form F11 (j = 0) or F22 (j = 1): the constant of
-    fisher._prefactors' pair j times the surrogate integral at its power."""
+           model: TaylorModel, j: int) -> float | None:
+    """Closed-form F11 (j = 0; None for alpha outside _F11_ALPHAS) or F22
+    (j = 1): the constant of fisher._prefactors' pair j times the
+    surrogate integral at its power."""
+    if j == 0 and float(cfg.alpha) not in _F11_ALPHAS:
+        return None
     c, p = _prefactors(cfg, float(P), field)[j]
-    value = c * _surrogate_integral(model, m, p)
+    try:
+        value = c * _surrogate_integral(model, m, p)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise ModelInvalid(f"closed-form {('F11', 'F22')[j]} overflowed")
     return value
@@ -289,7 +296,7 @@ def f11_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
     with c11 from fisher._prefactors.
     """
     alpha = float(cfg.alpha)
-    if alpha not in (2.0, 4.0):
+    if alpha not in _F11_ALPHAS:
         raise UnsupportedAlpha(
             f"closed-form F11 requires alpha in {{2, 4}}, got {alpha:g}")
     return _public_entry(cfg, P, field, m, model, 0)
@@ -309,7 +316,7 @@ def _gl_reference(cfg: DetectorConfig, P: float, field: FieldConfig,
     lg = (_log_kernel_array(x, cfg.threshold_coordinate, 0.0)
           + np.multiply.outer(powers, np.log(x)))
     ws = 0.5 * xb * _QUALITY_W
-    return np.sum(np.where(lg > -700.0, ws * np.exp(lg), 0.0), axis=1)
+    return np.sum(np.where(lg > _LOG_TINY, ws * np.exp(lg), 0.0), axis=1)
 
 
 def approximation_quality(cfg: DetectorConfig, P: float, field: FieldConfig,
@@ -330,7 +337,7 @@ def approximation_quality(cfg: DetectorConfig, P: float, field: FieldConfig,
         flags.append("series-radius")
     if entries is None:
         entries = (_entry(cfg, P, field, m_res, model, 1),
-                   _f11_or_none(cfg, P, field, m_res, model))
+                   _entry(cfg, P, field, m_res, model, 0))
     f22, f11 = entries
     if f22 <= 0.0 or (f11 is not None and f11 <= 0.0):
         flags.append("negative")
@@ -343,13 +350,6 @@ def approximation_quality(cfg: DetectorConfig, P: float, field: FieldConfig,
     return ",".join(flags) if flags else "ok"
 
 
-def _f11_or_none(cfg: DetectorConfig, P: float, field: FieldConfig, m: int,
-                 model: TaylorModel) -> float | None:
-    if float(cfg.alpha) in (2.0, 4.0):
-        return _entry(cfg, P, field, m, model, 0)
-    return None
-
-
 def closed_form_fisher(cfg: DetectorConfig, P: float, field: FieldConfig,
                        m: int | None = None) -> FisherResult:
     """Closed-form FisherResult (F11 only for alpha in {2, 4}); quality
@@ -357,7 +357,7 @@ def closed_form_fisher(cfg: DetectorConfig, P: float, field: FieldConfig,
     m_res = _resolve_m(m, float(cfg.alpha))
     model = build_taylor_model(cfg, P, field)
     f22 = _entry(cfg, P, field, m_res, model, 1)
-    f11 = _f11_or_none(cfg, P, field, m_res, model)
+    f11 = _entry(cfg, P, field, m_res, model, 0)
     quality = approximation_quality(cfg, P, field, m_res, model,
                                     entries=(f22, f11))
     return FisherResult(F11=math.nan if f11 is None else f11, F22=f22,

@@ -132,12 +132,13 @@ class Decisions:
 
 
 def signal_coordinate(cfg: DetectorConfig, P: float, r: float) -> float:
-    """x = sqrt(T P / (sigma2 r^alpha)) for r > 0."""
+    """x = sqrt(T P / (sigma2 r^alpha)) for r > 0; 0 or inf where the
+    quotient leaves the doubles."""
     P = _positive("P", P)
     r = float(r)
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"r must be finite and > 0, got {r!r}")
-    return math.sqrt(cfg.T * P / (cfg.sigma2 * r ** cfg.alpha))
+    return float(_signal_coordinate_vec(cfg, P, np.float64(r)))
 
 
 def detection_probability(cfg: DetectorConfig, P: float, r: float) -> float:
@@ -176,8 +177,9 @@ def detection_probability_array(cfg: DetectorConfig, P: float,
 
 def _signal_coordinate_vec(cfg: DetectorConfig, P: float,
                            r: np.ndarray) -> np.ndarray:
-    # inf (certain detection) where r = 0 or T P / r^alpha overflows
-    with np.errstate(divide="ignore", over="ignore"):
+    # inf (certain detection) where r = 0 or T P / r^alpha overflows, 0
+    # where r^alpha overflows, NaN where T P and sigma2 r^alpha both do
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.sqrt(cfg.T * P / (cfg.sigma2 * r ** cfg.alpha))
 
 

@@ -44,8 +44,8 @@ import numpy as np
 from scipy import integrate, special
 
 from . import specfun
-from .detection import (DetectorConfig, TargetParams, _signal_coordinate_vec,
-                        signal_coordinate)
+from .detection import (DetectorConfig, TargetParams, _positive,
+                        _signal_coordinate_vec, signal_coordinate)
 
 __all__ = [
     "FieldConfig",
@@ -90,14 +90,9 @@ class FieldConfig:
     r_breve_override: float | None = None
 
     def __post_init__(self) -> None:
-        rho = float(self.rho)
-        if not (math.isfinite(rho) and rho > 0.0):
-            raise ValueError(f"rho must be finite and > 0, got {rho!r}")
+        _positive("rho", self.rho)
         if self.r_breve_override is not None:
-            rb = float(self.r_breve_override)
-            if not (math.isfinite(rb) and rb > 0.0):
-                raise ValueError(
-                    f"r_breve_override must be finite and > 0, got {rb!r}")
+            _positive("r_breve_override", self.r_breve_override)
 
     @property
     def r_breve(self) -> float:
@@ -110,7 +105,8 @@ def rmin_expected(field: FieldConfig) -> float:
     """Mean distance from any fixed point to the nearest sensor of the
     Poisson field: the nearest-distance law is Rayleigh with CDF
     1 - exp(-rho pi r^2), whose mean is 1/sqrt(4 rho)."""
-    return 1.0 / math.sqrt(4.0 * float(field.rho))
+    # 0.5/sqrt(rho) is 1/sqrt(4 rho) to the bit, and 4 rho may overflow
+    return 0.5 / math.sqrt(float(field.rho))
 
 
 @dataclass(frozen=True)
@@ -189,8 +185,11 @@ def _sensor_information(cfg: DetectorConfig, P: float, x0: float, y0: float,
     r = np.hypot(dx, dy)
     x = _signal_coordinate_vec(cfg, P, r)
     log_w = _log_kernel_array(x, cfg.threshold_coordinate, 2.0) - math.log(4.0)
-    u = np.stack([np.full_like(r, 1.0 / P), cfg.alpha * dx / (r * r),
-                  cfg.alpha * dy / (r * r)])
+    # r * r overflows beyond r ~ 1e154 (a lattice at rho < 1e-304), where
+    # the slopes round to 0
+    with np.errstate(over="ignore"):
+        u = np.stack([np.full_like(r, 1.0 / P), cfg.alpha * dx / (r * r),
+                      cfg.alpha * dy / (r * r)])
     return log_w, u
 
 
@@ -261,9 +260,7 @@ def expected_fim_quadrature(cfg: DetectorConfig, P: float,
                             field: FieldConfig) -> FisherResult:
     """Expected Fisher information by adaptive quadrature over the signal
     coordinate on (0, x_breve]."""
-    P = float(P)
-    if not (math.isfinite(P) and P > 0.0):
-        raise ValueError(f"P must be finite and > 0, got {P!r}")
+    P = _positive("P", P)
     t = cfg.threshold_coordinate
     xb = x_breve(cfg, P, field)
     pts = _x_breakpoints(t, xb)
@@ -280,9 +277,7 @@ def expected_f22_r_domain(cfg: DetectorConfig, P: float,
         F22 = 2 pi^2 rho int_rb^inf (dP_D/dr)^2 r / (Q(1-Q)) dr,
 
     as an independent cross-check of the x-domain route."""
-    P = float(P)
-    if not (math.isfinite(P) and P > 0.0):
-        raise ValueError(f"P must be finite and > 0, got {P!r}")
+    P = _positive("P", P)
     t = cfg.threshold_coordinate
     rb = field.r_breve
     alpha = cfg.alpha

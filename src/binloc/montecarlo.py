@@ -78,11 +78,9 @@ _NM_HANDOFF_XATOL = 1e-2
 _NM_HANDOFF_FATOL = 1e-5
 # from the hand-off a finish takes three or four steps
 _NEWTON_MAX_ITER = 20
-# a Newton step (or a backtracked trial step) below this in every
-# coordinate ends the finish: the nll no longer resolves such moves
+# a Newton step below this in every coordinate ends the finish: the nll
+# no longer resolves such moves
 _NEWTON_STEP_TOL = 1e-9
-# halvings of one step before its line search counts as stalled
-_NEWTON_MAX_HALVINGS = 40
 _POWER_BRACKET = (1e-3, 1e3)
 # relative slack of the grid guard's screen: a candidate is skipped only
 # when its nll lower bound beats the running best by more than this, far
@@ -283,51 +281,26 @@ def initial_guess(cfg: DetectorConfig, decisions: Decisions) -> TargetParams:
 
 def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
                 init: TargetParams) -> TrialResult:
-    """Maximize the decision-sequence likelihood over (P, x_T, y_T).
+    """Maximize the decision-sequence likelihood over (P, x_T, y_T), in
+    (ln P, x, y) so that positivity of P is structural.  Reports the exact
+    nll at the returned point, never worse than the initializer's.
 
-    Works in (ln P, x, y) so positivity of P is structural.  A coarse
-    grid around the detection centroid (9 x 9 positions at 0.25, 1 and 4
-    times the initializer's power) guards against local maxima, then a
-    Nelder-Mead simplex refines the best candidate.  Hitting the
-    iteration cap is reported as converged=False rather than raised; the
-    returned point is never worse than the initializer.
-
-    The simplex runs only until it is small (xatol 1e-2, fatol 1e-5);
-    exact Newton steps on the nll finish the fit, from the gradient and
-    Hessian of one pass over the sensors, each step backtracked on the
-    exact nll, until a step falls below 1e-9.  The reported nll is the
-    exact nll at the returned point.  If the Hessian is not positive
-    definite, the line search stalls, the steps run out or an iterate
-    falls below the power floor described below, the simplex resumes
-    from where it stopped at the full tolerances (xatol 1e-6, fatol
-    1e-9) and returns what one uninterrupted run would, to the bit.
-    Newton from the grid's winner does not work: its Hessian is not
-    positive definite on 37 of campaign-ref's 56 trials at seed 20260814.
-
-    The grid is screened: each row of nine candidates first gets a lower
-    bound on its nll from one array pass, exact for the few sensors near
-    a candidate and closed-form for the rest, and a candidate whose
-    bound exceeds the running best by more than a 1e-9 relative margin
-    skips its full evaluation.  It could not have beaten the best under
-    the strict comparison, so the guard picks the same start as an
-    exhaustive one, after some ten full evaluations instead of 243.
-
-    With a single detection the nll's global lower bound,
-    -(n - 1) log(1 - p_fa), is the limit P -> 0 with the emitter on the
-    detecting sensor; the fit returns it at once, at the log-power wall
-    described below, with converged=True, and runs neither the grid nor
-    the simplex.
-
-    A simplex that starts at or above the initializer's power floor
-    (1e-3) and takes its best vertex below it is collapsing: the
-    likelihood has no interior maximum, and its supremum is P -> 0 with
-    the emitter on a detecting sensor, which then detects with certainty
-    while every other sensor sits at the false-alarm floor.  The fit
-    stops the simplex there and returns that limit at the log-power
-    wall, P = e^-30 on the detecting sensor nearest the simplex, with
-    converged=True (the supremum is attained to double precision), when
-    its nll is no higher than the simplex's best; otherwise it reruns
-    the simplex and its Newton finish without the stop.
+    1. Grid guard: 9 x 9 positions around the detection centroid at 0.25,
+       1 and 4 times the initializer's power; a candidate whose nll lower
+       bound shows that it cannot win skips its full evaluation.
+    2. Nelder-Mead from the best candidate to the hand-off tolerances.
+    3. The Newton finish; any failed finish resumes the simplex at the
+       full tolerances (_refine).  A simplex out of iterations reports
+       converged=False.
+    4. The collapsed supremum: a likelihood with no interior maximum peaks
+       as P -> 0 with the emitter on a detecting sensor, which the
+       log-power wall (P = e^-30) attains to double precision, with
+       converged=True.  With one detection it is the nll's global lower
+       bound, returned at once.  A simplex that starts at or above the
+       power floor (1e-3) and takes its best vertex below it stops; the
+       fit returns the supremum on the detecting sensor nearest it unless
+       that is worse than the simplex's best, and else reruns stages 2
+       and 3 without the stop.
     """
     sx, sy, detected = decisions.sx, decisions.sy, decisions.detected
     n_det = int(detected.sum())
@@ -347,70 +320,63 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
                                            sx, sy, detected)
         return val if math.isfinite(val) else math.inf
 
-    det_x, det_y = sx[detected], sy[detected]
-    if n_det == 1:
-        # the collapsed supremum attains the nll's global lower bound,
-        # -(n - 1) log(1 - p_fa), from every start: nothing to search
-        cand = np.array([-_LOG_POWER_WALL, det_x[0], det_y[0]])
-        theta = TargetParams(P=math.exp(cand[0]), x=float(cand[1]),
-                             y=float(cand[2]))
-        return TrialResult(theta_hat=theta, n_sensors=len(decisions),
-                           n_detections=1, converged=True,
-                           neg_log_lik=nll(cand))
-
-    start = np.array([math.log(init.P), init.x, init.y])
-    best = start
-    best_val = nll(start)
-
-    # coarse multimodality guard anchored at the detection centroid (the
-    # only part of the plane the likelihood favors), spanning the
-    # centroid's own sampling uncertainty (per-coordinate standard error
-    # ~ std(detecting coords)/sqrt(n)); a wider net would hunt the whole
-    # region and lock onto chance clusters of false alarms far from any
-    # plausible position.  Each row of candidates is screened first: one
-    # whose nll lower bound exceeds the running best cannot pass the
-    # strict test below, so it skips the full evaluation.
-    cen_x, cen_y = float(det_x.mean()), float(det_y.mean())
-    span = 3.0 * max(float(det_x.std()), float(det_y.std())) / math.sqrt(n_det)
-    if span == 0.0:
-        span = 2.0
-    offs = np.linspace(-span, span, _GRID_POINTS)
-    for fac in _GRID_POWER_FACTORS:
-        lp = math.log(init.P * fac)
-        for dx in offs:
-            cx = cen_x + dx
-            bounds = _nll_lower_bound(cfg, math.exp(lp), cx, cen_y + offs,
-                                      sx, sy, detected)
-            for dy, bound in zip(offs, bounds):
-                if bound > best_val + _SCREEN_MARGIN * (1.0 + abs(best_val)):
-                    continue
-                cand = np.array([lp, cx, cen_y + dy])
-                val = nll(cand)
-                if val < best_val:
-                    best, best_val = cand, val
-
     def derivatives(theta_log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _nll_derivatives(cfg, math.exp(theta_log[0]), theta_log[1],
                                 theta_log[2], sx, sy, detected)
 
-    # a simplex that starts below the floor has not collapsed through it
-    log_p_floor = math.log(_POWER_BRACKET[0])
-    res = _refine(nll, derivatives, best,
-                  log_p_floor if best[0] >= log_p_floor else None)
-    if res.status == 99:
-        # the simplex is collapsing to zero power: the likelihood's
-        # supremum puts the emitter on a detecting sensor (certain
-        # detection there, the false-alarm floor everywhere else), which
-        # the log-power wall attains; the simplex would only crawl to it
-        j = int(np.argmin(np.hypot(det_x - res.x[1], det_y - res.x[2])))
+    det_x, det_y = sx[detected], sy[detected]
+
+    def collapsed(x0: float, y0: float) -> optimize.OptimizeResult:
+        # the supremum at the log-power wall, on the detecting sensor
+        # nearest (x0, y0)
+        j = int(np.argmin(np.hypot(det_x - x0, det_y - y0)))
         cand = np.array([-_LOG_POWER_WALL, det_x[j], det_y[j]])
-        val = nll(cand)
-        if val <= res.fun:
-            res = optimize.OptimizeResult(x=cand, fun=val, success=True)
-        else:
-            res = _refine(nll, derivatives, best, None)
-    if res.fun <= best_val:
-        best, best_val = res.x, float(res.fun)
+        return optimize.OptimizeResult(x=cand, fun=nll(cand), success=True)
+
+    if n_det == 1:
+        # the supremum attains the global lower bound from every start
+        res = collapsed(det_x[0], det_y[0])
+        best, best_val = res.x, res.fun
+    else:
+        best = np.array([math.log(init.P), init.x, init.y])
+        best_val = nll(best)
+
+        # the grid is anchored at the detection centroid (the only part
+        # of the plane the likelihood favors) and spans the centroid's
+        # own sampling uncertainty (per-coordinate standard error ~
+        # std(detecting coords)/sqrt(n)); a wider net would hunt the whole
+        # region and lock onto chance clusters of false alarms far from
+        # any plausible position
+        cen_x, cen_y = float(det_x.mean()), float(det_y.mean())
+        span = (3.0 * max(float(det_x.std()), float(det_y.std()))
+                / math.sqrt(n_det)) or 2.0
+        offs = np.linspace(-span, span, _GRID_POINTS)
+        for fac in _GRID_POWER_FACTORS:
+            lp = math.log(init.P * fac)
+            for dx in offs:
+                cx = cen_x + dx
+                bounds = _nll_lower_bound(cfg, math.exp(lp), cx, cen_y + offs,
+                                          sx, sy, detected)
+                for dy, bound in zip(offs, bounds):
+                    # a bound above the running best cannot pass the
+                    # strict test below
+                    if bound > best_val + _SCREEN_MARGIN * (1.0 + abs(best_val)):
+                        continue
+                    cand = np.array([lp, cx, cen_y + dy])
+                    val = nll(cand)
+                    if val < best_val:
+                        best, best_val = cand, val
+
+        # a simplex that starts below the floor has not collapsed through it
+        log_p_floor = math.log(_POWER_BRACKET[0])
+        res = _refine(nll, derivatives, best,
+                      log_p_floor if best[0] >= log_p_floor else None)
+        if res.status == 99:
+            sup = collapsed(res.x[1], res.x[2])
+            res = (sup if sup.fun <= res.fun
+                   else _refine(nll, derivatives, best, None))
+        if res.fun <= best_val:
+            best, best_val = res.x, float(res.fun)
     theta = TargetParams(P=math.exp(best[0]), x=float(best[1]),
                          y=float(best[2]))
     return TrialResult(theta_hat=theta, n_sensors=len(decisions),
@@ -420,12 +386,12 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
 
 def _refine(nll, derivatives, start: np.ndarray,
             log_p_floor: float | None) -> optimize.OptimizeResult:
-    """Nelder-Mead from start to the hand-off tolerances, then Newton
-    steps; where the finish fails, the simplex resumes from its final
-    state at the full tolerances.  A simplex's only state is its
-    vertices, so the resumed run returns exactly what one uninterrupted
-    run at the full tolerances would.  With log_p_floor set, the simplex
-    stops (status 99) once its best vertex falls below it."""
+    """Nelder-Mead from start to the hand-off tolerances, then the Newton
+    finish; where the finish fails, for whatever reason, the simplex
+    resumes from its final vertices, its only state, at the full
+    tolerances, and so returns what one uninterrupted run would.  With
+    log_p_floor set, the simplex stops (status 99) once its best vertex
+    falls below it."""
 
     def stop_on_collapse(xk: np.ndarray) -> None:
         if xk[0] < log_p_floor:
@@ -454,13 +420,12 @@ def _refine(nll, derivatives, start: np.ndarray,
 def _newton_finish(nll, derivatives, theta: np.ndarray, val: float,
                    log_p_floor: float | None
                    ) -> tuple[np.ndarray, float] | None:
-    """Newton steps on the nll from theta (nll val), each backtracked by
-    halving until the exact nll does not rise, until a step falls below
-    _NEWTON_STEP_TOL in every coordinate.  Returns the last iterate and
-    its nll, or None where the finish fails: a Hessian that is not
-    positive definite (or not finite), no step that keeps the nll from
-    rising within _NEWTON_MAX_HALVINGS halvings, _NEWTON_MAX_ITER steps
-    without converging, or an iterate below log_p_floor."""
+    """Full Newton steps on the nll from theta (nll val), with no line
+    search, until a step falls below _NEWTON_STEP_TOL in every coordinate.
+    Returns the last iterate and its nll, or None where the finish fails:
+    a Hessian that is not positive definite (or not finite), a step above
+    the tolerance that raises the nll, an iterate below log_p_floor, or
+    _NEWTON_MAX_ITER steps."""
     for _ in range(_NEWTON_MAX_ITER):
         grad, hess = derivatives(theta)
         try:
@@ -469,19 +434,15 @@ def _newton_finish(nll, derivatives, theta: np.ndarray, val: float,
             return None
         if not np.isfinite(step).all():
             return None
-        for _ in range(_NEWTON_MAX_HALVINGS):
-            cand = theta + step
-            cand_val = nll(cand)
-            last = np.max(np.abs(step)) < _NEWTON_STEP_TOL
-            if cand_val <= val or last:
-                break
-            step = 0.5 * step
-        else:
-            return None
+        cand = theta + step
+        cand_val = nll(cand)
+        last = np.max(np.abs(step)) < _NEWTON_STEP_TOL
         if cand_val <= val:
             if log_p_floor is not None and cand[0] < log_p_floor:
                 return None
             theta, val = cand, cand_val
+        elif not last:
+            return None
         if last:
             return theta, val
     return None

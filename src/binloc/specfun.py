@@ -133,26 +133,19 @@ def marcum_q(a: float, b: float) -> float:
     Bounds: 0 < Q1 <= 1 for b < inf; Q1(a, 0) = 1; Q1(0, b) = exp(-b^2/2).
     """
     a = _check_nonneg_or_inf("a", a)
-    b = _check_nonneg_or_inf("b", b)
-    if b == 0.0:
-        return 1.0
-    q = float(_marcum_q_linear(a, b))
-    if q >= _UFUNC_MIN:
-        return q
-    return math.exp(log_marcum_q(a, b))
+    return float(marcum_q_array(np.array([a]), b)[0])
 
 
 def marcum_q_array(a, b: float) -> np.ndarray:
-    """Q1(a_i, b) for an array a and a scalar b, equal to marcum_q(a_i, b)
-    entry by entry."""
+    """Q1(a_i, b) for an array a and a scalar b: the linear value where it
+    is at least _UFUNC_MIN, exp(log Q1) below."""
     a, b = _check_array(a, b)
     if b == 0.0:
         return np.ones_like(a)
     q = np.asarray(_marcum_q_linear(a, b), dtype=float)
     low = ~(q >= _UFUNC_MIN)
     if low.any():
-        # math.exp, as marcum_q takes it: np.exp may differ in the last bit
-        q[low] = [math.exp(v) for v in _log_pair(a[low], b, q[low])[0]]
+        q[low] = np.exp(_log_pair(a[low], b, q[low])[0])
     return q
 
 

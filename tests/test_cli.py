@@ -9,11 +9,16 @@ captured with pytest's capsys fixture and files with tmp_path.
 
 from __future__ import annotations
 
+import contextlib
+import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from binloc import cli
 from binloc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -83,6 +88,12 @@ def test_default_sweep_expands_to_96_points() -> None:
 def test_single_point_sweep_is_allowed() -> None:
     s = replace(Settings(), sweep_start=0.5, sweep_stop=0.5)
     assert sweep_points(s) == [0.5]
+
+
+def test_single_point_sweep_far_above_its_step() -> None:
+    # at 1e17 start + k * step rounds back to start for hundreds of k
+    s = replace(Settings(), sweep_start=1e17, sweep_stop=1e17)
+    assert sweep_points(s) == [1e17]
 
 
 @pytest.mark.parametrize("start,stop,step", [
@@ -178,6 +189,84 @@ def test_config_errors_exit_2(capsys, argv: tuple[str, ...]) -> None:
     assert code == EXIT_CONFIG
     assert err.startswith("binloc: config error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["crb", "simulate", "check"])
+@pytest.mark.parametrize("assignments, keys", [
+    # r_breve^alpha overflows: the signal coordinate at r_breve is 0
+    (("alpha=1000",), ("alpha", "rho")),
+    # r_breve^alpha underflows: the signal coordinate is inf
+    (("alpha=400", "rho=25"), ("alpha", "rho")),
+    # T P / (sigma2 r_breve^alpha) overflows: the signal coordinate is inf
+    (("sigma2=1e-300", "rho=1e9"), ("sigma2", "rho")),
+    # 2 tau / sigma2 overflows: the threshold coordinate is inf
+    (("sigma2=5e-324",), ("tau", "sigma2")),
+])
+def test_settings_beyond_the_doubles_are_config_errors(
+        capsys, command, assignments, keys) -> None:
+    # one trial in a small region, so that a simulate that misses the
+    # check fails fast
+    argv = [command, "--set", "trials=1", "--set", "region_radius=5"]
+    for assignment in assignments:
+        argv += ["--set", assignment]
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("binloc: config error: ")
+    assert all(key in err for key in keys)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("command", ["crb", "check"])
+def test_divergent_expected_information_is_a_config_error(capsys,
+                                                          command) -> None:
+    # at alpha = 1 the F11 integrand goes as 1/x at x -> 0, so no
+    # quadrature converges
+    code, out, err = _run(capsys, command, "--set", "alpha=1",
+                          "--set", "sweep.start=0.5", "--set", "sweep.stop=0.5")
+    assert code == EXIT_CONFIG
+    assert err.startswith("binloc: config error: the expected information "
+                          "does not converge")
+    assert _data_rows(out) == []
+
+
+_FUZZ_KEYS = ("tau", "sigma2", "T", "alpha", "P", "rho")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(lines=st.lists(st.one_of(
+    st.text(),
+    st.builds("{} = {}".format, st.sampled_from(sorted(cli._KEY_TABLE)),
+              st.text()))))
+def test_parse_config_text_returns_settings_or_config_error(lines) -> None:
+    try:
+        parsed = parse_config_text(Settings(), "\n".join(lines))
+    except ConfigError:
+        return
+    assert isinstance(parsed, Settings)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          report_multiple_bugs=False)
+@given(command=st.sampled_from(["crb", "check"]),
+       values=st.dictionaries(
+           st.sampled_from(_FUZZ_KEYS),
+           st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+           min_size=1))
+def test_extreme_settings_end_in_an_exit_code(command, values) -> None:
+    # every positive double for the model keys: crb at one tau point (the
+    # step as large as tau, so that the sweep has one point) and check
+    argv = [command]
+    for key, value in values.items():
+        argv += ["--set", f"{key}={value!r}"]
+    if command == "crb":
+        tau = repr(values.get("tau", Settings.tau))
+        argv += ["--set", f"sweep.start={tau}", "--set", f"sweep.stop={tau}",
+                 "--set", f"sweep.step={tau}"]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_FALLBACK)
 
 
 # ----------------------------------------------------------------------
@@ -444,6 +533,21 @@ def test_check_flags_unsupported_alpha(capsys) -> None:
     assert fails[0].startswith("FAIL closed-form-f11: UnsupportedAlpha")
     assert "got 3" in fails[0]
     assert lines[-1] == "# 4/5 checks passed"
+
+
+def test_check_nearest_sensor_distance_compares_with_a_sampled_mean(
+        capsys, monkeypatch) -> None:
+    # an expected nearest-sensor distance 10% high is 12 standard errors
+    # off the mean of 4,000 sampled fields
+    true_rmin = cli.rmin_expected
+    monkeypatch.setattr(cli, "rmin_expected",
+                        lambda field: 1.1 * true_rmin(field))
+    code, out, _ = _run(capsys, "check")
+    assert code == EXIT_CHECK_FAILED
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == [
+        "FAIL nearest-sensor-distance: r_breve = 2.459674775249769, sampled "
+        "mean / r_breve = 0.9115 (-11.90 standard errors, tol 4)"]
 
 
 def test_check_quadrature_only_skips_closed_form(capsys) -> None:

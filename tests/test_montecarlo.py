@@ -564,6 +564,36 @@ def test_ml_estimate_failed_newton_finish_is_the_full_simplex_fit(
     assert finished.neg_log_lik <= full.neg_log_lik
 
 
+def test_ml_estimate_newton_step_that_raises_the_nll_fails_the_finish(
+        monkeypatch):
+    # a first Newton step three times too long overshoots the minimum and
+    # raises the nll; the finish fails on it, with no line search, and the
+    # simplex resumes, so the fit is one full-tolerance simplex run
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    decisions = _reference_trial(0.4, 20260814)
+    init = initial_guess(det, decisions)
+    monkeypatch.setattr(montecarlo, "_refine", _full_simplex)
+    full = ml_estimate(det, decisions, init)
+    monkeypatch.undo()
+    derivatives, finish = montecarlo._nll_derivatives, montecarlo._newton_finish
+    passes, finishes = [], []
+
+    def overshooting(*args):
+        grad, hess = derivatives(*args)
+        passes.append(args)
+        return (3.0 * grad if len(passes) == 1 else grad), hess
+
+    def recorded(*args):
+        finishes.append(finish(*args))
+        return finishes[-1]
+
+    monkeypatch.setattr(montecarlo, "_nll_derivatives", overshooting)
+    monkeypatch.setattr(montecarlo, "_newton_finish", recorded)
+    res = ml_estimate(det, decisions, init)
+    assert finishes == [None] and len(passes) == 1
+    assert res == full
+
+
 # ----------------------------------------------------------------------
 
 def test_run_campaign_deterministic():

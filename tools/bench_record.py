@@ -49,8 +49,8 @@ TRACED_KEYS = (
     "montecarlo.converged_frac",
     "montecarlo.above_truth_frac",
     "montecarlo.est_max_dev",
-    "specfun.calls.marcum_q",
-    "specfun.calls.log1m_marcum_q",
+    "detection.sensors_per_nll",
+    "detection.ns_per_sensor_eval",
     "trace.overhead_s",
 )
 
