@@ -12,11 +12,10 @@ check     run the invariant suite at the configured parameters and print
 
 Configuration is a flat ``key = value`` text file (``#`` starts a
 comment line).  ``--set key=value`` overrides (repeatable) always win
-over file values; ``--preset paper-sec5`` loads the reference operating
-point.  Every output starts with comment lines echoing the effective
-configuration.  Floats are emitted with 17 significant digits so the CSV
-round-trips to the exact binary values; output is UTF-8 and entirely
-deterministic for a fixed configuration.
+over file values.  Every output starts with comment lines echoing the
+effective configuration.  Floats are emitted with 17 significant digits
+so the CSV round-trips to the exact binary values; output is UTF-8 and
+entirely deterministic for a fixed configuration.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 sweep
 completed but at least one closed-form point fell back to quadrature,
@@ -166,12 +165,6 @@ _KEY_TABLE: dict[str, tuple[str, Callable[[str, str], object]]] = {
     "sweep.step": ("sweep_step", _parse_float),
 }
 
-_PRESETS: dict[str, dict[str, str]] = {
-    # reference operating point: P=2, T=1, sigma=0.5, density 0.05
-    "paper-sec5": {"P": "2", "T": "1", "sigma2": "0.25", "rho": "0.05"},
-}
-
-
 def apply_assignment(settings: Settings, key: str, raw: str) -> Settings:
     key = key.strip()
     if key not in _KEY_TABLE:
@@ -196,12 +189,6 @@ def parse_config_text(settings: Settings, text: str,
 
 def resolve_settings(args: argparse.Namespace) -> Settings:
     settings = Settings()
-    if args.preset is not None:
-        if args.preset not in _PRESETS:
-            raise ConfigError(f"unknown preset {args.preset!r}; available: "
-                              + ", ".join(sorted(_PRESETS)))
-        for key, raw in _PRESETS[args.preset].items():
-            settings = apply_assignment(settings, key, raw)
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -368,11 +355,11 @@ def cmd_simulate(settings: Settings, out: IO[str]) -> int:
     det = _detector(settings)
     field = _config(FieldConfig, rho=settings.rho)
     truth = _truth(settings)
+    _check_scales(det, truth.P, field)
     sim = _config(SimConfig, field=field, detector=det, truth=truth,
                   trials=settings.trials,
                   region_radius=settings.region_radius,
                   master_seed=settings.seed)
-    _check_scales(det, truth.P, field)
     _header(out, "simulate", settings)
     _emit(out, f"# effective_region_radius={_fmt(sim.radius)}")
     _emit(out, "# columns: " + ",".join(_TRIAL_COLUMNS))
@@ -532,8 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "wins over --config)")
         sp.add_argument("--out", metavar="PATH",
                         help="write output to PATH instead of stdout")
-        sp.add_argument("--preset", metavar="NAME",
-                        help="named parameter preset (paper-sec5)")
     return parser
 
 

@@ -21,9 +21,9 @@ so r dP_D/dr = -alpha P dP_D/dP identically.
 
 The array P_D and the log-likelihood evaluate all sensors in one call of
 specfun's array routines.  Each sensor's log-likelihood term takes only
-the side of Q1 its decision uses: log P_D for a detecting sensor, which
-the linear value keeps down to specfun._UFUNC_MIN, and log(1 - P_D) for
-a silent one, from the log tails where the linear value has lost it.
+the side of Q1 its decision uses, log P_D for a detecting sensor and
+log(1 - P_D) for a silent one; specfun._log_sides decides how each side
+is computed.
 The ML fit's Newton steps take the gradient and Hessian of the summed
 terms from one more array pass.
 """
@@ -192,44 +192,8 @@ def _log_likelihood_arrays(cfg: DetectorConfig, P: float, x0: float, y0: float,
     certain detection (contribution 0 if it detected, -inf otherwise)."""
     r = np.hypot(sx - x0, sy - y0)
     x = _signal_coordinate_vec(cfg, P, r)
-    return float(_decision_log_terms(x, cfg.threshold_coordinate,
-                                     detected).sum())
-
-
-def _decision_log_terms(x: np.ndarray, t: float, detected: np.ndarray,
-                        tails: bool = True) -> np.ndarray:
-    """Each sensor's log-likelihood term at signal coordinates x >= 0:
-    log Q1(x, t) where it detected, log(1 - Q1(x, t)) where it did not.
-
-    Each sensor gets only the side of Q1 it uses.  A detecting sensor
-    takes the log of the linear value wherever that is at least
-    specfun._UFUNC_MIN: where 1 - Q1 < 1e-9, log Q1 lies in (-1e-9, 0]
-    and log q is within about 1e-16 of it, far below the last place of a
-    likelihood sum.  A silent sensor takes log1p(-q) wherever
-    specfun._linear_logs allows it.  Every other entry comes from the log
-    tails, or, with tails=False, takes an upper bound on its term
-    instead: 0 for a detecting sensor, and the Rayleigh bound
-    1 - Q1(x, t) = Pr[|x + n| <= t] <= Pr[|n| >= x - t] = e^(-(x-t)^2/2)
-    for a silent one with x > t (0 with x <= t).
-    """
-    if t == 0.0:
-        return np.where(detected, 0.0, -math.inf)
-    q = np.asarray(specfun._marcum_q_linear(x, t), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(detected, np.log(q), np.log1p(-q))
-    rest = ~np.where(detected, q >= specfun._UFUNC_MIN,
-                     specfun._linear_logs(x, t, q)[1])
-    if rest.any():
-        x_rest, det_rest = x[rest], detected[rest]
-        if tails:
-            log_q, log_1mq = specfun._log_pair(x_rest, t, q[rest])
-            terms[rest] = np.where(det_rest, log_q, log_1mq)
-        else:
-            # x - t overflows its square only next to a hypothesis
-            with np.errstate(over="ignore"):
-                terms[rest] = np.where(
-                    det_rest, 0.0, -0.5 * np.maximum(x_rest - t, 0.0) ** 2)
-    return terms
+    return float(specfun._log_sides(x, cfg.threshold_coordinate,
+                                    detected).sum())
 
 
 def _nll_derivatives(cfg: DetectorConfig, P: float, x0: float, y0: float,
@@ -256,7 +220,7 @@ def _nll_derivatives(cfg: DetectorConfig, P: float, x0: float, y0: float,
     r = np.hypot(dx, dy)
     x = _signal_coordinate_vec(cfg, P, r)
     t = cfg.threshold_coordinate
-    log_terms = _decision_log_terms(x, t, detected)
+    log_terms = specfun._log_sides(x, t, detected)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = x * t
         i1 = special.i1e(z)
@@ -299,7 +263,7 @@ def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
     exact term (up to the last bits of x, taken from the squared range
     rather than hypot where that does not underflow), except where that
     term needs the log tails: there it takes the bound of
-    _decision_log_terms(..., tails=False), 0 for a detecting sensor and
+    specfun._log_sides(..., tails=False), 0 for a detecting sensor and
     the Rayleigh bound (x - t)^2/2 for a silent one with x > t, so the
     screen never sums a Neumann series.  Any other takes a
     closed form from the Poisson mixture
@@ -332,7 +296,7 @@ def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
         near = lam > _BOUND_EXACT_LAMBDA
         x_near = np.sqrt(2.0 * lam[near])
     if near.any():
-        terms[near] = -_decision_log_terms(
+        terms[near] = -specfun._log_sides(
             x_near, cfg.threshold_coordinate,
             np.broadcast_to(detected, lam.shape)[near], tails=False)
     return terms.sum(axis=-1)

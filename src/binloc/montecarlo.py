@@ -86,6 +86,10 @@ _POWER_BRACKET = (1e-3, 1e3)
 # when its nll lower bound beats the running best by more than this, far
 # above the ~1e-12 rounding of a sum of some 600 sensor terms
 _SCREEN_MARGIN = 1e-9
+# Largest expected sensor count per trial.  A trial peaks at about 0.55 KB
+# a sensor (137 MB at 1e5 expected sensors, 301 MB at 4e5), so one at the
+# cap stays near 0.6 GB; far denser fields exhaust memory or rng.poisson.
+_MAX_EXPECTED_SENSORS = 1e6
 # log-power beyond which the objective returns +inf (|ln P| > 30 means
 # P outside [1e-13, 1e13]; no physical fit lives there)
 _LOG_POWER_WALL = 30.0
@@ -123,6 +127,11 @@ class SimConfig:
                 f"region_radius must be > 0, got {self.region_radius!r}")
         if not (0 <= int(self.master_seed) < 2 ** 64):
             raise ValueError("master_seed must fit in 64 bits")
+        n = self.expected_sensors
+        if not n <= _MAX_EXPECTED_SENSORS:
+            raise ValueError(
+                f"rho and region_radius give {n:.6g} expected sensors per "
+                f"trial; at most {_MAX_EXPECTED_SENSORS:,.0f} are supported")
 
     @property
     def radius(self) -> float:
@@ -134,7 +143,8 @@ class SimConfig:
 
     @property
     def expected_sensors(self) -> float:
-        return self.field.rho * math.pi * self.radius ** 2
+        radius = self.radius
+        return self.field.rho * math.pi * radius * radius
 
 
 @dataclass(frozen=True)
@@ -198,7 +208,7 @@ def sample_field(cfg: SimConfig, trial_index: int) -> np.ndarray:
     target (possible in floating point) are redrawn."""
     rng = _substream(cfg.master_seed, trial_index, _PURPOSE_FIELD)
     radius = cfg.radius
-    n = int(rng.poisson(cfg.field.rho * math.pi * radius * radius))
+    n = int(rng.poisson(cfg.expected_sensors))
     r = radius * np.sqrt(rng.random(n))
     theta = 2.0 * math.pi * rng.random(n)
     while True:
@@ -485,14 +495,16 @@ def mse_report(results: list[TrialResult], truth: TargetParams) -> MseReport:
     dp = np.array([res.theta_hat.P - truth.P for res in conv])
     dx = np.array([res.theta_hat.x - truth.x for res in conv])
     dy = np.array([res.theta_hat.y - truth.y for res in conv])
-    return MseReport(
-        mse_P=float(np.mean(dp ** 2)),
-        mse_x=float(np.mean(dx ** 2)),
-        mse_y=float(np.mean(dy ** 2)),
-        bias_P=float(dp.mean()),
-        bias_x=float(dx.mean()),
-        bias_y=float(dy.mean()),
-        n_trials=len(results),
-        n_converged=len(conv),
-        n_failed=len(results) - len(conv),
-    )
+    # an estimate past ~1e154 squares to inf, the honest double
+    with np.errstate(over="ignore"):
+        return MseReport(
+            mse_P=float(np.mean(dp ** 2)),
+            mse_x=float(np.mean(dx ** 2)),
+            mse_y=float(np.mean(dy ** 2)),
+            bias_P=float(dp.mean()),
+            bias_x=float(dx.mean()),
+            bias_y=float(dy.mean()),
+            n_trials=len(results),
+            n_converged=len(conv),
+            n_failed=len(results) - len(conv),
+        )

@@ -1,5 +1,5 @@
 """Tests for the command-line front end: configuration resolution
-(defaults, preset, config file, --set overrides), sweep-point expansion,
+(defaults, config file, --set overrides), sweep-point expansion,
 CSV output schemas for the crb/simulate/check subcommands, exit codes,
 and byte-exact determinism of repeated runs.
 
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binloc import cli
+from binloc import cli, montecarlo
 from binloc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -156,13 +156,10 @@ def test_override_precedence(tmp_path) -> None:
     cfg.write_text("# local tweaks\ntau = 0.9\nrho = 0.1\n",
                    encoding="utf-8")
     args = build_parser().parse_args(
-        ["check", "--preset", "paper-sec5", "--config", str(cfg),
-         "--set", "tau=0.7"])
+        ["check", "--config", str(cfg), "--set", "tau=0.7"])
     s = resolve_settings(args)
     assert s.tau == 0.7          # --set wins over the config file
-    assert s.rho == 0.1          # config file wins over the preset
-    assert s.P == 2.0            # preset fills everything untouched
-    assert s.sigma2 == 0.25
+    assert s.rho == 0.1          # the config file wins over the defaults
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +173,6 @@ def test_override_precedence(tmp_path) -> None:
     ("crb", "--set", "tau"),
     ("crb", "--set", "sweep.step=0"),
     ("crb", "--set", "sweep.start=1", "--set", "sweep.stop=0.5"),
-    ("crb", "--preset", "nope"),
     ("crb", "--config", "/nonexistent/binloc.cfg"),
     ("check", "--set", "sigma2=0"),
     ("simulate", "--set", "trials=0"),
@@ -214,6 +210,29 @@ def test_settings_beyond_the_doubles_are_config_errors(
     assert out == ""
     assert err.startswith("binloc: config error: ")
     assert all(key in err for key in keys)
+
+
+@pytest.mark.parametrize("assignments", [
+    # 1.8e8 expected sensors: a trial's arrays no longer fit in memory
+    ("rho=2.32e6", "tau=3.4e44", "T=1.55e-44"),
+    # 7.9e21 expected sensors: beyond the range of rng.poisson
+    ("rho=1e20",),
+])
+def test_dense_fields_are_config_errors(capsys, monkeypatch,
+                                        assignments) -> None:
+    # rejected before any output, and before a field is sampled
+    def no_field(*args):
+        raise AssertionError("a field was sampled")
+
+    monkeypatch.setattr(montecarlo, "sample_field", no_field)
+    argv = ["simulate", "--set", "trials=1", "--set", "region_radius=5"]
+    for assignment in assignments:
+        argv += ["--set", assignment]
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("binloc: config error: ")
+    assert "rho" in err and "region_radius" in err
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")

@@ -644,6 +644,14 @@ def test_mse_report_exact_cases():
     assert rep1.bias_x == 1.0
     assert rep1.mse_P == 0.0
 
+    # an estimate past ~1e154 squares to inf, without a warning
+    huge = [TrialResult(theta_hat=TargetParams(P=1e200, x=_TRUTH.x, y=_TRUTH.y),
+                        n_sensors=5, n_detections=2, converged=True,
+                        neg_log_lik=3.0)]
+    rep2 = mse_report(huge, _TRUTH)
+    assert rep2.mse_P == math.inf
+    assert rep2.bias_P == 1e200
+
 
 def test_mse_report_counts_failures():
     good = TrialResult(theta_hat=_TRUTH, n_sensors=5, n_detections=2,

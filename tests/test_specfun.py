@@ -14,6 +14,9 @@ formulas.  Oracle sources, in order of preference:
    cannot be its oracle); its window of k spans
    both the Poisson bulk at lambda = a^2/2 and the summand's saddle at
    sqrt(lambda b^2/2),
+ * a 40-digit mpmath quadrature of the Rice density on both sides of
+   the asymptotic cap, where the Poisson mixture's window no longer
+   converges,
  * other 50-digit mpmath references (incomplete gamma, scaled Bessel)
    and frozen high-precision deep-tail values.
 The array entry points are checked against the scalar log pair by a
@@ -45,7 +48,6 @@ from binloc.specfun import (
     marcum_q_da,
     marcum_q_daa,
 )
-from binloc.specfun import _log_gauss_tail, _log_marcum_q_asymptotic
 
 # Tolerance for the linear Q1 against the mpmath oracle (measured
 # headroom is ~1e-14).
@@ -79,6 +81,23 @@ _ASYMPTOTIC_TABLE = [
     # (a, b, exact log, which side, abs tolerance)
     (1500.0, 1550.0, -1254.8149597278461, "lq", 1e-4),
     (1550.0, 1500.0, -1254.8477626584777, "l1", 5e-2),
+]
+
+# max(a, b) past which the log tails take the asymptotic form
+_X_CAP = math.sqrt(2.0 * specfun._ASYMPTOTIC_HALF_ARG)
+
+# Rice-density oracle cases either side of _X_CAP = 1414.2136.  Below it
+# the Neumann series matched the oracle to 3e-14 relative.  Above it the
+# asymptotic form's absolute errors in (log Q1, log(1 - Q1)) measured
+# (2.6e-4, 5.8e-4), (2.3e-4, 1.0e-4), (6.4e-5, 1.9e-11) and
+# (1.0e-9, 3.5e-3) at the four points in order; each tolerance is the
+# point's larger error rounded up to the next 1, 2, 5 step.
+_RICE_CASES = [
+    # (a, b, absolute tolerance in both logs; None: 1e-10 relative)
+    (1413.71, 1413.21, None), (1413.21, 1413.71, None),
+    (1400.0, 1410.0, None), (1410.0, 1400.0, None),
+    (1415.21, 1414.71, 1e-3), (1414.71, 1415.21, 5e-4),
+    (1444.21, 1449.21, 1e-4), (1449.21, 1444.21, 5e-3),
 ]
 
 
@@ -258,8 +277,8 @@ def test_asymptotic_branch_finite_beyond_z4_overflow():
     # z**4 overflows a double from z ~ 1.16e77; the Gaussian tail must not
     # raise on either side, and at z = 1e200 its log is -inf (z*z = inf)
     for z in (1.1e77, 1.3e77):
-        assert _log_gauss_tail(z) == pytest.approx(-0.5 * z * z, rel=1e-15)
-    assert _log_gauss_tail(1e200) == -math.inf
+        assert special.log_ndtr(-z) == pytest.approx(-0.5 * z * z, rel=1e-15)
+    assert special.log_ndtr(-1e200) == -math.inf
     assert marcum_q(1e80, 1.2) == 1.0
     lqs = [log_marcum_q(1.0, b) for b in (1e76, 1.1e77, 1.3e77, 1e78, 1e200)]
     assert all(x > y for x, y in zip(lqs, lqs[1:4]))
@@ -277,9 +296,66 @@ def test_asymptotic_branch_continuous_with_neumann_series():
     a = math.sqrt(2.0 * 9.0e5)
     for b in (1300.0, a, 1400.0):
         lq_w, l1_w = log_marcum_q(a, b), log1m_marcum_q(a, b)
-        lq_a, l1_a = _log_marcum_q_asymptotic(a, b)
+        (lq_a,), (l1_a,) = specfun._log_asymptotic(np.array([a]), b)
         assert abs(lq_w - lq_a) <= max(2e-3, 1e-4 * abs(lq_w))
         assert abs(l1_w - l1_a) <= max(2e-3, 1e-4 * abs(l1_w))
+
+
+def _mp_rice_log_tails(a: float, b: float) -> tuple[float, float]:
+    """(log Q1, log(1 - Q1)) at 40 digits from the Rice density
+    x e^(-(x-a)^2/2 - a x) I0(a x): Q1 is its integral over [b, inf) and
+    1 - Q1 over [0, b], with breakpoints near its peak at x ~ a, and the
+    larger side is log1p of minus the smaller.  It converges at
+    half-arguments near 1e6, where _mp_tails raises NoConvergence."""
+    with mpmath.workdps(40):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+
+        def density(x):
+            return (x * mpmath.exp(-(x - a_) ** 2 / 2)
+                    * mpmath.besseli(0, a_ * x) * mpmath.exp(-a_ * x))
+
+        near = [a_ + d for d in (-40, -10, -3, 0, 3, 10, 40)]
+        q = mpmath.quad(density,
+                        [b_] + [x for x in near if x > b_] + [mpmath.inf])
+        p = mpmath.quad(density,
+                        [0] + [x for x in near if 0 < x < b_] + [b_])
+        lq = mpmath.log(q) if q < 0.5 else mpmath.log1p(-p)
+        l1 = mpmath.log(p) if p < 0.5 else mpmath.log1p(-q)
+        return float(lq), float(l1)
+
+
+@pytest.mark.parametrize("a,b,tol", _RICE_CASES)
+def test_log_tails_match_rice_oracle_either_side_of_the_asymptotic_cap(
+        a, b, tol):
+    # the scalar pair and an array entry, from the Neumann series below
+    # the cap and from the asymptotic form above it
+    assert (max(a, b) < _X_CAP) == (tol is None)
+    ref = _mp_rice_log_tails(a, b)
+    if tol is None:
+        close = pytest.approx(ref, rel=1e-10, abs=0.0)
+    else:
+        close = pytest.approx(ref, rel=0.0, abs=tol)
+    assert log_marcum_q_pair(a, b) == close
+    log_q, log_1mq = log_marcum_q_pair_array(np.array([a]), b)
+    assert (log_q[0], log_1mq[0]) == close
+
+
+@pytest.mark.parametrize("b", [1414.0, _X_CAP * (1.0 - 1e-12),
+                               _X_CAP * (1.0 + 1e-12), 1415.0, 1500.0])
+def test_marcum_zero_signal_either_side_of_the_asymptotic_cap(b):
+    # Q1(a, b) = exp(-b^2/2) to the last bit at a = 0 and where b/a
+    # overflows, from the Neumann series below b^2/2 = 1e6 and from the
+    # asymptotic form above it, for scalars and arrays alike
+    ref = (-0.5 * b * b, 0.0)
+    for a in (0.0, 5e-324, 1e-310):
+        assert marcum_q(a, b) == 0.0
+        assert log_marcum_q_pair(a, b) == pytest.approx(ref, rel=1e-15, abs=0.0)
+    a = np.array([0.0, 5e-324, 1.0])
+    assert marcum_q_array(a, b).tolist() == [0.0, 0.0, 0.0]
+    log_q, log_1mq = log_marcum_q_pair_array(a, b)
+    for i in (0, 1):
+        assert (log_q[i], log_1mq[i]) == pytest.approx(ref, rel=1e-15, abs=0.0)
+    assert -0.5 * b * b < log_q[2] < 0.0
 
 
 _A_BELOW_CAP = math.sqrt(2.0 * (_SERIES_LAMBDA_MAX - 0.2))
@@ -382,7 +458,6 @@ def test_marcum_tiny_threshold_strong_signal():
 _Y700 = math.sqrt(1400.0)
 _PROPERTY_T = (1.79, math.sqrt(9.6), _B_WEAK_CAP, math.sqrt(1399.9),
                math.sqrt(1400.1), 1414.0, 1500.0)
-_X_CAP = math.sqrt(2.0 * specfun._ASYMPTOTIC_HALF_ARG)
 
 
 @st.composite
