@@ -3,7 +3,7 @@
 Each trial samples a fresh Poisson sensor field around the emitter,
 draws one detection bit per sensor, and fits (P, x, y) by maximizing the
 fused Bernoulli likelihood (detection-centroid initializer, coarse grid
-guard, then Nelder-Mead in log-power).  The summary compares the x-MSE
+guard, then Marquardt-damped Newton steps in log-power).  The summary compares the x-MSE
 over converged trials with the Cramer-Rao bound at the true parameters.
 
 Expect a ratio well above 1: the bound uses the information of the
@@ -12,7 +12,7 @@ information varies wildly with how close the nearest sensors happen to
 land.  Averaging 1/F over fields sits far above 1/E[F] (and the ML
 estimator is not unbiased at this sample size either).
 
-Run:  python3 demos/ml_campaign.py        (about half a minute)
+Run:  python3 demos/ml_campaign.py        (a few seconds)
 
 The CLI equivalent:
     binloc simulate --set trials=40 --set tau=0.4 --set seed=1

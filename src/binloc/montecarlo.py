@@ -67,20 +67,13 @@ _PURPOSE_RMIN = 3
 # optimizer knobs
 _GRID_POINTS = 9
 _GRID_POWER_FACTORS = (0.25, 1.0, 4.0)
-_NM_MAX_ITER = 2000
-_NM_XATOL = 1e-6
-_NM_FATOL = 1e-9
-# the simplex hands over to Newton steps once it is this small; its
-# iterates up to then are a prefix of a full-tolerance run's.  A looser
-# hand-off may leave the simplex in another basin than the full run's;
-# recheck the finished nll against the full simplex before loosening
-_NM_HANDOFF_XATOL = 1e-2
-_NM_HANDOFF_FATOL = 1e-5
-# from the hand-off a finish takes three or four steps
-_NEWTON_MAX_ITER = 20
-# a Newton step below this in every coordinate ends the finish: the nll
-# no longer resolves such moves
+# a damped Newton step below this in every coordinate ends the fit: the
+# nll no longer resolves such moves
 _NEWTON_STEP_TOL = 1e-9
+# damped Newton steps (accepted, rejected or unfactorable) after which the
+# fit stops with converged=False; criterion 8's 500 fits take 26 in the
+# median and at most 115
+_FIT_MAX_STEPS = 500
 _POWER_BRACKET = (1e-3, 1e3)
 # relative slack of the grid guard's screen: a candidate is skipped only
 # when its nll lower bound beats the running best by more than this, far
@@ -183,7 +176,14 @@ def default_region_radius(cfg: DetectorConfig, P: float,
     if not (delta > 0.0):
         raise ValueError(f"delta must be > 0, got {delta!r}")
     t = cfg.threshold_coordinate
-    x_delta_sq = 4.0 * delta * math.exp(0.5 * t * t) / (t * t)
+    try:
+        growth = math.exp(0.5 * t * t)
+    except OverflowError:
+        raise ValueError(
+            f"tau and sigma2 give tau/sigma2 = {0.5 * t * t:.6g}, too large "
+            f"for the default region_radius (e^(tau/sigma2) overflows); "
+            f"set region_radius") from None
+    x_delta_sq = 4.0 * delta * growth / (t * t)
     return (cfg.T * float(P) / (cfg.sigma2 * x_delta_sq)) ** (1.0 / cfg.alpha)
 
 
@@ -298,19 +298,19 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
     1. Grid guard: 9 x 9 positions around the detection centroid at 0.25,
        1 and 4 times the initializer's power; a candidate whose nll lower
        bound shows that it cannot win skips its full evaluation.
-    2. Nelder-Mead from the best candidate to the hand-off tolerances.
-    3. The Newton finish; any failed finish resumes the simplex at the
-       full tolerances (_refine).  A simplex out of iterations reports
-       converged=False.
-    4. The collapsed supremum: a likelihood with no interior maximum peaks
+    2. Marquardt-damped Newton steps from the best candidate
+       (_damped_newton).  A fit out of steps reports converged=False.
+    3. The collapsed supremum: a likelihood with no interior maximum peaks
        as P -> 0 with the emitter on a detecting sensor, which the
        log-power wall (P = e^-30) attains to double precision, with
        converged=True.  With one detection it is the nll's global lower
-       bound, returned at once.  A simplex that starts at or above the
-       power floor (1e-3) and takes its best vertex below it stops; the
-       fit returns the supremum on the detecting sensor nearest it unless
-       that is worse than the simplex's best, and else reruns stages 2
-       and 3 without the stop.
+       bound, returned at once.  A fit that starts at or above the power
+       floor (1e-3) and steps below it stops; it returns the supremum on
+       the detecting sensor nearest its iterate unless that is worse than
+       the iterate, and else reruns stage 2 without the stop.
+    4. Where every sensor detected, the likelihood rises with P at every
+       position, so the fit returns it at the other wall (P = e^30) at
+       the initializer's position, converged.
     """
     sx, sy, detected = decisions.sx, decisions.sy, decisions.detected
     n_det = int(detected.sum())
@@ -323,7 +323,7 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
             raise OptimizerDiverged("optimizer state is not finite")
         if abs(log_p) > _LOG_POWER_WALL:
             # powers this extreme are never plausible fits; walling them
-            # off keeps the simplex away from degenerate likelihoods
+            # off keeps the steps away from degenerate likelihoods
             return math.inf
         # 0.0 - ll, not -ll: a certain outcome (ll = 0) has nll 0, not -0
         val = 0.0 - _log_likelihood_arrays(cfg, math.exp(log_p), x0, y0,
@@ -336,17 +336,22 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
 
     det_x, det_y = sx[detected], sy[detected]
 
-    def collapsed(x0: float, y0: float) -> optimize.OptimizeResult:
-        # the supremum at the log-power wall, on the detecting sensor
+    def wall(log_p: float, x0: float, y0: float) -> tuple[np.ndarray, float]:
+        cand = np.array([log_p, x0, y0])
+        return cand, nll(cand)
+
+    def collapsed(x0: float, y0: float) -> tuple[np.ndarray, float]:
+        # the supremum at the low log-power wall, on the detecting sensor
         # nearest (x0, y0)
         j = int(np.argmin(np.hypot(det_x - x0, det_y - y0)))
-        cand = np.array([-_LOG_POWER_WALL, det_x[j], det_y[j]])
-        return optimize.OptimizeResult(x=cand, fun=nll(cand), success=True)
+        return wall(-_LOG_POWER_WALL, det_x[j], det_y[j])
 
+    converged = True
     if n_det == 1:
         # the supremum attains the global lower bound from every start
-        res = collapsed(det_x[0], det_y[0])
-        best, best_val = res.x, res.fun
+        best, best_val = collapsed(det_x[0], det_y[0])
+    elif n_det == len(decisions):
+        best, best_val = wall(_LOG_POWER_WALL, init.x, init.y)
     else:
         best = np.array([math.log(init.P), init.x, init.y])
         best_val = nll(best)
@@ -377,85 +382,61 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
                     if val < best_val:
                         best, best_val = cand, val
 
-        # a simplex that starts below the floor has not collapsed through it
+        # a fit that starts below the floor has not collapsed through it
         log_p_floor = math.log(_POWER_BRACKET[0])
-        res = _refine(nll, derivatives, best,
-                      log_p_floor if best[0] >= log_p_floor else None)
-        if res.status == 99:
-            sup = collapsed(res.x[1], res.x[2])
-            res = (sup if sup.fun <= res.fun
-                   else _refine(nll, derivatives, best, None))
-        if res.fun <= best_val:
-            best, best_val = res.x, float(res.fun)
+        stop = log_p_floor if best[0] >= log_p_floor else -math.inf
+        start, start_val = best, best_val
+        best, best_val, converged = _damped_newton(nll, derivatives, start,
+                                                   start_val, stop)
+        if best[0] < stop:
+            sup, sup_val = collapsed(best[1], best[2])
+            if sup_val <= best_val:
+                best, best_val, converged = sup, sup_val, True
+            else:
+                best, best_val, converged = _damped_newton(
+                    nll, derivatives, start, start_val, -math.inf)
     theta = TargetParams(P=math.exp(best[0]), x=float(best[1]),
                          y=float(best[2]))
     return TrialResult(theta_hat=theta, n_sensors=len(decisions),
-                       n_detections=n_det, converged=bool(res.success),
+                       n_detections=n_det, converged=converged,
                        neg_log_lik=best_val)
 
 
-def _refine(nll, derivatives, start: np.ndarray,
-            log_p_floor: float | None) -> optimize.OptimizeResult:
-    """Nelder-Mead from start to the hand-off tolerances, then the Newton
-    finish; where the finish fails, for whatever reason, the simplex
-    resumes from its final vertices, its only state, at the full
-    tolerances, and so returns what one uninterrupted run would.  With
-    log_p_floor set, the simplex stops (status 99) once its best vertex
-    falls below it."""
-
-    def stop_on_collapse(xk: np.ndarray) -> None:
-        if xk[0] < log_p_floor:
-            raise StopIteration
-
-    callback = None if log_p_floor is None else stop_on_collapse
-    res = optimize.minimize(
-        nll, start, method="Nelder-Mead", callback=callback,
-        options={"maxiter": _NM_MAX_ITER, "xatol": _NM_HANDOFF_XATOL,
-                 "fatol": _NM_HANDOFF_FATOL})
-    if res.status != 0:
-        # stopped on collapse, or out of iterations as the full run would be
-        return res
-    finish = _newton_finish(nll, derivatives, res.x, float(res.fun),
-                            log_p_floor)
-    if finish is not None:
-        return optimize.OptimizeResult(x=finish[0], fun=finish[1],
-                                       success=True, status=0)
-    return optimize.minimize(
-        nll, res.x, method="Nelder-Mead", callback=callback,
-        options={"maxiter": _NM_MAX_ITER - res.nit + 1, "xatol": _NM_XATOL,
-                 "fatol": _NM_FATOL,
-                 "initial_simplex": res.final_simplex[0]})
-
-
-def _newton_finish(nll, derivatives, theta: np.ndarray, val: float,
-                   log_p_floor: float | None
-                   ) -> tuple[np.ndarray, float] | None:
-    """Full Newton steps on the nll from theta (nll val), with no line
-    search, until a step falls below _NEWTON_STEP_TOL in every coordinate.
-    Returns the last iterate and its nll, or None where the finish fails:
-    a Hessian that is not positive definite (or not finite), a step above
-    the tolerance that raises the nll, an iterate below log_p_floor, or
-    _NEWTON_MAX_ITER steps."""
-    for _ in range(_NEWTON_MAX_ITER):
-        grad, hess = derivatives(theta)
+def _damped_newton(nll, derivatives, theta: np.ndarray, val: float,
+                   log_p_stop: float) -> tuple[np.ndarray, float, bool]:
+    """Marquardt-damped Newton steps on the nll from theta (nll val).
+    Each step solves (H + mu I) s = -g by Cholesky.  mu starts at 0; it
+    grows fourfold, to at least 1e-6 max|diag H|, where the factorisation
+    fails, the step is not finite or it raises the nll, and shrinks
+    eightfold where a step is accepted, so no accepted step raises the
+    nll.  Returns the last accepted iterate, its nll and whether the fit
+    converged: it does at a step below _NEWTON_STEP_TOL in every
+    coordinate, at an iterate of nll 0 (the nll's global lower bound) and
+    at the first iterate below log_p_stop; it does not after
+    _FIT_MAX_STEPS steps."""
+    eye = np.eye(len(theta))
+    mu = 0.0
+    grad = hess = None
+    for _ in range(_FIT_MAX_STEPS):
+        if val == 0.0 or theta[0] < log_p_stop:
+            return theta, val, True
+        if grad is None:
+            grad, hess = derivatives(theta)
         try:
-            step = -linalg.cho_solve(linalg.cho_factor(hess), grad)
+            step = -linalg.cho_solve(linalg.cho_factor(hess + mu * eye), grad)
         except (linalg.LinAlgError, ValueError):
-            return None
-        if not np.isfinite(step).all():
-            return None
-        cand = theta + step
-        cand_val = nll(cand)
-        last = np.max(np.abs(step)) < _NEWTON_STEP_TOL
-        if cand_val <= val:
-            if log_p_floor is not None and cand[0] < log_p_floor:
-                return None
-            theta, val = cand, cand_val
-        elif not last:
-            return None
-        if last:
-            return theta, val
-    return None
+            step = None
+        if step is not None and np.isfinite(step).all():
+            cand = theta + step
+            cand_val = nll(cand)
+            if cand_val <= val:
+                theta, val, mu, grad = cand, cand_val, mu / 8.0, None
+            if np.max(np.abs(step)) < _NEWTON_STEP_TOL:
+                return theta, val, True
+            if grad is None:
+                continue
+        mu = max(4.0 * mu, 1e-6 * float(np.max(np.abs(np.diag(hess)))))
+    return theta, val, False
 
 
 def run_campaign(cfg: SimConfig) -> list[TrialResult]:

@@ -235,6 +235,17 @@ def test_dense_fields_are_config_errors(capsys, monkeypatch,
     assert "rho" in err and "region_radius" in err
 
 
+def test_default_radius_beyond_the_doubles_is_a_config_error(capsys) -> None:
+    # at tau / sigma2 = 800 the far-field radius needs e^800, past the
+    # largest double
+    code, out, err = _run(capsys, "simulate", "--set", "tau=200",
+                          "--set", "region_radius=auto", "--set", "trials=1")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("binloc: config error: ")
+    assert "tau" in err and "sigma2" in err and "region_radius" in err
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("command", ["crb", "check"])
 def test_divergent_expected_information_is_a_config_error(capsys,
@@ -450,10 +461,10 @@ def test_simulate_summary_row_is_frozen(capsys) -> None:
                         "--set", "seed=20260814")
     assert code == EXIT_OK
     assert _data_rows(out)[-1] == (
-        "5,5,0,15.906002183232928,36.210321790338085,59.920291864636546,"
-        "2.7983522673449821,2.830856673427423,-1.2575138548185512,"
-        "3.1549422374138962,4.5621847910894378,5.0416143898314498,"
-        "7.9370572321098711,13.134122050836028")
+        "5,5,0,15.906002183217524,36.210321790301641,59.920291864635011,"
+        "2.7983522673401615,2.830856673433749,-1.2575138548186202,"
+        "3.1549422374138962,4.5621847910894378,5.0416143898265666,"
+        "7.9370572321018829,13.134122050835693")
 
 
 def test_simulate_no_detection_regime(capsys) -> None:

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from binloc.detection import (
     Decisions,
@@ -276,7 +277,7 @@ def test_ml_estimate_never_worse_than_initializer():
 
 def test_ml_estimate_reports_nll_at_its_estimate():
     # the reported objective is the negative log-likelihood at the
-    # returned estimate, not at some other simplex vertex
+    # returned estimate, not at some other candidate
     cfg = _sim(trials=1, radius=20.0, seed=17)
     decisions = sample_decisions(cfg, sample_field(cfg, 0), 0)
     res = ml_estimate(_DET, decisions, initial_guess(_DET, decisions))
@@ -339,24 +340,25 @@ def test_ml_estimate_matches_dense_grid_on_noiseless_disk():
     assert res.neg_log_lik <= best_val
 
 
-def _count_minimize_calls(monkeypatch) -> list:
-    calls = []
-    minimize = montecarlo.optimize.minimize
+def _record_fits(monkeypatch) -> list:
+    # the power stop of each damped Newton run of a fit, in order
+    stops = []
+    fit = montecarlo._damped_newton
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("callback"))
-        return minimize(*args, **kwargs)
+    def recorded(nll, derivatives, theta, val, log_p_stop):
+        stops.append(log_p_stop)
+        return fit(nll, derivatives, theta, val, log_p_stop)
 
-    monkeypatch.setattr(montecarlo.optimize, "minimize", counted)
-    return calls
+    monkeypatch.setattr(montecarlo, "_damped_newton", recorded)
+    return stops
 
 
 def test_ml_estimate_collapsed_trial_returns_the_supremum(monkeypatch):
     # campaign-ref's second trial (criterion 8's point) has no interior
     # maximum: the likelihood's supremum is P -> 0 with the emitter on a
     # detecting sensor, which detects with certainty while every other
-    # sensor sits at the false-alarm floor.  The fit stops the simplex
-    # once it falls below the power floor and returns that limit at the
+    # sensor sits at the false-alarm floor.  The fit stops once its
+    # iterate falls below the power floor and returns that limit at the
     # log-power wall.
     det = DetectorConfig(tau=0.4, sigma2=0.25)
     cfg = SimConfig(field=_FIELD, detector=det, truth=_TRUTH, trials=1,
@@ -364,9 +366,9 @@ def test_ml_estimate_collapsed_trial_returns_the_supremum(monkeypatch):
     decisions = sample_decisions(cfg, sample_field(cfg, 0), 0)
     n, n_det = len(decisions), int(decisions.detected.sum())
     assert (n, n_det) == (586, 118)
-    calls = _count_minimize_calls(monkeypatch)
+    stops = _record_fits(monkeypatch)
     res = ml_estimate(det, decisions, initial_guess(det, decisions))
-    assert len(calls) == 1
+    assert stops == [math.log(1e-3)]
     assert res.converged
     assert res.theta_hat.P == math.exp(-30.0)
     on = ((decisions.sx == res.theta_hat.x)
@@ -378,32 +380,32 @@ def test_ml_estimate_collapsed_trial_returns_the_supremum(monkeypatch):
     assert res.neg_log_lik == -log_likelihood(det, res.theta_hat, decisions)
 
 
-def test_ml_estimate_rejected_collapse_reruns_the_plain_simplex(monkeypatch):
+def test_ml_estimate_rejected_collapse_reruns_the_unstopped_fit(monkeypatch):
     # with the power floor raised to 3, just above the disk's interior
-    # maximum (P = 2.46), the simplex walking down from P = 100 crosses
-    # it near that maximum (nll 37.82); the candidate on a sensor at the
-    # wall (nll 44.83) is worse, so the fit reruns the simplex without
-    # the stop and returns what a fit that never stops returns
+    # maximum (P = 2.46), the fit walking down from P = 100 crosses it
+    # near that maximum (nll 37.51); the candidate on a sensor at the
+    # wall (nll 44.83) is worse, so the fit reruns without the stop and
+    # returns what a fit that never stops returns
     decisions = _noiseless_disk()
     init = TargetParams(P=100.0, x=5.0, y=5.0)
     monkeypatch.setattr(montecarlo, "_POWER_BRACKET", (1e-300, 1e3))
     plain = ml_estimate(_DET, decisions, init)
     monkeypatch.setattr(montecarlo, "_POWER_BRACKET", (3.0, 1e3))
-    calls = _count_minimize_calls(monkeypatch)
+    stops = _record_fits(monkeypatch)
     res = ml_estimate(_DET, decisions, init)
-    assert [cb is None for cb in calls] == [False, True]
+    assert stops == [math.log(3.0), -math.inf]
     assert res == plain
     assert res.converged and 1.0 < res.theta_hat.P < 10.0
 
 
 def test_ml_estimate_start_below_the_power_floor_is_not_stopped(monkeypatch):
-    # a simplex that starts below the floor has not collapsed through
-    # it; stopping it would return the collapsed candidate (nll 44.83)
+    # a fit that starts below the floor has not collapsed through it;
+    # stopping it would return the collapsed candidate (nll 44.83)
     # instead of the disk's interior maximum (nll 37.50)
     decisions = _noiseless_disk()
-    calls = _count_minimize_calls(monkeypatch)
+    stops = _record_fits(monkeypatch)
     res = ml_estimate(_DET, decisions, TargetParams(P=1e-5, x=5.0, y=5.0))
-    assert calls == [None]
+    assert stops == [-math.inf]
     assert res.converged and 1.0 < res.theta_hat.P < 10.0
     assert res.neg_log_lik == pytest.approx(37.4971880233, abs=1e-9)
 
@@ -420,16 +422,16 @@ def _reference_trial(tau: float, seed: int) -> Decisions:
 def test_ml_estimate_single_detection_returns_the_global_supremum(monkeypatch):
     # with one detection the nll's global lower bound, -(n - 1) log(1 -
     # p_fa), is the limit P -> 0 on the detecting sensor; the wall point
-    # attains it from any start, so neither the grid nor the simplex
-    # runs.  A simplex started below the power floor used to crawl here
-    # for 553 evaluations to P = 9.8e-14 (nll 4.834322045545065).
+    # attains it from any start, so neither the grid nor the Newton
+    # steps run.  A simplex started below the power floor used to crawl
+    # here for 553 evaluations to P = 9.8e-14 (nll 4.834322045545065).
     det = DetectorConfig(tau=1.2, sigma2=0.25)
     decisions = _reference_trial(1.2, 1466814125164838466)
     n, n_det = len(decisions), int(decisions.detected.sum())
     assert (n, n_det) == (586, 1)
-    calls = _count_minimize_calls(monkeypatch)
+    stops = _record_fits(monkeypatch)
     res = ml_estimate(det, decisions, initial_guess(det, decisions))
-    assert calls == []
+    assert stops == []
     assert res.converged and res.theta_hat.P == math.exp(-30.0)
     j = int(np.flatnonzero(decisions.detected)[0])
     assert (res.theta_hat.x, res.theta_hat.y) == (decisions.sx[j],
@@ -464,37 +466,42 @@ def test_ml_estimate_screened_grid_matches_the_exhaustive_one(monkeypatch,
     assert screened == plain
 
 
+def _count_grid_evaluations(monkeypatch) -> list:
+    # the hypotheses of the nll evaluations made before the fit's first
+    # derivative pass: the start and the grid candidates
+    grid, derivative_passes = [], []
+    nll_arrays, derivatives = (montecarlo._log_likelihood_arrays,
+                               montecarlo._nll_derivatives)
+
+    def counted_nll(*args):
+        if not derivative_passes:
+            grid.append(args[1:4])
+        return nll_arrays(*args)
+
+    def flagged_derivatives(*args):
+        derivative_passes.append(args[1:4])
+        return derivatives(*args)
+
+    monkeypatch.setattr(montecarlo, "_log_likelihood_arrays", counted_nll)
+    monkeypatch.setattr(montecarlo, "_nll_derivatives", flagged_derivatives)
+    return grid, derivative_passes
+
+
 def test_ml_estimate_screen_skips_most_grid_evaluations(monkeypatch):
-    # on the collapsed campaign-ref trial the exhaustive guard makes 245
-    # nll evaluations outside the simplex: the start, 243 candidates and
-    # the collapse candidate
+    # on the collapsed campaign-ref trial the exhaustive guard makes 244
+    # nll evaluations before the fit's first step: the start and 243
+    # candidates
     det = DetectorConfig(tau=0.4, sigma2=0.25)
     decisions = _reference_trial(0.4, 8210255658006863255)
     init = initial_guess(det, decisions)
-    in_minimize, outside = [False], []
-    nll_arrays, minimize = (montecarlo._log_likelihood_arrays,
-                            montecarlo.optimize.minimize)
-
-    def counted_nll(*args):
-        if not in_minimize[0]:
-            outside.append(args[1:4])
-        return nll_arrays(*args)
-
-    def flagged_minimize(*args, **kwargs):
-        in_minimize[0] = True
-        try:
-            return minimize(*args, **kwargs)
-        finally:
-            in_minimize[0] = False
-
-    monkeypatch.setattr(montecarlo, "_log_likelihood_arrays", counted_nll)
-    monkeypatch.setattr(montecarlo.optimize, "minimize", flagged_minimize)
+    grid, derivative_passes = _count_grid_evaluations(monkeypatch)
     ml_estimate(det, decisions, init)
-    assert len(outside) <= 40
+    assert len(grid) <= 40
     _unscreened(monkeypatch)
-    outside.clear()
+    grid.clear()
+    derivative_passes.clear()
     ml_estimate(det, decisions, init)
-    assert len(outside) == 245
+    assert len(grid) == 244
 
 
 # ----------------------------------------------------------------------
@@ -525,73 +532,131 @@ def test_nll_derivatives_match_central_differences():
     np.testing.assert_allclose(hess, fd_hess, rtol=0.0, atol=5e-10)
 
 
-def _full_simplex(nll, derivatives, start, log_p_floor):
-    # the refinement with no Newton finish: one Nelder-Mead run at the
-    # full tolerances, stopped on collapse below log_p_floor
-    def stop_on_collapse(xk):
-        if xk[0] < log_p_floor:
-            raise StopIteration
-
-    return montecarlo.optimize.minimize(
-        nll, start, method="Nelder-Mead",
-        callback=None if log_p_floor is None else stop_on_collapse,
-        options={"maxiter": montecarlo._NM_MAX_ITER,
-                 "xatol": montecarlo._NM_XATOL, "fatol": montecarlo._NM_FATOL})
-
-
-@pytest.mark.parametrize("seed, finishes", [
-    (20260814, 1),               # interior maximum (campaign-ref call 0)
-    (8931513741054456221, 1),    # interior maximum (campaign-ref call 4)
-    (8210255658006863255, 0),    # collapses before the hand-off (call 1)
+@pytest.mark.parametrize("seed", [
+    20260814,               # interior maximum (campaign-ref call 0)
+    8931513741054456221,    # interior maximum (campaign-ref call 4)
+    8210255658006863255,    # collapses to zero power (campaign-ref call 1)
 ])
-def test_ml_estimate_failed_newton_finish_is_the_full_simplex_fit(
-        monkeypatch, seed, finishes):
-    # where the Newton finish fails, the simplex resumes from its own
-    # final state, so the fit is one full-tolerance simplex run to the bit
+def test_ml_estimate_ends_no_higher_than_the_full_simplex(monkeypatch, seed):
+    # a full-tolerance Nelder-Mead run from the grid guard's winner, on
+    # the fit's own objective, is an independent local search: the damped
+    # fit ends no higher than it
     det = DetectorConfig(tau=0.4, sigma2=0.25)
     decisions = _reference_trial(0.4, seed)
-    init = initial_guess(det, decisions)
-    finished = ml_estimate(det, decisions, init)
-    monkeypatch.setattr(montecarlo, "_refine", _full_simplex)
-    full = ml_estimate(det, decisions, init)
-    monkeypatch.undo()
-    attempts = []
-    monkeypatch.setattr(montecarlo, "_newton_finish",
-                        lambda *args: attempts.append(args[2]))
-    assert ml_estimate(det, decisions, init) == full
-    assert len(attempts) == finishes
-    # the finish itself ends no higher than the full simplex
-    assert finished.neg_log_lik <= full.neg_log_lik
+    starts = []
+    fit = montecarlo._damped_newton
+
+    def recorded(nll, derivatives, theta, val, log_p_stop):
+        starts.append((nll, theta))
+        return fit(nll, derivatives, theta, val, log_p_stop)
+
+    monkeypatch.setattr(montecarlo, "_damped_newton", recorded)
+    res = ml_estimate(det, decisions, initial_guess(det, decisions))
+    nll, start = starts[0]
+    simplex = optimize.minimize(nll, start, method="Nelder-Mead",
+                                options={"maxiter": 2000, "xatol": 1e-6,
+                                         "fatol": 1e-9})
+    assert res.converged
+    assert res.neg_log_lik <= simplex.fun
 
 
-def test_ml_estimate_newton_step_that_raises_the_nll_fails_the_finish(
-        monkeypatch):
-    # a first Newton step three times too long overshoots the minimum and
-    # raises the nll; the finish fails on it, with no line search, and the
-    # simplex resumes, so the fit is one full-tolerance simplex run
+def test_ml_estimate_step_that_raises_the_nll_is_never_accepted(monkeypatch):
+    # a first step three times too long overshoots the minimum and raises
+    # the nll; the fit rejects it, damps, and ends where the undisturbed
+    # fit ends.  Every derivative pass after the first is at an accepted
+    # iterate, so their nlls never rise.
     det = DetectorConfig(tau=0.4, sigma2=0.25)
     decisions = _reference_trial(0.4, 20260814)
     init = initial_guess(det, decisions)
-    monkeypatch.setattr(montecarlo, "_refine", _full_simplex)
-    full = ml_estimate(det, decisions, init)
-    monkeypatch.undo()
-    derivatives, finish = montecarlo._nll_derivatives, montecarlo._newton_finish
-    passes, finishes = [], []
+    plain = ml_estimate(det, decisions, init)
+    derivatives = montecarlo._nll_derivatives
+    passes, evals = [], []
 
     def overshooting(*args):
         grad, hess = derivatives(*args)
-        passes.append(args)
+        passes.append(args[1:4])
         return (3.0 * grad if len(passes) == 1 else grad), hess
 
-    def recorded(*args):
-        finishes.append(finish(*args))
-        return finishes[-1]
+    def nll_arrays(*args):
+        val = -_log_likelihood_arrays(*args)
+        if passes:
+            evals.append((args[1:4], val))
+        return -val
 
     monkeypatch.setattr(montecarlo, "_nll_derivatives", overshooting)
-    monkeypatch.setattr(montecarlo, "_newton_finish", recorded)
+    monkeypatch.setattr(montecarlo, "_log_likelihood_arrays", nll_arrays)
     res = ml_estimate(det, decisions, init)
-    assert finishes == [None] and len(passes) == 1
-    assert res == full
+    p0, x0, y0 = passes[0]
+    start = -_log_likelihood_arrays(det, p0, x0, y0, decisions.sx,
+                                    decisions.sy, decisions.detected)
+    assert evals[0][1] > start and evals[0][0] not in passes
+    accepted = [start] + [val for point, val in evals if point in passes[1:]]
+    assert len(accepted) == len(passes)
+    assert all(b <= a for a, b in zip(accepted, accepted[1:]))
+    assert res.converged and res.neg_log_lik <= accepted[-1]
+    assert res.neg_log_lik == pytest.approx(plain.neg_log_lik, rel=1e-12)
+    np.testing.assert_allclose(
+        [math.log(res.theta_hat.P), res.theta_hat.x, res.theta_hat.y],
+        [math.log(plain.theta_hat.P), plain.theta_hat.x, plain.theta_hat.y],
+        rtol=0.0, atol=1e-6)
+
+
+def test_ml_estimate_converged_is_false_only_at_the_step_cap(monkeypatch):
+    # with the cap below the steps campaign-ref's first trial takes, the
+    # fit reports converged=False, still at its own nll and no worse than
+    # its start; from the first cap that suffices it is the uncapped fit
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    decisions = _reference_trial(0.4, 20260814)
+    init = initial_guess(det, decisions)
+    full = ml_estimate(det, decisions, init)
+    assert full.converged
+    fits = []
+    for cap in range(1, 41):
+        monkeypatch.setattr(montecarlo, "_FIT_MAX_STEPS", cap)
+        fits.append(ml_estimate(det, decisions, init))
+    flags = [res.converged for res in fits]
+    first = flags.index(True)
+    assert first >= 2 and not any(flags[:first]) and all(flags[first:])
+    assert all(res == full for res in fits[first:])
+    grid_best = fits[0].neg_log_lik
+    for res in fits[:first]:
+        assert full.neg_log_lik <= res.neg_log_lik <= grid_best
+        assert res.neg_log_lik == -log_likelihood(det, res.theta_hat,
+                                                  decisions)
+
+
+def test_ml_estimate_nll_zero_ends_the_fit_converged(monkeypatch):
+    # at tau / sigma2 = 800 the false-alarm floor underflows to 0, so
+    # silent sensors far from the emitter cost nothing, and detecting
+    # ones near it cost nothing once P is large: the grid's winner
+    # already has nll 0, the nll's lower bound, and the fit ends there
+    # without a derivative pass instead of stepping on a flat likelihood
+    # until its step cap
+    det = DetectorConfig(tau=200.0, sigma2=0.25)
+    ring = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+    decisions = Decisions(
+        sx=np.concatenate([[0.5, -0.5, 0.0], 30.0 * np.cos(ring)]),
+        sy=np.concatenate([[0.0, 0.0, 0.5], 30.0 * np.sin(ring)]),
+        detected=np.arange(15) < 3)
+    _, derivative_passes = _count_grid_evaluations(monkeypatch)
+    res = ml_estimate(det, decisions, initial_guess(det, decisions))
+    assert derivative_passes == []
+    assert res.converged and res.neg_log_lik == 0.0
+    assert res.neg_log_lik == -log_likelihood(det, res.theta_hat, decisions)
+
+
+def test_ml_estimate_every_sensor_detecting_returns_the_high_wall(monkeypatch):
+    # the likelihood rises with P at every position, to 1: the fit
+    # returns the wall point P = e^30 at the initializer's position, at
+    # nll 0, without a grid or a derivative pass
+    decisions = Decisions(sx=[1.0, -2.0, 0.5, 3.0], sy=[0.0, 1.0, -1.5, 2.5],
+                          detected=[True] * 4)
+    grid, derivative_passes = _count_grid_evaluations(monkeypatch)
+    res = ml_estimate(_DET, decisions, TargetParams(P=2.0, x=0.5, y=0.25))
+    assert len(grid) == 1 and derivative_passes == []
+    assert res.converged and res.theta_hat.P == math.exp(30.0)
+    assert (res.theta_hat.x, res.theta_hat.y) == (0.5, 0.25)
+    assert res.neg_log_lik == 0.0 and math.copysign(1.0, res.neg_log_lik) == 1
 
 
 # ----------------------------------------------------------------------
