@@ -28,17 +28,14 @@ from .closedform import (ModelInvalid, TaylorModel, UnsupportedAlpha,
                          f22_closed_form)
 from .detection import (Decisions, DetectorConfig, TargetParams,
                         detection_probability, detection_probability_array,
-                        detection_probability_derivatives, log_likelihood,
-                        signal_coordinate)
+                        log_likelihood, signal_coordinate)
 from .fisher import (FieldConfig, FisherResult, QuadratureError,
-                     expected_f22_r_domain, expected_fim_quadrature,
-                     offdiag_quadrature_estimate, per_sensor_fim,
-                     rmin_expected, x_breve)
+                     expected_fim_quadrature, offdiag_quadrature_estimate,
+                     per_sensor_fim, rmin_expected, x_breve)
 from .montecarlo import (AllTrialsFailed, MseReport, NoDetections,
-                         OptimizerDiverged, SimConfig, TrialResult,
-                         default_region_radius, far_field_excess,
-                         initial_guess, ml_estimate, mse_report,
-                         nearest_distance_samples, run_campaign,
+                         SimConfig, TrialResult, default_region_radius,
+                         far_field_excess, initial_guess, ml_estimate,
+                         mse_report, nearest_distance_samples, run_campaign,
                          sample_decisions, sample_field)
 from .specfun import (log1m_marcum_q, log_marcum_q, marcum_q, marcum_q_da,
                       marcum_q_daa)
@@ -53,19 +50,18 @@ __all__ = [
     # detection model
     "DetectorConfig", "TargetParams", "Decisions", "signal_coordinate",
     "detection_probability", "detection_probability_array",
-    "detection_probability_derivatives", "log_likelihood",
+    "log_likelihood",
     # Fisher information / CRB
     "FieldConfig", "FisherResult", "QuadratureError",
-    "expected_fim_quadrature", "expected_f22_r_domain",
-    "offdiag_quadrature_estimate", "per_sensor_fim", "rmin_expected",
-    "x_breve",
+    "expected_fim_quadrature", "offdiag_quadrature_estimate",
+    "per_sensor_fim", "rmin_expected", "x_breve",
     # closed form
     "TaylorModel", "ModelInvalid", "UnsupportedAlpha", "build_taylor_model",
     "closed_form_fisher", "default_series_order", "f11_closed_form",
     "f22_closed_form",
     # simulation
     "SimConfig", "TrialResult", "MseReport", "NoDetections",
-    "OptimizerDiverged", "AllTrialsFailed", "default_region_radius",
+    "AllTrialsFailed", "default_region_radius",
     "far_field_excess", "sample_field", "sample_decisions",
     "nearest_distance_samples", "initial_guess", "ml_estimate",
     "run_campaign", "mse_report",

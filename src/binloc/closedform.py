@@ -361,5 +361,4 @@ def closed_form_fisher(cfg: DetectorConfig, P: float, field: FieldConfig,
     quality = approximation_quality(cfg, P, field, m_res, model,
                                     entries=(f22, f11))
     return FisherResult(F11=math.nan if f11 is None else f11, F22=f22,
-                        F33=f22, method="closed-form", m=m_res,
-                        quality=quality)
+                        method="closed-form", m=m_res, quality=quality)

@@ -45,7 +45,6 @@ __all__ = [
     "signal_coordinate",
     "detection_probability",
     "detection_probability_array",
-    "detection_probability_derivatives",
     "log_likelihood",
 ]
 
@@ -145,19 +144,6 @@ def detection_probability(cfg: DetectorConfig, P: float, r: float) -> float:
     """P_D at range r; strictly within (0, 1] for finite arguments."""
     x = signal_coordinate(cfg, P, r)
     return specfun.marcum_q(x, cfg.threshold_coordinate)
-
-
-def detection_probability_derivatives(cfg: DetectorConfig, P: float,
-                                      r: float) -> tuple[float, float]:
-    """(dP_D/dr, dP_D/dP) at range r.
-
-    Shares the single Marcum slope: with core = (x / 2) dQ1(x, t)/dx, the
-    radial slope is -alpha/r * core and the power slope is core / P.
-    """
-    P = _positive("P", P)
-    x = signal_coordinate(cfg, P, r)
-    core = 0.5 * x * specfun.marcum_q_da(x, cfg.threshold_coordinate)
-    return (-cfg.alpha / r * core, core / P)
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,6 @@ __all__ = [
     "x_breve",
     "per_sensor_fim",
     "expected_fim_quadrature",
-    "expected_f22_r_domain",
     "offdiag_quadrature_estimate",
 ]
 
@@ -79,26 +78,13 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Sensor field: Poisson density rho (sensors per unit area).
-
-    r_breve_override substitutes the inner truncation radius of the
-    expected-information integrals for sensitivity studies; by default
-    the expected nearest-sensor distance 1/sqrt(4 rho) is used.
-    """
+    """Sensor field: Poisson density rho (sensors per unit area).  The
+    expected-information integrals are truncated at rmin_expected."""
 
     rho: float
-    r_breve_override: float | None = None
 
     def __post_init__(self) -> None:
         _positive("rho", self.rho)
-        if self.r_breve_override is not None:
-            _positive("r_breve_override", self.r_breve_override)
-
-    @property
-    def r_breve(self) -> float:
-        if self.r_breve_override is not None:
-            return float(self.r_breve_override)
-        return rmin_expected(self)
 
 
 def rmin_expected(field: FieldConfig) -> float:
@@ -113,17 +99,17 @@ def rmin_expected(field: FieldConfig) -> float:
 class FisherResult:
     """Expected Fisher information and the implied Cramer-Rao bounds.
 
-    F22 == F33 by the circular symmetry of the field; the off-diagonals
-    are exact zeros (the bearing integrals vanish).  method records how
-    the numbers were produced ("quadrature" or "closed-form"); m is the
-    series order for the closed form; quality flags suspect closed-form
-    output ("ok" otherwise).  A bound is inf for an entry <= 0 and NaN
-    for a NaN entry (the closed-form F11 outside alpha in {2, 4}).
+    F22 serves both position axes: F33 = F22 by the circular symmetry
+    of the field, and the off-diagonals are exact zeros (the bearing
+    integrals vanish).  method records how the numbers were produced
+    ("quadrature" or "closed-form"); m is the series order for the closed
+    form; quality flags suspect closed-form output ("ok" otherwise).  A
+    bound is inf for an entry <= 0 and NaN for a NaN entry (the
+    closed-form F11 outside alpha in {2, 4}).
     """
 
     F11: float
     F22: float
-    F33: float
     method: str
     m: int | None = None
     quality: str = "ok"
@@ -136,10 +122,6 @@ class FisherResult:
     def crb_x(self) -> float:
         return _inverse(self.F22)
 
-    @property
-    def crb_y(self) -> float:
-        return _inverse(self.F33)
-
 
 def _inverse(value: float) -> float:
     # NaN fails the comparison and passes through 1/value
@@ -147,8 +129,9 @@ def _inverse(value: float) -> float:
 
 
 def x_breve(cfg: DetectorConfig, P: float, field: FieldConfig) -> float:
-    """Signal coordinate at the inner truncation radius r_breve."""
-    return signal_coordinate(cfg, P, field.r_breve)
+    """Signal coordinate at the inner truncation radius
+    r_breve = rmin_expected(field)."""
+    return signal_coordinate(cfg, P, rmin_expected(field))
 
 
 # ----------------------------------------------------------------------
@@ -267,48 +250,7 @@ def expected_fim_quadrature(cfg: DetectorConfig, P: float,
     f11, f22 = (c * _integrate_log(lambda x: _log_kernel(x, t, p),
                                    0.0, xb, pts)
                 for c, p in _prefactors(cfg, P, field))
-    return FisherResult(F11=f11, F22=f22, F33=f22, method="quadrature")
-
-
-def expected_f22_r_domain(cfg: DetectorConfig, P: float,
-                          field: FieldConfig) -> float:
-    """F22 evaluated directly in the range domain,
-
-        F22 = 2 pi^2 rho int_rb^inf (dP_D/dr)^2 r / (Q(1-Q)) dr,
-
-    as an independent cross-check of the x-domain route."""
-    P = _positive("P", P)
-    t = cfg.threshold_coordinate
-    rb = field.r_breve
-    alpha = cfg.alpha
-    scale = cfg.T * P / cfg.sigma2
-
-    log_half_alpha = math.log(0.5 * alpha)
-
-    def log_f(r: float) -> float:
-        if r <= 0.0:
-            return -math.inf
-        # dP_D/dr = -(alpha x / 2r) Q'(x), so the integrand is
-        # (alpha / 2)^2 x^2 Q'^2 / (Q(1-Q)) / r
-        x = math.sqrt(scale / r ** alpha)
-        return _log_kernel(x, t, 2.0) + 2.0 * log_half_alpha - math.log(r)
-
-    # the kernel peaks near the range where x(r) = t; split there, and
-    # push the outer limit far enough that the power-law tail is dust
-    r_peak = (scale / (t * t)) ** (1.0 / alpha)
-    r_hi = max(1e4 * rb, 1e3 * r_peak)
-    pts = [r_peak, 4.0 * r_peak, 20.0 * r_peak]
-    value = _integrate_log(log_f, rb, r_hi, pts)
-    # analytic bound on the discarded tail: for x << 1 the kernel is
-    # ~ alpha^2 t^4 x^4 / (16 r) / floor(1-floor); x^4 = scale^2 r^(-2 alpha)
-    floor = cfg.false_alarm_probability
-    tail = (2.0 * math.pi ** 2 * field.rho * alpha * t ** 4 * scale ** 2
-            / (16.0 * floor * (1.0 - floor) * 2.0 * alpha * r_hi ** (2.0 * alpha)))
-    if tail > 1e-6 * abs(value):
-        raise QuadratureError(
-            f"outer truncation too aggressive: tail bound {tail:.3e} vs "
-            f"value {value:.6e}", estimate=value)
-    return 2.0 * math.pi ** 2 * field.rho * value
+    return FisherResult(F11=f11, F22=f22, method="quadrature")
 
 
 def _lattice_information(cfg: DetectorConfig, P: float,
@@ -318,7 +260,7 @@ def _lattice_information(cfg: DetectorConfig, P: float,
     [r_breve, 200 r_breve] by 64 bearings on [0, 2 pi).  The sensor at
     (r, psi) is weighted 2 pi rho w_r r w_psi, as in c11 and c22, so the
     diagonal matches the quadrature route up to the cut at 200 r_breve."""
-    rb = field.r_breve
+    rb = rmin_expected(field)
     half = 0.5 * (200.0 * rb - rb)
     nodes_r, weights_r = np.polynomial.legendre.leggauss(192)
     r = (half * (nodes_r + 1.0) + rb)[:, None]

@@ -43,7 +43,6 @@ __all__ = [
     "TrialResult",
     "MseReport",
     "NoDetections",
-    "OptimizerDiverged",
     "AllTrialsFailed",
     "default_region_radius",
     "far_field_excess",
@@ -90,10 +89,6 @@ _LOG_POWER_WALL = 30.0
 
 class NoDetections(RuntimeError):
     """No sensor detected the target; the location is unidentifiable."""
-
-
-class OptimizerDiverged(RuntimeError):
-    """The optimizer state became non-finite."""
 
 
 class AllTrialsFailed(RuntimeError):
@@ -166,15 +161,12 @@ class MseReport:
     n_failed: int
 
 
-def default_region_radius(cfg: DetectorConfig, P: float,
-                          delta: float = _FAR_FIELD_DELTA) -> float:
+def default_region_radius(cfg: DetectorConfig, P: float) -> float:
     """Radius where the detection probability exceeds the false-alarm
-    floor by only delta.  From the small-x expansion
+    floor by only delta = _FAR_FIELD_DELTA.  From the small-x expansion
     P_D - e^(-t^2/2) ~ (x^2 t^2 / 4) e^(-t^2/2), the excess hits delta at
     x_delta^2 = 4 delta e^(t^2/2) / t^2, then r = (T P / (sigma2 x^2))^(1/alpha).
     """
-    if not (delta > 0.0):
-        raise ValueError(f"delta must be > 0, got {delta!r}")
     t = cfg.threshold_coordinate
     try:
         growth = math.exp(0.5 * t * t)
@@ -183,7 +175,7 @@ def default_region_radius(cfg: DetectorConfig, P: float,
             f"tau and sigma2 give tau/sigma2 = {0.5 * t * t:.6g}, too large "
             f"for the default region_radius (e^(tau/sigma2) overflows); "
             f"set region_radius") from None
-    x_delta_sq = 4.0 * delta * growth / (t * t)
+    x_delta_sq = 4.0 * _FAR_FIELD_DELTA * growth / (t * t)
     return (cfg.T * float(P) / (cfg.sigma2 * x_delta_sq)) ** (1.0 / cfg.alpha)
 
 
@@ -250,6 +242,9 @@ def nearest_distance_samples(field: FieldConfig, n_trials: int,
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if not (math.isfinite(region_radius) and region_radius > 0.0):
+        raise ValueError(
+            f"region_radius must be finite and > 0, got {region_radius!r}")
     rng = _substream(master_seed, 0, _PURPOSE_RMIN)
     lam = field.rho * math.pi * region_radius ** 2
     counts = rng.poisson(lam, size=n_trials)
@@ -319,11 +314,11 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
 
     def nll(theta_log: np.ndarray) -> float:
         log_p, x0, y0 = theta_log
-        if not np.all(np.isfinite(theta_log)):
-            raise OptimizerDiverged("optimizer state is not finite")
-        if abs(log_p) > _LOG_POWER_WALL:
+        if not (abs(log_p) <= _LOG_POWER_WALL and math.isfinite(x0)
+                and math.isfinite(y0)):
             # powers this extreme are never plausible fits; walling them
-            # off keeps the steps away from degenerate likelihoods
+            # off (and any non-finite iterate) keeps the steps away from
+            # degenerate likelihoods
             return math.inf
         # 0.0 - ll, not -ll: a certain outcome (ll = 0) has nll 0, not -0
         val = 0.0 - _log_likelihood_arrays(cfg, math.exp(log_p), x0, y0,

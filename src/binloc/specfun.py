@@ -30,8 +30,10 @@ factor stays in log space and the sum has positive terms, so the smaller
 side keeps full relative accuracy down to values like exp(-1500), where
 ordinary doubles have long given up; the larger side is its complement.
 Where the linear value still carries full relative accuracy on a side,
-that side is its logarithm instead.  Past a half-argument of 1e6 both
-sides come from a Gaussian tail asymptote over scipy's ``log_ndtr``.
+that side is its logarithm instead.  Where the series would run past
+about 12,500 terms, which takes a b beyond 2e6 and a/b within 0.32% of 1,
+or where a b is beyond 1e9, both sides come from a Gaussian tail
+asymptote over scipy's ``log_ndtr``.
 Scalars and arrays share this one policy, so an array entry gets the
 scalar values to the bit, bar the last bit of a linear log (np.log
 against math.log).  This module alone decides which branch answers an
@@ -78,12 +80,23 @@ _SERIES_COMPLEMENT_MIN = 1e-9
 # where Q = 7.84e-225).
 _UFUNC_MIN = 1e-150
 
-# Half-argument (a^2/2 or b^2/2) beyond which the log tails switch to
-# Gaussian tail asymptotics: near a = b the Neumann series runs longest,
-# to about 11,000 terms at the cap.  Far outside the accuracy-contracted
-# domain -- these values exist so that optimizers probing absurd
-# parameters see finite, monotone surfaces.
+# Half-argument beyond which scipy's ufunc is not asked for Q1 (see
+# _marcum_q_ufunc), and the half-argument a b / 2 at which the log tails
+# switch to Gaussian tail asymptotics on a = b.  Far outside the
+# accuracy-contracted domain -- these values exist so that optimizers
+# probing absurd parameters see finite, monotone surfaces.
 _ASYMPTOTIC_HALF_ARG = 1e6
+
+# The Neumann series' k-th term falls as (min/max)^k e^(-k^2 / (2 a b))
+# relative to its first, so it runs to about the n where that reaches
+# 1e-17.  Where that estimate exceeds its value on a = b at the cap above
+# (12,513; the sums stop near 11,000 there) the log tails take the
+# asymptotic form: only for a b large and a/b near 1.  So do entries
+# whose a b is beyond _IVE_Z_MAX, where scipy's ive returns NaN (from
+# 2^30 on).
+_NEUMANN_LOG_TOL = math.log(1e17)
+_NEUMANN_MAX_TERMS = math.sqrt(4.0 * _NEUMANN_LOG_TOL * _ASYMPTOTIC_HALF_ARG)
+_IVE_Z_MAX = 1e9
 
 # Weak-signal region of the linear value: Q1 comes from its Poisson
 # mixture, a polynomial in lambda = a^2/2, where lambda <= _WEAK_LAMBDA_MAX
@@ -165,17 +178,24 @@ def _marcum_q_linear(a, b: float):
     if 0.5 * b * b > _WEAK_S_MAX:
         return _marcum_q_ufunc(a, b)
     coeffs = _weak_signal_coeffs(b)
-    lam = 0.5 * a * a
     if isinstance(a, float):
+        lam = 0.5 * a * a
         if lam <= _WEAK_LAMBDA_MAX:
             return _horner(coeffs, lam)
         return _marcum_q_ufunc(a, b)
-    weak = lam <= _WEAK_LAMBDA_MAX
-    q = _horner(coeffs, np.where(weak, lam, 0.0))
+    weak = _below_half_square(a, _WEAK_LAMBDA_MAX)
+    a_weak = np.where(weak, a, 0.0)
+    q = _horner(coeffs, 0.5 * a_weak * a_weak)
     strong = ~weak
     if strong.any():
         q[strong] = _marcum_q_ufunc(a[strong], b)
     return q
+
+
+def _below_half_square(a, lam_max: float):
+    """a^2/2 <= lam_max, decided for every double a as the product would
+    decide it (for lam_max = 0.25 and 256), without overflowing it."""
+    return a < math.sqrt(2.0 * lam_max)
 
 
 def _horner(coeffs: tuple[float, ...], lam):
@@ -239,7 +259,8 @@ def _marcum_q_ufunc(a, b: float):
     """
     if 0.5 * b * b > _ASYMPTOTIC_HALF_ARG:
         b = math.nan
-    nc = a * a
+    # an array's a^2 would overflow, with a warning, beyond ~1.3e154
+    nc = a * a if isinstance(a, float) else np.minimum(a, 1e154) ** 2
     if b * b < 2.0 ** -24:
         nc = np.where(nc > 256.0, math.nan, nc)
     return _ncx2_sf(b * b, 2.0, nc)
@@ -283,7 +304,7 @@ def log_marcum_q_pair_array(a, b: float) -> tuple[np.ndarray, np.ndarray]:
 def _linear_logs(a, b: float, q):
     """Masks (bools, for a float a) of where log Q1 and log(1 - Q1) are
     the logarithms of the linear value q = Q1(a, b)."""
-    both = ((0.5 * a * a <= _SERIES_LAMBDA_MAX) & (0.5 * b * b <= 700.0)
+    both = (_below_half_square(a, _SERIES_LAMBDA_MAX) & (0.5 * b * b <= 700.0)
             & (q <= 1.0 - _SERIES_COMPLEMENT_MIN))
     return both & (q >= _UFUNC_MIN), both
 
@@ -292,24 +313,38 @@ def _log_pair(a: np.ndarray, b: float, q: np.ndarray):
     """(log Q1(a, b), log(1 - Q1(a, b))) for an array a >= 0, a scalar
     b > 0 and q = _marcum_q_linear(a, b).  Each side is the log of q where
     _linear_logs allows it; every other entry takes both sides from one
-    _log_tails call, or from the asymptotic form past the half-argument
-    cap (a = inf among them), but keeps a log1p(-q) that is allowed."""
+    _log_tails call, or from the asymptotic form where the Neumann series
+    would be long or an argument is inf, but keeps a log1p(-q) that is
+    allowed."""
     on_q, on_1mq = _linear_logs(a, b, q)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_q = np.log(q)
         log_1mq = np.log1p(-q)
-    rest = ~on_q
-    if rest.any():
-        with np.errstate(over="ignore"):
-            capped = rest & (0.5 * np.maximum(a, b) ** 2 > _ASYMPTOTIC_HALF_ARG)
-        series = rest & ~capped
-        if series.any():
+    rest = np.flatnonzero(~on_q)
+    if rest.size:
+        capped = _takes_asymptotic(a[rest], b)
+        series, capped = rest[~capped], rest[capped]
+        if series.size:
             lq, l1 = _log_tails(a[series], b)
             log_q[series] = lq
             log_1mq[series] = np.where(on_1mq[series], log_1mq[series], l1)
-        if capped.any():
+        if capped.size:
             log_q[capped], log_1mq[capped] = _log_asymptotic(a[capped], b)
     return log_q, log_1mq
+
+
+def _takes_asymptotic(a: np.ndarray, b: float) -> np.ndarray:
+    """Where the log tails at (a_i, b) come from _log_asymptotic: where
+    a b is not at most _IVE_Z_MAX (a = inf and b = inf among them), or
+    where the Neumann series would run past _NEUMANN_MAX_TERMS terms,
+    its estimated length being the n with n ln(max/min) + n^2 / (2 a b)
+    = ln(1e17)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = a * b
+        spread = np.abs(np.log(a) - math.log(b))
+        length = 2.0 * _NEUMANN_LOG_TOL / (
+            spread + np.sqrt(spread * spread + 2.0 * _NEUMANN_LOG_TOL / z))
+    return ~(z <= _IVE_Z_MAX) | (length > _NEUMANN_MAX_TERMS)
 
 
 def _log_sides(a: np.ndarray, b: float, upper: np.ndarray,
@@ -349,29 +384,29 @@ def _log_sides(a: np.ndarray, b: float, upper: np.ndarray,
 
 def _log_asymptotic(a: np.ndarray, b: float):
     """(log Q1(a, b), log(1 - Q1(a, b))) from the leading Gaussian/Laplace
-    term, for an array a >= 0 and a scalar b > 0 so large that the
-    Neumann series is impractical.
+    term, for an array a >= 0 and a scalar b > 0 where the Neumann series
+    is impractical (_takes_asymptotic).
 
     Around the transition b ~ a the noncentral chi-square is effectively
-    Gaussian in the amplitude, giving Q1(a, b) ~ Phi_c(b - a) sqrt(b/a);
-    the sqrt factor extends the same expression into both far tails, where
-    it reproduces the saddle value exp(-(b - a)^2 / 2) with the correct
-    algebraic prefactor.  The smaller side (Q1 for a <= b, 1 - Q1 above)
-    is log Phi_c(|b - a|) + log sqrt(max(a, b) / min(a, b)), with the
-    Gaussian tail from scipy's log_ndtr; the larger side is its
-    complement.  Where b/a overflows (a = 0 or b = inf among them) Q1 is
+    Gaussian in the amplitude, giving Q1(a, b) ~ Phi_c(b - a) sqrt(b/a)
+    and 1 - Q1(a, b) ~ Phi_c(a - b) sqrt(b/a).  Where a b is so large that
+    every ive(k, ab) the sum needs is 1/sqrt(2 pi a b), the Neumann series
+    sums to the same leading term on either side.  The smaller side (Q1
+    for a <= b, 1 - Q1 above) is log Phi_c(|b - a|) + log sqrt(b/a), with
+    the Gaussian tail from scipy's log_ndtr; the larger side is its
+    complement.  Where b/a overflows (b = inf among them) Q1 is
     exp(-b^2/2) to the last bit, not the sqrt factor's 1.  Against a
-    40-digit quadrature of the Rice density the log is within 6e-4 near
-    a = b at the cap; the error grows on the side a > b (3.5e-3 at
-    (1449.21, 1444.21), 3.3e-2 at (1550, 1500)), where the form neglects
-    the reflection term exp(-(a-b)^2/2) I0(ab).
+    40-digit quadrature of the Rice density the log is within 3e-4 near
+    a = b on the switch from the series (a = 1415, b = a +- 0.003), and
+    within 1.4e-4 at (2000, 2001), (2001, 2000), (3000, 3006) and
+    (3006, 3000).
     """
     if math.isinf(b) and np.isinf(a).any():
         raise ValueError("Q1(inf, inf) is indeterminate")
     certain = np.isinf(a)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        small = np.minimum(special.log_ndtr(-np.abs(b - a)) + 0.5 * np.log(
-            np.maximum(a, b) / np.minimum(a, b)), 0.0)
+        small = np.minimum(special.log_ndtr(-np.abs(b - a))
+                           + 0.5 * np.log(b / a), 0.0)
         small = np.where(b / a == math.inf, -0.5 * b * b,
                          np.where(certain, -math.inf, small))
     big = np.where(certain, 0.0, _log_complement(small))
@@ -381,7 +416,7 @@ def _log_asymptotic(a: np.ndarray, b: float):
 
 def _log_tails(a, b: float):
     """(log Q1(a, b), log(1 - Q1(a, b))) for an array a >= 0 and a
-    scalar b > 0, both half-arguments within _ASYMPTOTIC_HALF_ARG.
+    scalar b > 0 with a b at most _IVE_Z_MAX.
 
     The smaller side comes from the Neumann series over scipy's scaled
     Bessel function ive,
@@ -415,8 +450,17 @@ def _log_tails(a, b: float):
         carry[live] += np.cumsum((sums[:-1] - sums[1:]) + terms, axis=0)[last, cols]
         live = live[~done]
         k = k + _NEUMANN_BLOCK
-    with np.errstate(divide="ignore"):
-        small = np.minimum(np.log(total + carry) - 0.5 * (a - b) ** 2, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_sum = np.log(total + carry)
+        # a 1 - Q1 sum below the normal doubles is its first term to the
+        # last bit, (b/a) ive(1, ab); its log is taken from the logs of
+        # the factors, and ive(1, ab) = ab/2 where ab < 1e-300
+        lost = ~below & (total < np.finfo(float).tiny)
+        if lost.any():
+            log_sum[lost] = math.log(b) + np.where(
+                z[lost] < 1e-300, math.log(b) - math.log(2.0),
+                np.log(special.ive(1, z[lost])) - np.log(a[lost]))
+        small = np.minimum(log_sum - 0.5 * (a - b) ** 2, 0.0)
     big = _log_complement(small)
     return np.where(below, small, big), np.where(below, big, small)
 

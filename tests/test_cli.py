@@ -354,6 +354,39 @@ def test_crb_floats_round_trip_and_match_library(capsys) -> None:
     assert format(float(raw), ".17g") == raw
 
 
+@pytest.mark.parametrize("alpha,rows", [
+    ("2", [
+        "0.40000000000000002,2,closed-form,3,0.34542563030334505,"
+        "0.22703512654906144,2.8949791569369721,4.4046047640293393,ok",
+        "0.40000000000000002,2,quadrature,,0.32693374143147308,"
+        "0.22477002454712253,3.0587237512454948,4.4489918173691008,ok",
+        "1.3600000000000001,2,closed-form,3,0.078825030830240755,"
+        "0.053726409301199853,12.686325517000064,18.612820268591211,ok",
+        "1.3600000000000001,2,quadrature,,0.08001819793287733,"
+        "0.06147493772322745,12.497157219646994,16.266791590781292,ok",
+    ]),
+    ("4", [
+        "0.40000000000000002,4,closed-form,1,0.0058972359074858701,"
+        "0.027779437854599746,169.57096776993671,35.997848669008221,ok",
+        "0.40000000000000002,4,quadrature,,0.0059313561368963324,"
+        "0.028035336359958203,168.59550782652286,35.669270636191179,ok",
+        "1.3600000000000001,4,closed-form,1,0.0011102346131933929,"
+        "0.0051585882558147613,900.71052380872675,193.85148618380231,ok",
+        "1.3600000000000001,4,quadrature,,0.0011929880536744051,"
+        "0.0056572225349579772,838.23136109368272,176.76518712506828,ok",
+    ]),
+])
+def test_crb_rows_are_frozen(capsys, alpha, rows) -> None:
+    # criterion 8's threshold and the default sweep's tau = 1.36, both
+    # methods, byte for byte; a change to the information's constants or
+    # to either route shows here column by column
+    code, out, _ = _run(capsys, "crb", "--set", f"alpha={alpha}",
+                        "--set", "sweep.start=0.4", "--set", "sweep.stop=1.36",
+                        "--set", "sweep.step=0.96")
+    assert code == EXIT_OK
+    assert _data_rows(out) == rows
+
+
 def test_crb_quadrature_only(capsys) -> None:
     code, out, _ = _run(capsys, "crb", "--set", "methods=quadrature",
                         "--set", "sweep.start=0.5", "--set", "sweep.stop=0.5")

@@ -19,11 +19,12 @@ from binloc.detection import (
     TargetParams,
     detection_probability,
     detection_probability_array,
-    detection_probability_derivatives,
     log_likelihood,
     signal_coordinate,
 )
 from binloc.detection import _log_likelihood_arrays, _nll_lower_bound
+
+from _reference import detection_probability_derivatives
 
 # Reference operating point used throughout: tau = 0.5, sigma2 = 0.25,
 # T = 1, alpha = 2, P = 2.

@@ -16,15 +16,12 @@ import math
 import numpy as np
 import pytest
 
-from binloc import specfun
-from binloc.detection import (DetectorConfig, TargetParams,
-                              detection_probability_derivatives,
-                              signal_coordinate)
+from binloc import fisher, specfun
+from binloc.detection import DetectorConfig, TargetParams, signal_coordinate
 from binloc.fisher import (
     FieldConfig,
     FisherResult,
     QuadratureError,
-    expected_f22_r_domain,
     expected_fim_quadrature,
     offdiag_quadrature_estimate,
     per_sensor_fim,
@@ -34,6 +31,8 @@ from binloc.fisher import (
 from binloc.fisher import (_lattice_information, _log_kernel,
                            _log_kernel_array, _sensor_information)
 from binloc.montecarlo import SimConfig, sample_field
+
+from _reference import detection_probability_derivatives, expected_f22_r_domain
 
 _FIELD = FieldConfig(rho=0.05)
 _P = 2.0
@@ -63,19 +62,15 @@ def test_expected_nearest_distance():
 
 
 def test_field_config_truncation_radius():
-    assert _FIELD.r_breve == pytest.approx(2.23606797749979, rel=1e-15)
-    override = FieldConfig(rho=0.05, r_breve_override=1.25)
-    assert override.r_breve == 1.25
+    # the integrals stop at the expected nearest-sensor distance
+    assert x_breve(_cfg(2.0), _P, _FIELD) == signal_coordinate(
+        _cfg(2.0), _P, rmin_expected(_FIELD))
 
 
 def test_field_config_validation():
     for bad in (0.0, -0.1, math.inf, math.nan):
         with pytest.raises(ValueError):
             FieldConfig(rho=bad)
-    with pytest.raises(ValueError):
-        FieldConfig(rho=0.05, r_breve_override=0.0)
-    with pytest.raises(ValueError):
-        FieldConfig(rho=0.05, r_breve_override=math.inf)
 
 
 def test_x_breve_values():
@@ -85,8 +80,8 @@ def test_x_breve_values():
     assert x_breve(_cfg(4.0), _P, _FIELD) == pytest.approx(
         0.565685424949238, rel=1e-14
     )
-    # with an override the truncation radius is taken literally
-    unit = FieldConfig(rho=0.05, r_breve_override=1.0)
+    # rho = 1/4 puts the truncation radius at 1
+    unit = FieldConfig(rho=0.25)
     assert x_breve(_cfg(2.0), _P, unit) == pytest.approx(math.sqrt(8.0), rel=1e-14)
 
 
@@ -104,7 +99,6 @@ def test_expected_fim_frozen_values_alpha2():
     res = expected_fim_quadrature(_cfg(2.0), _P, _FIELD)
     assert res.F11 == pytest.approx(_F11_ALPHA2, rel=1e-10)
     assert res.F22 == pytest.approx(_F22_ALPHA2, rel=1e-10)
-    assert res.F33 == res.F22
     assert res.method == "quadrature"
     assert res.quality == "ok"
 
@@ -119,10 +113,7 @@ def test_crb_properties():
     res = expected_fim_quadrature(_cfg(2.0), _P, _FIELD)
     assert res.crb_P == pytest.approx(1.0 / res.F11, rel=1e-15)
     assert res.crb_x == pytest.approx(1.0 / res.F22, rel=1e-15)
-    assert res.crb_y == res.crb_x
-    degenerate = FisherResult(
-        F11=0.0, F22=-1.0, F33=0.0, method="quadrature"
-    )
+    degenerate = FisherResult(F11=0.0, F22=-1.0, method="quadrature")
     assert degenerate.crb_P == math.inf
     assert degenerate.crb_x == math.inf
 
@@ -154,7 +145,7 @@ def test_lattice_diagonal_matches_quadrature(alpha, tau):
     J = _lattice_information(cfg, _P, _FIELD)
     assert J[0, 0] == pytest.approx(res.F11, rel=1e-4 if alpha == 2.0 else 1e-8)
     assert J[1, 1] == pytest.approx(res.F22, rel=1e-8)
-    assert J[2, 2] == pytest.approx(res.F33, rel=1e-8)
+    assert J[2, 2] == pytest.approx(res.F22, rel=1e-8)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 4.0])
@@ -165,14 +156,14 @@ def test_offdiagonal_entries_vanish(alpha):
 
 
 def test_information_scales_linearly_in_density():
-    # with the truncation radius pinned, the field integrals are linear
-    # in the sensor density
-    fixed = FieldConfig(rho=0.05, r_breve_override=2.0)
-    doubled = FieldConfig(rho=0.10, r_breve_override=2.0)
-    a = expected_fim_quadrature(_cfg(2.0), _P, fixed)
-    b = expected_fim_quadrature(_cfg(2.0), _P, doubled)
-    assert b.F11 == pytest.approx(2.0 * a.F11, rel=1e-12)
-    assert b.F22 == pytest.approx(2.0 * a.F22, rel=1e-12)
+    # the constants in front of the field integrals are linear in the
+    # sensor density; the kernel powers do not depend on it
+    for alpha in (2.0, 4.0):
+        single = fisher._prefactors(_cfg(alpha), _P, FieldConfig(rho=0.05))
+        doubled = fisher._prefactors(_cfg(alpha), _P, FieldConfig(rho=0.10))
+        for (c, power), (c2, power2) in zip(single, doubled):
+            assert c2 == pytest.approx(2.0 * c, rel=1e-12)
+            assert power2 == power
 
 
 def test_information_decreases_with_threshold_far_from_optimum():
@@ -202,10 +193,7 @@ def test_per_sensor_fim_structure():
 
 
 def test_per_sensor_fim_matches_direct_assembly():
-    from binloc.detection import (
-        detection_probability,
-        detection_probability_derivatives,
-    )
+    from binloc.detection import detection_probability
 
     cfg = _cfg(2.0)
     theta = TargetParams(P=_P, x=0.0, y=0.0)

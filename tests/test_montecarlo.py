@@ -94,8 +94,6 @@ def test_default_region_radius_frozen_values():
     assert default_region_radius(
         DetectorConfig(tau=0.4, sigma2=0.25), 2.0
     ) == pytest.approx(_DEFAULT_RADIUS_TAU04, rel=1e-12)
-    with pytest.raises(ValueError):
-        default_region_radius(_DET, 2.0, delta=0.0)
 
 
 def test_default_radius_meets_far_field_target():
@@ -231,6 +229,10 @@ def test_nearest_distance_mean():
 def test_nearest_distance_validation():
     with pytest.raises(ValueError):
         nearest_distance_samples(_FIELD, 0)
+    # a negative radius would give negative distances, 0 an empty array
+    for bad in (-5.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="region_radius"):
+            nearest_distance_samples(_FIELD, 5, region_radius=bad)
 
 
 # ----------------------------------------------------------------------

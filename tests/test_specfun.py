@@ -8,6 +8,9 @@ The log tails sum the Neumann series of scaled Bessel functions
 exp(-(a-b)^2/2) sum_k (a/b)^(+-k) ive(k, ab); their oracles use other
 formulas.  Oracle sources, in order of preference:
  * closed-form identities (exact), among them Q1(a, a) = (1 + i0e(a^2))/2,
+ * a 50-digit mpmath Neumann sum over mpmath's own Bessel functions,
+   where an argument is tiny or huge and the mixture below does not
+   converge,
  * a 50-digit mpmath Poisson mixture of regularized gamma tails for Q1
    and both log tails (the linear Q1 is a weak-signal polynomial of that
    mixture or scipy's noncentral chi-square ufunc itself, so scipy
@@ -26,6 +29,7 @@ derandomized property test.
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -72,32 +76,47 @@ _DEEP_TAIL_TABLE = [
     (720.0, 700.0, None, -203.93127610134447),
 ]
 
-# Beyond the half-argument cap the implementation switches to a Gaussian
-# tail approximation whose log error is small near the transition but
-# grows to O(1) relative-in-probability deep in the mirrored tail (it
-# neglects the exp(-(a-b)^2/2) I0(ab) reflection term).  The frozen
-# references are exact; the tolerances encode that known quality.
+# Beyond the half-argument cap, away from a = b, the Neumann series is
+# short (3,300 terms here) and answers these to the last bits.  The
+# Gaussian tail approximation, which answered them while the switch went
+# by max(a, b) alone, is within 6.6e-6 of both; the tolerances are its
+# earlier errors rounded up (3.3e-2 on the side a > b, where it used
+# sqrt(a/b) for sqrt(b/a)).  The frozen references are exact.
 _ASYMPTOTIC_TABLE = [
     # (a, b, exact log, which side, abs tolerance)
     (1500.0, 1550.0, -1254.8149597278461, "lq", 1e-4),
     (1550.0, 1500.0, -1254.8477626584777, "l1", 5e-2),
 ]
 
-# max(a, b) past which the log tails take the asymptotic form
+# a = b past which the log tails take the asymptotic form
 _X_CAP = math.sqrt(2.0 * specfun._ASYMPTOTIC_HALF_ARG)
 
-# Rice-density oracle cases either side of _X_CAP = 1414.2136.  Below it
-# the Neumann series matched the oracle to 3e-14 relative.  Above it the
-# asymptotic form's absolute errors in (log Q1, log(1 - Q1)) measured
-# (2.6e-4, 5.8e-4), (2.3e-4, 1.0e-4), (6.4e-5, 1.9e-11) and
-# (1.0e-9, 3.5e-3) at the four points in order; each tolerance is the
-# point's larger error rounded up to the next 1, 2, 5 step.
+
+def _takes_asymptotic(a: float, b: float) -> bool:
+    return bool(specfun._takes_asymptotic(np.array([a]), b)[0])
+
+# Rice-density oracle cases either side of the switch to the asymptotic
+# form: the Neumann series serves a = b up to _X_CAP = 1414.2136 and,
+# beyond it, every pair whose series is shorter than on a = b at the cap
+# (_takes_asymptotic).  The series matched the oracle to 3e-14 relative.
+# The first four points with a tolerance take the series now; their
+# tolerances are the asymptotic form's larger error in (log Q1,
+# log(1 - Q1)) rounded up to the next 1, 2, 5 step when it answered them
+# (5.8e-4, 2.3e-4, 6.4e-5 and 3.5e-3; the last from sqrt(a/b) in place
+# of sqrt(b/a)), and the form is now within (1.0e-4, 2.3e-4),
+# (2.3e-4, 1.0e-4), (6.4e-5, 1.8e-11) and (1.8e-11, 6.5e-5) there.  The
+# last four take the asymptotic form, within (2.8e-4, 2.8e-4) twice,
+# (2.6e-5, 2.6e-14) and (2.6e-14, 2.6e-5); their tolerances are rounded
+# up the same way.
 _RICE_CASES = [
-    # (a, b, absolute tolerance in both logs; None: 1e-10 relative)
+    # (a, b, absolute tolerance of the asymptotic form in both logs;
+    # None: not checked; the series: 1e-10 relative)
     (1413.71, 1413.21, None), (1413.21, 1413.71, None),
     (1400.0, 1410.0, None), (1410.0, 1400.0, None),
     (1415.21, 1414.71, 1e-3), (1414.71, 1415.21, 5e-4),
     (1444.21, 1449.21, 1e-4), (1449.21, 1444.21, 5e-3),
+    (1415.0, 1415.003, 5e-4), (1415.003, 1415.0, 5e-4),
+    (3000.0, 3006.0, 5e-5), (3006.0, 3000.0, 5e-5),
 ]
 
 
@@ -269,8 +288,11 @@ def test_marcum_deep_tails_match_frozen_references(a, b, lq_ref, l1_ref):
 
 @pytest.mark.parametrize("a,b,ref,side,tol", _ASYMPTOTIC_TABLE)
 def test_marcum_asymptotic_branch_accuracy(a, b, ref, side, tol):
+    assert not _takes_asymptotic(a, b)
     got = log_marcum_q(a, b) if side == "lq" else log1m_marcum_q(a, b)
-    assert got == pytest.approx(ref, abs=tol)
+    assert got == pytest.approx(ref, rel=1e-13)
+    (lq,), (l1,) = specfun._log_asymptotic(np.array([a]), b)
+    assert (lq if side == "lq" else l1) == pytest.approx(ref, abs=tol)
 
 
 def test_asymptotic_branch_finite_beyond_z4_overflow():
@@ -327,14 +349,18 @@ def _mp_rice_log_tails(a: float, b: float) -> tuple[float, float]:
 @pytest.mark.parametrize("a,b,tol", _RICE_CASES)
 def test_log_tails_match_rice_oracle_either_side_of_the_asymptotic_cap(
         a, b, tol):
-    # the scalar pair and an array entry, from the Neumann series below
-    # the cap and from the asymptotic form above it
+    # the scalar pair and an array entry, from the Neumann series or from
+    # the asymptotic form, and the asymptotic form itself
+    asymptotic = _takes_asymptotic(a, b)
     assert (max(a, b) < _X_CAP) == (tol is None)
     ref = _mp_rice_log_tails(a, b)
-    if tol is None:
-        close = pytest.approx(ref, rel=1e-10, abs=0.0)
-    else:
+    if tol is not None:
+        (lq,), (l1,) = specfun._log_asymptotic(np.array([a]), b)
+        assert (lq, l1) == pytest.approx(ref, rel=0.0, abs=tol)
+    if asymptotic:
         close = pytest.approx(ref, rel=0.0, abs=tol)
+    else:
+        close = pytest.approx(ref, rel=1e-10, abs=0.0)
     assert log_marcum_q_pair(a, b) == close
     log_q, log_1mq = log_marcum_q_pair_array(np.array([a]), b)
     assert (log_q[0], log_1mq[0]) == close
@@ -344,8 +370,8 @@ def test_log_tails_match_rice_oracle_either_side_of_the_asymptotic_cap(
                                _X_CAP * (1.0 + 1e-12), 1415.0, 1500.0])
 def test_marcum_zero_signal_either_side_of_the_asymptotic_cap(b):
     # Q1(a, b) = exp(-b^2/2) to the last bit at a = 0 and where b/a
-    # overflows, from the Neumann series below b^2/2 = 1e6 and from the
-    # asymptotic form above it, for scalars and arrays alike
+    # overflows, whose Neumann series is one term on either side of
+    # b^2/2 = 1e6, for scalars and arrays alike
     ref = (-0.5 * b * b, 0.0)
     for a in (0.0, 5e-324, 1e-310):
         assert marcum_q(a, b) == 0.0
@@ -356,6 +382,89 @@ def test_marcum_zero_signal_either_side_of_the_asymptotic_cap(b):
     for i in (0, 1):
         assert (log_q[i], log_1mq[i]) == pytest.approx(ref, rel=1e-15, abs=0.0)
     assert -0.5 * b * b < log_q[2] < 0.0
+
+
+def test_log_tails_take_the_asymptotic_form_only_where_the_series_is_long():
+    # on a = b the switch stays at the cap; off it the Neumann series runs
+    # wherever it is short, however large max(a, b), until a b leaves the
+    # range of scipy's ive (NaN from 2^30 on); a = inf and b = inf take
+    # the asymptotic form's exact limits
+    for a, b in ((_X_CAP * (1.0 - 1e-9), _X_CAP * (1.0 - 1e-9)),
+                 (1415.21, 1414.71), (1444.21, 1449.21), (1550.0, 1500.0),
+                 (1500.0, math.sqrt(3.2)), (1e-300, 1500.0),
+                 (2000.0, 1e-300), (36000.0, 27000.0), (0.0, 1e300)):
+        assert not _takes_asymptotic(a, b)
+    for a, b in ((_X_CAP * (1.0 + 1e-9), _X_CAP * (1.0 + 1e-9)),
+                 (1415.0, 1415.003), (3006.0, 3000.0), (40000.0, 30000.0),
+                 (1e300, 1e-10), (math.inf, 3.0), (3.0, math.inf),
+                 (0.0, math.inf)):
+        assert _takes_asymptotic(a, b)
+
+
+def _mp_neumann_log_tails(a: float, b: float) -> tuple[float, float]:
+    """(log Q1, log(1 - Q1)) from the Neumann series summed at 50 digits
+    over mpmath's Bessel functions, for a and b > 0 whose series is short:
+    the smaller side's sum stops at its first term below 1e-50 of it, and
+    the larger side is log1p of minus the smaller."""
+    with mpmath.workdps(50):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        z = a_ * b_
+        below = a_ < b_
+        ratio = a_ / b_ if below else b_ / a_
+        k = 0 if below else 1
+        total = mpmath.mpf(0)
+        while True:
+            term = ratio ** k * mpmath.besseli(k, z) * mpmath.exp(-z)
+            total += term
+            if term < mpmath.mpf(10) ** -50 * total:
+                break
+            k += 1
+        small = mpmath.log(total) - (a_ - b_) ** 2 / 2
+        big = mpmath.log1p(-mpmath.exp(small))
+        return (float(small), float(big)) if below else (float(big), float(small))
+
+
+@pytest.mark.parametrize("a,b", [
+    # far from a = b past the old cap on max(a, b), which sent these to the
+    # asymptotic form: Q1 at a tiny a (-1124659.19 there), 1 - Q1 at a
+    # tiny b (-1999659.33), a campaign's silent sensor at criterion 8's
+    # threshold (-1122323.18), and an a whose square overflows (an
+    # overflow warning)
+    (1e-300, 1500.0), (2000.0, 1e-300), (1500.0, math.sqrt(3.2)),
+    (1e300, 1e-10),
+    # either side of the end of ive's range, a b = 1e9
+    (36000.0, 27000.0), (27000.0, 36000.0), (40000.0, 30000.0),
+    (30000.0, 40000.0),
+])
+def test_log_tails_away_from_a_equals_b_match_an_mpmath_neumann_sum(a, b):
+    # (2000, 1e-300)'s one-term sum underflows the doubles: its log comes
+    # from the logs of its factors
+    ref = _mp_neumann_log_tails(a, b)
+    close = pytest.approx(ref, rel=1e-13, abs=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_marcum_q_pair(a, b) == close
+        log_q, log_1mq = log_marcum_q_pair_array(np.array([a, 1.0]), b)
+        assert (log_q[0], log_1mq[0]) == close
+        assert marcum_q(a, b) == marcum_q_array(np.array([a]), b)[0]
+
+
+def test_half_square_thresholds_decide_as_the_square_does():
+    # a < sqrt(2 lam) is a^2/2 <= lam for every double a at the two
+    # thresholds that use it, and does not overflow for huge a
+    for lam in (specfun._WEAK_LAMBDA_MAX, _SERIES_LAMBDA_MAX):
+        edge = math.sqrt(2.0 * lam)
+        near = [edge]
+        for direction in (-math.inf, math.inf):
+            x = edge
+            for _ in range(3):
+                x = math.nextafter(x, direction)
+                near.append(x)
+        for x in near:
+            assert specfun._below_half_square(x, lam) == (0.5 * x * x <= lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not specfun._below_half_square(np.array([1e300]), lam)[0]
 
 
 _A_BELOW_CAP = math.sqrt(2.0 * (_SERIES_LAMBDA_MAX - 0.2))
