@@ -25,7 +25,7 @@ the side of Q1 its decision uses, log P_D for a detecting sensor and
 log(1 - P_D) for a silent one; specfun._log_sides decides how each side
 is computed.
 The ML fit's Newton steps take the gradient and Hessian of the summed
-terms from one more array pass.
+terms from the per-sensor arrays of the value pass at the same iterate.
 """
 
 from __future__ import annotations
@@ -161,32 +161,38 @@ def detection_probability_array(cfg: DetectorConfig, P: float,
     return specfun.marcum_q_array(x, cfg.threshold_coordinate)
 
 
-def _signal_coordinate_vec(cfg: DetectorConfig, P: float,
-                           r: np.ndarray) -> np.ndarray:
+def _signal_coordinate_vec(cfg: DetectorConfig, P: float, r: np.ndarray,
+                           r_alpha: np.ndarray | None = None) -> np.ndarray:
     # inf (certain detection) where r = 0 or T P / r^alpha overflows, 0
-    # where r^alpha overflows, NaN where T P and sigma2 r^alpha both do
+    # where r^alpha overflows, NaN where T P and sigma2 r^alpha both do;
+    # r_alpha, where given, is r ** alpha, powered once for many P
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.sqrt(cfg.T * P / (cfg.sigma2 * r ** cfg.alpha))
+        r_alpha = r ** cfg.alpha if r_alpha is None else r_alpha
+        return np.sqrt(cfg.T * P / (cfg.sigma2 * r_alpha))
 
 
 def _log_likelihood_arrays(cfg: DetectorConfig, P: float, x0: float, y0: float,
                            sx: np.ndarray, sy: np.ndarray,
-                           detected: np.ndarray) -> float:
+                           detected: np.ndarray, pieces=None) -> float:
     """Log-likelihood of binary decisions at sensor positions (sx, sy)
     for emitter hypothesis (P, x0, y0).  Total in the hypothesis: a
     sensor coinciding with it sees an infinite signal coordinate, hence
-    certain detection (contribution 0 if it detected, -inf otherwise)."""
-    r = np.hypot(sx - x0, sy - y0)
+    certain detection (contribution 0 if it detected, -inf otherwise).
+    A list given as pieces receives (dx, dy, r, x, log terms) per sensor."""
+    dx, dy = sx - x0, sy - y0
+    r = np.hypot(dx, dy)
     x = _signal_coordinate_vec(cfg, P, r)
-    return float(specfun._log_sides(x, cfg.threshold_coordinate,
-                                    detected).sum())
+    log_terms = specfun._log_sides(x, cfg.threshold_coordinate, detected)
+    if pieces is not None:
+        pieces[:] = dx, dy, r, x, log_terms
+    return float(log_terms.sum())
 
 
 def _nll_derivatives(cfg: DetectorConfig, P: float, x0: float, y0: float,
-                     sx: np.ndarray, sy: np.ndarray,
-                     detected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     sx: np.ndarray, sy: np.ndarray, detected: np.ndarray,
+                     pieces=None) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of -_log_likelihood_arrays in (ln P, x0, y0),
-    from one pass over the sensors.
+    from one pass over the sensors or from the pieces of such a pass here.
 
     A sensor's term L = log Q1(x, t) or log(1 - Q1(x, t)) depends on the
     hypothesis only through u = ln x, with gradient
@@ -202,11 +208,11 @@ def _nll_derivatives(cfg: DetectorConfig, P: float, x0: float, y0: float,
     -sum (L_uu grad u grad u^T + L_u hess u).  Non-finite entries (a
     sensor on the hypothesis) are left for the caller to reject.
     """
-    dx, dy = sx - x0, sy - y0
-    r = np.hypot(dx, dy)
-    x = _signal_coordinate_vec(cfg, P, r)
+    if not pieces:
+        pieces = []
+        _log_likelihood_arrays(cfg, P, x0, y0, sx, sy, detected, pieces)
+    dx, dy, r, x, log_terms = pieces
     t = cfg.threshold_coordinate
-    log_terms = specfun._log_sides(x, t, detected)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = x * t
         i1 = special.i1e(z)

@@ -26,15 +26,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg, optimize
 
+from . import specfun
 from .detection import (
     Decisions,
     DetectorConfig,
     TargetParams,
+    _positive,
     detection_probability,
     detection_probability_array,
     _log_likelihood_arrays,
     _nll_derivatives,
     _nll_lower_bound,
+    _signal_coordinate_vec,
 )
 from .fisher import FieldConfig
 
@@ -167,6 +170,7 @@ def default_region_radius(cfg: DetectorConfig, P: float) -> float:
     P_D - e^(-t^2/2) ~ (x^2 t^2 / 4) e^(-t^2/2), the excess hits delta at
     x_delta^2 = 4 delta e^(t^2/2) / t^2, then r = (T P / (sigma2 x^2))^(1/alpha).
     """
+    P = _positive("P", P)
     t = cfg.threshold_coordinate
     try:
         growth = math.exp(0.5 * t * t)
@@ -176,7 +180,7 @@ def default_region_radius(cfg: DetectorConfig, P: float) -> float:
             f"for the default region_radius (e^(tau/sigma2) overflows); "
             f"set region_radius") from None
     x_delta_sq = 4.0 * _FAR_FIELD_DELTA * growth / (t * t)
-    return (cfg.T * float(P) / (cfg.sigma2 * x_delta_sq)) ** (1.0 / cfg.alpha)
+    return (cfg.T * P / (cfg.sigma2 * x_delta_sq)) ** (1.0 / cfg.alpha)
 
 
 def far_field_excess(cfg: DetectorConfig, P: float, radius: float) -> float:
@@ -266,13 +270,15 @@ def initial_guess(cfg: DetectorConfig, decisions: Decisions) -> TargetParams:
         raise NoDetections("cannot build an initial guess with no detections")
     cx = float(sx[detected].mean())
     cy = float(sy[detected].mean())
-    r = np.hypot(sx - cx, sy - cy)
-    r = np.maximum(r, 1e-12)
+    r = np.maximum(np.hypot(sx - cx, sy - cy), 1e-12)
+    with np.errstate(over="ignore"):
+        r_alpha = r ** cfg.alpha
+    t = cfg.threshold_coordinate
     n_det = int(detected.sum())
 
     def excess(log_p: float) -> float:
-        pd = detection_probability_array(cfg, math.exp(log_p), r)
-        return float(pd.sum()) - n_det
+        x = _signal_coordinate_vec(cfg, math.exp(log_p), r, r_alpha)
+        return float(specfun.marcum_q_array(x, t).sum()) - n_det
 
     lo, hi = math.log(_POWER_BRACKET[0]), math.log(_POWER_BRACKET[1])
     if excess(lo) >= 0.0:
@@ -312,6 +318,9 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
     if n_det == 0:
         raise NoDetections("maximum-likelihood fit requires >= 1 detection")
 
+    # the latest nll pass's iterate and pieces, reused at accepted iterates
+    last = [None, None]
+
     def nll(theta_log: np.ndarray) -> float:
         log_p, x0, y0 = theta_log
         if not (abs(log_p) <= _LOG_POWER_WALL and math.isfinite(x0)
@@ -320,14 +329,16 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
             # off (and any non-finite iterate) keeps the steps away from
             # degenerate likelihoods
             return math.inf
+        last[:] = theta_log, []
         # 0.0 - ll, not -ll: a certain outcome (ll = 0) has nll 0, not -0
         val = 0.0 - _log_likelihood_arrays(cfg, math.exp(log_p), x0, y0,
-                                           sx, sy, detected)
+                                           sx, sy, detected, pieces=last[1])
         return val if math.isfinite(val) else math.inf
 
     def derivatives(theta_log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pieces = last[1] if last[0] is theta_log else None
         return _nll_derivatives(cfg, math.exp(theta_log[0]), theta_log[1],
-                                theta_log[2], sx, sy, detected)
+                                theta_log[2], sx, sy, detected, pieces=pieces)
 
     det_x, det_y = sx[detected], sy[detected]
 
@@ -400,15 +411,15 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
 def _damped_newton(nll, derivatives, theta: np.ndarray, val: float,
                    log_p_stop: float) -> tuple[np.ndarray, float, bool]:
     """Marquardt-damped Newton steps on the nll from theta (nll val).
-    Each step solves (H + mu I) s = -g by Cholesky.  mu starts at 0; it
-    grows fourfold, to at least 1e-6 max|diag H|, where the factorisation
-    fails, the step is not finite or it raises the nll, and shrinks
-    eightfold where a step is accepted, so no accepted step raises the
-    nll.  Returns the last accepted iterate, its nll and whether the fit
-    converged: it does at a step below _NEWTON_STEP_TOL in every
-    coordinate, at an iterate of nll 0 (the nll's global lower bound) and
-    at the first iterate below log_p_stop; it does not after
-    _FIT_MAX_STEPS steps."""
+    Each step solves (H + mu I) s = -g by LAPACK's Cholesky (potrf and
+    potrs).  mu starts at 0; it grows fourfold, to at least 1e-6
+    max|diag H|, where the factorisation fails, the step is not finite or
+    it raises the nll, and shrinks eightfold where a step is accepted, so
+    no accepted step raises the nll.  Returns the last accepted iterate,
+    its nll and whether the fit converged: it does at a step below
+    _NEWTON_STEP_TOL in every coordinate, at an iterate of nll 0 (the
+    nll's global lower bound) and at the first iterate below log_p_stop;
+    it does not after _FIT_MAX_STEPS steps."""
     eye = np.eye(len(theta))
     mu = 0.0
     grad = hess = None
@@ -417,10 +428,8 @@ def _damped_newton(nll, derivatives, theta: np.ndarray, val: float,
             return theta, val, True
         if grad is None:
             grad, hess = derivatives(theta)
-        try:
-            step = -linalg.cho_solve(linalg.cho_factor(hess + mu * eye), grad)
-        except (linalg.LinAlgError, ValueError):
-            step = None
+        factor, info = linalg.lapack.dpotrf(hess + mu * eye, clean=False)
+        step = -linalg.lapack.dpotrs(factor, grad)[0] if info == 0 else None
         if step is not None and np.isfinite(step).all():
             cand = theta + step
             cand_val = nll(cand)

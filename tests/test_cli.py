@@ -486,18 +486,29 @@ def test_simulate_output_shape_and_determinism(capsys) -> None:
     assert float(summary[12]) == float(summary[4]) / fim.crb_x
 
 
-def test_simulate_summary_row_is_frozen(capsys) -> None:
-    # five trials at the reference point, seed 20260814; the summary row
-    # (mse and bias from mse_report, crb from the quadrature) is pinned
-    # to the bit
+def test_simulate_rows_are_frozen(capsys) -> None:
+    # five trials at the reference point, seed 20260814; every trial row
+    # (the fit's estimate and nll) and the summary row (mse and bias from
+    # mse_report, crb from the quadrature) are pinned to the bit
     code, out, _ = _run(capsys, "simulate", "--set", "trials=5",
                         "--set", "seed=20260814")
     assert code == EXIT_OK
-    assert _data_rows(out)[-1] == (
+    assert _data_rows(out) == [
+        "0,581,81,6.9333033585536281,-1.0017375461118005,"
+        "0.029550487407491229,1,231.79265677550532",
+        "1,574,80,3.5990095427041444,-2.8799711517528586,"
+        "11.093411759116032,1,229.31742247299189",
+        "2,553,86,1.7590607372037017,10.75241257451005,"
+        "-12.168173813350508,1,237.60735875095776",
+        "3,536,80,9.2361693578141359,7.4897928465741836,"
+        "-5.3351418708092249,1,223.71129919326088",
+        "4,579,84,2.4642183404251985,-0.20621335605082919,"
+        "0.09278416354310888,1,235.91129292123264",
         "5,5,0,15.906002183217524,36.210321790301641,59.920291864635011,"
         "2.7983522673401615,2.830856673433749,-1.2575138548186202,"
         "3.1549422374138962,4.5621847910894378,5.0416143898265666,"
-        "7.9370572321018829,13.134122050835693")
+        "7.9370572321018829,13.134122050835693",
+    ]
 
 
 def test_simulate_no_detection_regime(capsys) -> None:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import linalg, optimize
 
 from binloc.detection import (
     Decisions,
@@ -94,6 +94,13 @@ def test_default_region_radius_frozen_values():
     assert default_region_radius(
         DetectorConfig(tau=0.4, sigma2=0.25), 2.0
     ) == pytest.approx(_DEFAULT_RADIUS_TAU04, rel=1e-12)
+
+
+@pytest.mark.parametrize("P", [-2.0, 0.0, math.nan, math.inf])
+def test_default_region_radius_rejects_a_power_out_of_range(P):
+    # these used to give a complex radius, 0, NaN and inf
+    with pytest.raises(ValueError, match="P must be finite and > 0"):
+        default_region_radius(_DET, P)
 
 
 def test_default_radius_meets_far_field_target():
@@ -475,14 +482,14 @@ def _count_grid_evaluations(monkeypatch) -> list:
     nll_arrays, derivatives = (montecarlo._log_likelihood_arrays,
                                montecarlo._nll_derivatives)
 
-    def counted_nll(*args):
+    def counted_nll(*args, **kwargs):
         if not derivative_passes:
             grid.append(args[1:4])
-        return nll_arrays(*args)
+        return nll_arrays(*args, **kwargs)
 
-    def flagged_derivatives(*args):
+    def flagged_derivatives(*args, **kwargs):
         derivative_passes.append(args[1:4])
-        return derivatives(*args)
+        return derivatives(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "_log_likelihood_arrays", counted_nll)
     monkeypatch.setattr(montecarlo, "_nll_derivatives", flagged_derivatives)
@@ -534,6 +541,38 @@ def test_nll_derivatives_match_central_differences():
     np.testing.assert_allclose(hess, fd_hess, rtol=0.0, atol=5e-10)
 
 
+def _same_bits(a: tuple, b: tuple) -> bool:
+    return all(u.tobytes() == v.tobytes() for u, v in zip(a, b, strict=True))
+
+
+def test_nll_derivatives_from_reused_pieces_match_a_fresh_pass(monkeypatch):
+    # campaign-ref's first trial (seed 20260814): a derivative pass from
+    # the pieces of the value pass at the same hypothesis equals a fresh
+    # pass to the bit, off the fit and at every accepted iterate of the
+    # fit, which reuses them at each derivative pass after its first
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    d = _reference_trial(0.4, 20260814)
+    args = (det, 10.0, -1.8, -0.3, d.sx, d.sy, d.detected)
+    pieces = []
+    _log_likelihood_arrays(*args, pieces=pieces)
+    assert _same_bits(_nll_derivatives(*args, pieces=pieces),
+                      _nll_derivatives(*args))
+    derivatives = montecarlo._nll_derivatives
+    passes, reused = [], []
+
+    def checked(*args, pieces=None):
+        passes.append(args[1:4])
+        out = derivatives(*args, pieces=pieces)
+        if pieces is not None:
+            reused.append(_same_bits(out, derivatives(*args)))
+        return out
+
+    monkeypatch.setattr(montecarlo, "_nll_derivatives", checked)
+    res = ml_estimate(det, d, initial_guess(det, d))
+    assert res.converged and len(passes) >= 5
+    assert len(reused) >= len(passes) - 1 and all(reused)
+
+
 @pytest.mark.parametrize("seed", [
     20260814,               # interior maximum (campaign-ref call 0)
     8931513741054456221,    # interior maximum (campaign-ref call 4)
@@ -574,13 +613,13 @@ def test_ml_estimate_step_that_raises_the_nll_is_never_accepted(monkeypatch):
     derivatives = montecarlo._nll_derivatives
     passes, evals = [], []
 
-    def overshooting(*args):
-        grad, hess = derivatives(*args)
+    def overshooting(*args, **kwargs):
+        grad, hess = derivatives(*args, **kwargs)
         passes.append(args[1:4])
         return (3.0 * grad if len(passes) == 1 else grad), hess
 
-    def nll_arrays(*args):
-        val = -_log_likelihood_arrays(*args)
+    def nll_arrays(*args, **kwargs):
+        val = -_log_likelihood_arrays(*args, **kwargs)
         if passes:
             evals.append((args[1:4], val))
         return -val
@@ -596,6 +635,40 @@ def test_ml_estimate_step_that_raises_the_nll_is_never_accepted(monkeypatch):
     assert len(accepted) == len(passes)
     assert all(b <= a for a, b in zip(accepted, accepted[1:]))
     assert res.converged and res.neg_log_lik <= accepted[-1]
+    assert res.neg_log_lik == pytest.approx(plain.neg_log_lik, rel=1e-12)
+    np.testing.assert_allclose(
+        [math.log(res.theta_hat.P), res.theta_hat.x, res.theta_hat.y],
+        [math.log(plain.theta_hat.P), plain.theta_hat.x, plain.theta_hat.y],
+        rtol=0.0, atol=1e-6)
+
+
+def test_ml_estimate_unfactorable_hessian_is_damped(monkeypatch):
+    # the first Hessian negated: H + mu I is not positive definite until
+    # mu passes the largest eigenvalue of H, so LAPACK's potrf reports
+    # info > 0 and mu grows instead of the fit raising; it ends where the
+    # undisturbed fit ends
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    decisions = _reference_trial(0.4, 20260814)
+    init = initial_guess(det, decisions)
+    plain = ml_estimate(det, decisions, init)
+    derivatives, potrf = montecarlo._nll_derivatives, linalg.lapack.dpotrf
+    passes, infos = [], []
+
+    def negated(*args, **kwargs):
+        grad, hess = derivatives(*args, **kwargs)
+        passes.append(args[1:4])
+        return grad, (-hess if len(passes) == 1 else hess)
+
+    def recorded(*args, **kwargs):
+        factor, info = potrf(*args, **kwargs)
+        infos.append(info)
+        return factor, info
+
+    monkeypatch.setattr(montecarlo, "_nll_derivatives", negated)
+    monkeypatch.setattr(linalg.lapack, "dpotrf", recorded)
+    res = ml_estimate(det, decisions, init)
+    assert infos[0] > 0 and 0 in infos
+    assert res.converged
     assert res.neg_log_lik == pytest.approx(plain.neg_log_lik, rel=1e-12)
     np.testing.assert_allclose(
         [math.log(res.theta_hat.P), res.theta_hat.x, res.theta_hat.y],

@@ -328,7 +328,13 @@ def _mp_rice_log_tails(a: float, b: float) -> tuple[float, float]:
     x e^(-(x-a)^2/2 - a x) I0(a x): Q1 is its integral over [b, inf) and
     1 - Q1 over [0, b], with breakpoints near its peak at x ~ a, and the
     larger side is log1p of minus the smaller.  It converges at
-    half-arguments near 1e6, where _mp_tails raises NoConvergence."""
+    half-arguments near 1e6, where _mp_tails raises NoConvergence.
+    Its breakpoints resolve the density only for |a - b| <= 10; it is
+    off at (1550, 1500) and (1500, sqrt(3.2)), so it refuses points
+    farther apart, which _mp_neumann_log_tails takes."""
+    if not abs(a - b) <= 10.0:
+        raise ValueError(f"|a - b| = {abs(a - b):.6g} > 10: use "
+                         f"_mp_neumann_log_tails")
     with mpmath.workdps(40):
         a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
 
@@ -364,6 +370,12 @@ def test_log_tails_match_rice_oracle_either_side_of_the_asymptotic_cap(
     assert log_marcum_q_pair(a, b) == close
     log_q, log_1mq = log_marcum_q_pair_array(np.array([a]), b)
     assert (log_q[0], log_1mq[0]) == close
+
+
+@pytest.mark.parametrize("a,b", [(1550.0, 1500.0), (1500.0, math.sqrt(3.2))])
+def test_rice_oracle_refuses_points_far_from_a_equals_b(a, b):
+    with pytest.raises(ValueError, match="_mp_neumann_log_tails"):
+        _mp_rice_log_tails(a, b)
 
 
 @pytest.mark.parametrize("b", [1414.0, _X_CAP * (1.0 - 1e-12),
