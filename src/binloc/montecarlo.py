@@ -298,7 +298,9 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
 
     1. Grid guard: 9 x 9 positions around the detection centroid at 0.25,
        1 and 4 times the initializer's power; a candidate whose nll lower
-       bound shows that it cannot win skips its full evaluation.
+       bound shows that it cannot win skips its full evaluation.  The
+       bounds take one range pass per column of 27 candidates (one x
+       offset, nine y offsets, three powers).
     2. Marquardt-damped Newton steps from the best candidate
        (_damped_newton).  A fit out of steps reports converged=False.
     3. The collapsed supremum: a likelihood with no interior maximum peaks
@@ -372,13 +374,18 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
         span = (3.0 * max(float(det_x.std()), float(det_y.std()))
                 / math.sqrt(n_det)) or 2.0
         offs = np.linspace(-span, span, _GRID_POINTS)
-        for fac in _GRID_POWER_FACTORS:
-            lp = math.log(init.P * fac)
-            for dx in offs:
+        log_powers = [math.log(init.P * fac) for fac in _GRID_POWER_FACTORS]
+        powers = np.array([math.exp(lp) for lp in log_powers])
+        # one bound pass per column (one x offset, every y offset and
+        # power) shares its ranges between the powers; bounds[i, j] are
+        # those of column j at power i
+        bounds = np.stack([
+            _nll_lower_bound(cfg, powers[:, None], cen_x + dx, cen_y + offs,
+                             sx, sy, detected) for dx in offs], axis=1)
+        for lp, power_bounds in zip(log_powers, bounds):
+            for dx, column in zip(offs, power_bounds):
                 cx = cen_x + dx
-                bounds = _nll_lower_bound(cfg, math.exp(lp), cx, cen_y + offs,
-                                          sx, sy, detected)
-                for dy, bound in zip(offs, bounds):
+                for dy, bound in zip(offs, column):
                     # a bound above the running best cannot pass the
                     # strict test below
                     if bound > best_val + _SCREEN_MARGIN * (1.0 + abs(best_val)):

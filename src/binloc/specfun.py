@@ -184,6 +184,8 @@ def _marcum_q_linear(a, b: float):
             return _horner(coeffs, lam)
         return _marcum_q_ufunc(a, b)
     weak = _below_half_square(a, _WEAK_LAMBDA_MAX)
+    if not weak.any():
+        return _marcum_q_ufunc(a, b)
     a_weak = np.where(weak, a, 0.0)
     q = _horner(coeffs, 0.5 * a_weak * a_weak)
     strong = ~weak

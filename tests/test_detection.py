@@ -263,10 +263,12 @@ _COORD = st.floats(-30.0, 30.0)
 
 
 @st.composite
-def _bound_case(draw):
+def _bound_case(draw, column=False):
     # a detector anywhere in alpha in [1, 6] and tau/sigma2 in [0.1, 10],
     # a field of 1-60 sensors with random decisions, and 1-4 hypotheses
-    # of any power, the first of them exactly on a sensor
+    # of any power, the first of them exactly on a sensor; with column,
+    # a column of 1-4 powers against a row of 1-9 positions, the first
+    # of them exactly on a sensor
     sigma2 = draw(st.floats(0.05, 4.0))
     cfg = DetectorConfig(tau=draw(st.floats(0.1, 10.0)) * sigma2,
                          sigma2=sigma2, alpha=draw(st.floats(1.0, 6.0)))
@@ -275,13 +277,15 @@ def _bound_case(draw):
               for _ in range(2))
     detected = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     m = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 9)) if column else m
     P = 10.0 ** np.array(draw(st.lists(st.floats(-13.0, 13.0),
                                        min_size=m, max_size=m)))
-    x0, y0 = (np.array(draw(st.lists(_COORD, min_size=m, max_size=m)))
+    x0, y0 = (np.array(draw(st.lists(_COORD, min_size=k, max_size=k)))
               for _ in range(2))
     j = draw(st.integers(0, n - 1))
     x0[0], y0[0] = sx[j], sy[j]
-    return cfg, P, x0, y0, Decisions(sx=sx, sy=sy, detected=detected)
+    return (cfg, P[:, None] if column else P, x0, y0,
+            Decisions(sx=sx, sy=sy, detected=detected))
 
 
 @settings(deadline=None)
@@ -295,6 +299,22 @@ def test_nll_lower_bound_never_exceeds_the_nll(case):
     assert bounds.shape == P.shape
     for k, bound in enumerate(bounds):
         nll = -_log_likelihood_arrays(cfg, P[k], x0[k], y0[k],
+                                      d.sx, d.sy, d.detected)
+        assert bound <= nll + 1e-12 * (1.0 + abs(nll))
+
+
+@settings(deadline=None)
+@given(case=_bound_case(column=True))
+def test_nll_lower_bound_broadcasts_a_power_column_against_positions(case):
+    # the grid guard's column form: bounds[i, k] at (P[i], x0[k], y0[k]),
+    # each at most its nll, and numpy silent throughout
+    cfg, P, x0, y0, d = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = _nll_lower_bound(cfg, P, x0, y0, d.sx, d.sy, d.detected)
+    assert bounds.shape == (len(P), len(x0))
+    for (i, k), bound in np.ndenumerate(bounds):
+        nll = -_log_likelihood_arrays(cfg, P[i, 0], x0[k], y0[k],
                                       d.sx, d.sy, d.detected)
         assert bound <= nll + 1e-12 * (1.0 + abs(nll))
 

@@ -453,10 +453,12 @@ def test_ml_estimate_single_detection_returns_the_global_supremum(monkeypatch):
 
 def _unscreened(monkeypatch) -> None:
     # a screen whose bounds are all -inf lets every grid candidate
-    # through to its full evaluation: the exhaustive grid guard
+    # through to its full evaluation: the exhaustive grid guard; one bound
+    # per broadcast hypothesis, as the real screen returns
     monkeypatch.setattr(montecarlo, "_nll_lower_bound",
-                        lambda cfg, P, x0, y0, *arrays:
-                        np.full(np.shape(y0), -math.inf))
+                        lambda cfg, P, x0, y0, *arrays: np.full(
+                            np.broadcast_shapes(*map(np.shape, (P, x0, y0))),
+                            -math.inf))
 
 
 @pytest.mark.parametrize("seed", [
@@ -473,6 +475,30 @@ def test_ml_estimate_screened_grid_matches_the_exhaustive_one(monkeypatch,
     _unscreened(monkeypatch)
     plain = ml_estimate(det, decisions, init)
     assert screened == plain
+
+
+def test_grid_guard_column_bounds_equal_the_per_power_bounds(monkeypatch):
+    # campaign-ref's first trial (criterion 8's seed): each of the guard's
+    # nine columns is one bound call of three powers against nine
+    # positions, and it gives every hypothesis the bits of one call per
+    # power
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    d = _reference_trial(0.4, 20260814)
+    calls = []
+    bound = montecarlo._nll_lower_bound
+
+    def recorded(*args):
+        calls.append(args)
+        return bound(*args)
+
+    monkeypatch.setattr(montecarlo, "_nll_lower_bound", recorded)
+    ml_estimate(det, d, initial_guess(det, d))
+    assert len(calls) == 9
+    for cfg, P, x0, y0, *arrays in calls:
+        assert (np.shape(P), np.shape(x0), np.shape(y0)) == ((3, 1), (), (9,))
+        column = bound(cfg, P, x0, y0, *arrays)
+        per_power = [bound(cfg, float(p), x0, y0, *arrays) for p in P[:, 0]]
+        assert column.tolist() == np.array(per_power).tolist()
 
 
 def _count_grid_evaluations(monkeypatch) -> list:

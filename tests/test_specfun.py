@@ -545,6 +545,34 @@ def test_weak_signal_polynomial_length():
     assert marcum_q_array(np.array([0.5, 5.0]), 1e-10).tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("b", [math.sqrt(3.2), math.sqrt(9.6), 9.0])
+def test_strong_signal_array_skips_the_polynomial(monkeypatch, b):
+    # an array whose every lambda is past the weak-signal switch takes the
+    # ufunc for all of it: each entry has the bits it has inside an array
+    # with weak entries and, for Q1, on the scalar route (at b = 9, s =
+    # 40.5 > _WEAK_S_MAX, only the ufunc ever answers)
+    strong = np.array([_A_WEAK_SWITCH * (1.0 + 1e-9), 0.8, 1.79, 3.0,
+                       8.028282, 40.0, 1e3])
+    mixed = np.insert(strong, [0, 2, 5], [0.0, 0.3, _A_WEAK_SWITCH])
+    at = np.flatnonzero(np.isin(mixed, strong))
+    q_mixed = marcum_q_array(mixed, b)
+    pair_mixed = log_marcum_q_pair_array(mixed, b)
+    horner = []
+    monkeypatch.setattr(specfun, "_horner",
+                        lambda *args: horner.append(args) or math.nan)
+    q = marcum_q_array(strong, b)
+    log_q, log_1mq = log_marcum_q_pair_array(strong, b)
+    assert horner == []
+    monkeypatch.undo()
+    assert q.tolist() == q_mixed[at].tolist()
+    assert q.tolist() == [marcum_q(float(a), b) for a in strong]
+    assert log_q.tolist() == pair_mixed[0][at].tolist()
+    assert log_1mq.tolist() == pair_mixed[1][at].tolist()
+    np.testing.assert_allclose(
+        np.column_stack([log_q, log_1mq]),
+        [log_marcum_q_pair(float(a), b) for a in strong], rtol=1e-15, atol=0.0)
+
+
 def test_marcum_tiny_threshold_strong_signal():
     # below b^2 = 2^-25 scipy's noncentral chi-square tail overflows (its
     # tgamma) for a^2 above ~339 and raises for the whole call, after
