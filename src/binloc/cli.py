@@ -318,18 +318,19 @@ def cmd_crb(settings: Settings, out: IO[str]) -> int:
     _emit(out, "# columns: " + ",".join(_CRB_COLUMNS))
     exit_code = EXIT_OK
     for tau, det in zip(points, dets):
-        rows = []
+        # the quadrature row and a closed-form fallback share one result
+        rows, quad = [], None
         for method in sorted(settings.methods):
-            if method == "quadrature":
-                rows.append(expected_fim_quadrature(det, P, field))
-            else:
+            if method == "closed-form":
                 try:
                     rows.append(closed_form_fisher(det, P, field, settings.m))
+                    continue
                 except ModelInvalid:
-                    rows.append(replace(
-                        expected_fim_quadrature(det, P, field),
-                        quality="closed-form-invalid,quadrature-fallback"))
                     exit_code = EXIT_FALLBACK
+            if quad is None:
+                quad = expected_fim_quadrature(det, P, field)
+            rows.append(quad if method == "quadrature" else replace(
+                quad, quality="closed-form-invalid,quadrature-fallback"))
         for res in rows:
             _emit(out, ",".join([
                 _fmt(tau), _fmt(settings.alpha), res.method,

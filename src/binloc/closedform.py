@@ -33,7 +33,10 @@ where every term is a shifted Gaussian moment
 reducible to incomplete gamma functions of half-integer order.  When
 B < 0 the power moments are split at s = 0: s -> s^2 is not monotone
 there, and the unsplit difference of upper gammas would flip the sign of
-the even powers on [B, 0].
+the even powers on [B, 0].  Every M_n of one entry draws on the same power
+moments j = 0..n_max, so each entry makes that table once, with one array
+call per special function, and shares it among its terms; no table
+outlives the entry.
 
 The curvature condition f2 < 1 is required for the Gaussian substitution
 (the completed square must decay); otherwise ModelInvalid is raised.
@@ -184,34 +187,43 @@ def build_taylor_model(cfg: DetectorConfig, P: float,
 # shifted Gaussian moments
 # ----------------------------------------------------------------------
 
-def _half_moment(j: int, z: float) -> float:
-    # int_0^z s^j e^{-s^2} ds = gamma((j+1)/2, z^2) / 2 for z >= 0
-    s = 0.5 * (j + 1)
-    return float(0.5 * special.gamma(s) * special.gammainc(s, z * z))
+def _power_moments(n: int, lo: float, hi: float) -> list[float]:
+    """[int_lo^hi s^j e^{-s^2} ds for j = 0..n], lo <= hi: one array call
+    per special function serves every j, entry by entry the same bits as
+    a scalar call at that j."""
+    s = 0.5 * np.arange(1, n + 2)
+    half_gamma = 0.5 * special.gamma(s)
+    ends = np.array([[lo * lo], [hi * hi]])
+    if lo >= 0.0:
+        # difference-of-upper-gammas form; exact only for lo >= 0
+        upper = special.gammaincc(s, ends)
+        return (half_gamma * (upper[0] - upper[1])).tolist()
+    # int_0^z s^j e^{-s^2} ds = gamma((j+1)/2, z^2) / 2 for z = |lo|, |hi|;
+    # left of zero an odd power changes the sign
+    left, right = half_gamma * special.gammainc(s, ends)
+    sign = np.resize([1.0, -1.0], n + 1)
+    if hi <= 0.0:
+        return (sign * (left - right)).tolist()
+    # straddles zero
+    return (sign * left + right).tolist()
 
 
 def _power_moment(j: int, lo: float, hi: float) -> float:
-    """int_lo^hi s^j e^{-s^2} ds, lo <= hi."""
-    if lo >= 0.0:
-        # difference-of-upper-gammas form; exact only for lo >= 0
-        s = 0.5 * (j + 1)
-        return float(0.5 * special.gamma(s) * (special.gammaincc(s, lo * lo)
-                                               - special.gammaincc(s, hi * hi)))
-    if hi <= 0.0:
-        sign = 1.0 if j % 2 == 0 else -1.0
-        return sign * (_half_moment(j, -lo) - _half_moment(j, -hi))
-    # straddles zero
-    sign = 1.0 if j % 2 == 0 else -1.0
-    return sign * _half_moment(j, -lo) + _half_moment(j, hi)
+    """int_lo^hi s^j e^{-s^2} ds, lo <= hi: entry j of _power_moments."""
+    return _power_moments(j, lo, hi)[j]
 
 
-def _shifted_moment(n: int, b_lo: float, s_hi: float) -> float:
+def _shifted_moment(n: int, b_lo: float, s_hi: float,
+                    moments: list[float] | None = None) -> float:
     """M_n = int_{b_lo}^{s_hi} (s - b_lo)^n e^{-s^2} ds via the binomial
-    expansion in power moments."""
+    expansion in power moments.  moments is _power_moments(N, b_lo, s_hi)
+    for some N >= n, computed here if omitted."""
+    if moments is None:
+        moments = _power_moments(n, b_lo, s_hi)
     total = 0.0
     for l in range(n + 1):
         coef = math.comb(n, l) * (-b_lo) ** l
-        total += coef * _power_moment(n - l, b_lo, s_hi)
+        total += coef * moments[n - l]
     return total
 
 
@@ -230,12 +242,14 @@ def _surrogate_integral(model: TaylorModel, m: int, p: float) -> float:
 
         t^(1-p) C sum_{k<=m} c_k A^-(p+2k+3) M_{p+2k+2},
 
-    for an integer kernel power p >= -1."""
+    for an integer kernel power p >= -1.  The power moments of every
+    term come from one _power_moments table, built once per call."""
+    moments = _power_moments(int(p) + 2 * m + 2, model.B, model.s_breve)
     total = 0.0
     for k in range(m + 1):
         n = int(p) + 2 * k + 2
         total += (specfun.i1_squared_taylor_coeff(k) * model.A ** (-(n + 1))
-                  * _shifted_moment(n, model.B, model.s_breve))
+                  * _shifted_moment(n, model.B, model.s_breve, moments))
     return model.t ** (1.0 - p) * model.C * total
 
 

@@ -30,6 +30,8 @@ does not carry).  The integrand is assembled in log space so that the
 _prefactors states (c11, 1 - 4/alpha) and (c22, 1) once; the adaptive
 quadrature here and the closed form of binloc.closedform both read them,
 so the two routes share c11 and c22 and differ only in the integral.
+The two quadratures of one expected_fim_quadrature call share the Marcum
+values of the nodes they both visit; no value is kept across calls.
 
 The bounds are CRB_P = 1/F11 and CRB_x = CRB_y = 1/F22.
 """
@@ -180,15 +182,27 @@ def _sensor_information(cfg: DetectorConfig, P: float, x0: float, y0: float,
 # expected information over the field
 # ----------------------------------------------------------------------
 
-def _log_kernel(x: float, t: float, power: float) -> float:
+def _log_kernel(x: float, t: float, power: float,
+                memo: dict[float, tuple[float, float, float]] | None = None
+                ) -> float:
     """log of x^power * Q'(x)^2 / (Q (1-Q)) at signal coordinate x, with
     Q' = dQ1(x, t)/dx.  The weight 1/(Q(1-Q)) comes from the log tails,
-    so that it stays finite where 1 - Q underflows."""
+    so that it stays finite where 1 - Q underflows.
+
+    memo, if given, keeps each x's (log x, 2 log Q', log Q + log(1-Q)) at
+    this t, so that a second power at the same x makes no Marcum call;
+    the caller owns it and decides how long it lives."""
     if x <= 0.0:
         return -math.inf
-    log_q, log_1mq = specfun.log_marcum_q_pair(x, t)
-    return (power * math.log(x) + 2.0 * specfun.log_marcum_q_da(x, t)
-            - (log_q + log_1mq))
+    terms = memo.get(x) if memo is not None else None
+    if terms is None:
+        log_q, log_1mq = specfun.log_marcum_q_pair(x, t)
+        terms = (math.log(x), 2.0 * specfun.log_marcum_q_da(x, t),
+                 log_q + log_1mq)
+        if memo is not None:
+            memo[x] = terms
+    log_x, log_da2, log_weight = terms
+    return power * log_x + log_da2 - log_weight
 
 
 def _log_kernel_array(x: np.ndarray, t: float, power: float) -> np.ndarray:
@@ -242,12 +256,19 @@ def _x_breakpoints(t: float, xb: float) -> list[float]:
 def expected_fim_quadrature(cfg: DetectorConfig, P: float,
                             field: FieldConfig) -> FisherResult:
     """Expected Fisher information by adaptive quadrature over the signal
-    coordinate on (0, x_breve]."""
+    coordinate on (0, x_breve].
+
+    F11 and F22 differ only in the power of x, and QUADPACK visits the
+    same nodes for both (all of them at alpha 2 and 4), so the Marcum
+    values of each node are kept for the length of this call: the F22
+    integral reuses what F11 computed.  Nothing is kept from one call to
+    the next."""
     P = _positive("P", P)
     t = cfg.threshold_coordinate
     xb = x_breve(cfg, P, field)
     pts = _x_breakpoints(t, xb)
-    f11, f22 = (c * _integrate_log(lambda x: _log_kernel(x, t, p),
+    memo: dict[float, tuple[float, float, float]] = {}
+    f11, f22 = (c * _integrate_log(lambda x: _log_kernel(x, t, p, memo),
                                    0.0, xb, pts)
                 for c, p in _prefactors(cfg, P, field))
     return FisherResult(F11=f11, F22=f22, method="quadrature")

@@ -60,3 +60,34 @@ def test_traced_run_is_the_first_campaign_entry():
                                     "campaign-ref:20260814:5"])
     assert bench_record.traced_entry(plan) == ("campaign-ref", 4721, 5)
     assert bench_record.traced_entry(plan[:1]) == ("crb-sweep", 20260814, 3)
+
+
+def test_traced_run_follows_the_claimed_workload():
+    plan = bench_record.parse_plan(["crb-sweep:20260814:10",
+                                    "campaign-ref:20260814:5",
+                                    "campaign-ref:4721:5"])
+    assert bench_record.traced_entry(plan, "crb-sweep") == (
+        "crb-sweep", 20260814, 10)
+    assert bench_record.traced_entry(plan[::-1], "campaign-ref") == (
+        "campaign-ref", 4721, 5)
+    # a claim outside the plan falls back to the first campaign entry
+    assert bench_record.traced_entry(plan, "campaign-hightau") == (
+        "campaign-ref", 20260814, 5)
+
+
+def test_traced_pairs_alternate_and_record_medians():
+    assert bench_record.TRACED_PAIRS >= 3
+    for key in ("fisher.quad_ms_per_point", "closedform.point_ms",
+                "fisher.self_s", "closedform.self_s", "specfun.self_s"):
+        assert key in bench_record.TRACED_KEYS
+    runs = [("parent", 0.60, 0.33), ("change", 0.70, 0.30),
+            ("parent", 0.58, 0.36)]
+    pairs = [{"first": first,
+              "parent": {"fisher.quad_ms_per_point": p, "not.recorded": 1.0},
+              "change": {"fisher.quad_ms_per_point": c}}
+             for first, p, c in runs]
+    traced = bench_record.summarize_traced(pairs)
+    assert traced["pairs"] == 3
+    assert traced["first_in_pair"] == ["parent", "change", "parent"]
+    assert traced["parent"] == {"fisher.quad_ms_per_point": 0.60}
+    assert traced["change"] == {"fisher.quad_ms_per_point": 0.33}

@@ -428,6 +428,28 @@ def test_crb_closed_form_fallback(capsys) -> None:
     assert flagged[5] == plain[5]
 
 
+def test_crb_fallback_reuses_the_quadrature_row(capsys, monkeypatch) -> None:
+    # one quadrature per tau point serves both the fallback and the
+    # quadrature row, and the rows keep their bytes
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expected_fim_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "expected_fim_quadrature", counted)
+    code, out, _ = _run(capsys, "crb",
+                        "--set", "sweep.start=5", "--set", "sweep.stop=5",
+                        "--set", "sigma2=0.01", "--set", "rho=5",
+                        "--set", "P=0.5")
+    assert code == EXIT_FALLBACK
+    assert len(calls) == 1
+    numbers = ("5,2,quadrature,,293.39003168034475,2769.0249117464255,"
+               "0.0034084320938671947,0.00036113795717688195,")
+    assert _data_rows(out) == [
+        numbers + "closed-form-invalid,quadrature-fallback", numbers + "ok"]
+
+
 def test_crb_header_reflects_config_file(tmp_path, capsys) -> None:
     cfg = tmp_path / "point.cfg"
     cfg.write_text("tau = 0.7\nmethods = quadrature\n"

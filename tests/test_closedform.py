@@ -31,7 +31,7 @@ from binloc.closedform import (
     f11_closed_form,
     f22_closed_form,
 )
-from binloc.closedform import _power_moment, _shifted_moment
+from binloc.closedform import _power_moment, _power_moments, _shifted_moment
 from binloc.detection import DetectorConfig
 from binloc.fisher import FieldConfig, expected_fim_quadrature
 
@@ -190,6 +190,50 @@ def test_power_moment_unsplit_exact_only_on_positive_intervals():
     ref, _ = integrate.quad(lambda s: math.exp(-s * s), -1.0, 0.5, epsabs=1e-14)
     assert abs(_unsplit_power_moment(0, -1.0, 0.5) - ref) > 1e-3
     assert _power_moment(0, -1.0, 0.5) == pytest.approx(ref, rel=1e-11)
+
+
+def _scalar_power_moment(j, lo, hi):
+    # one j at a time: the gamma difference for lo >= 0, else half moments
+    # int_0^z s^j e^{-s^2} ds = gamma((j+1)/2, z^2) / 2 on each side of 0
+    if lo >= 0.0:
+        return float(_unsplit_power_moment(j, lo, hi))
+    s = 0.5 * (j + 1)
+
+    def half(z):
+        return float(0.5 * special.gamma(s) * special.gammainc(s, z * z))
+
+    sign = 1.0 if j % 2 == 0 else -1.0
+    if hi <= 0.0:
+        return sign * (half(-lo) - half(-hi))
+    return sign * half(-lo) + half(hi)
+
+
+@pytest.mark.parametrize("interval", [(0.3, 1.7), (0.0, 2.5), (1.2, math.inf),
+                                      (-2.0, -0.5), (-1.5, 0.0), (-1.2, 0.7),
+                                      (-0.4, 1.1)])
+def test_power_moment_table_matches_scalar_bits(interval):
+    # one array call per special function gives every j the bits of the
+    # scalar call at that j
+    lo, hi = interval
+    table = _power_moments(9, lo, hi)
+    assert len(table) == 10
+    for j in range(10):
+        assert table[j] == _scalar_power_moment(j, lo, hi), j
+        assert _power_moment(j, lo, hi) == table[j]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7])
+@pytest.mark.parametrize("b_lo", [0.9592748272675031, -0.4])
+def test_shifted_moment_keeps_scalar_bits(n, b_lo):
+    # the binomial sum over a shared table, whatever its length, equals
+    # the sum over scalar power moments term by term
+    s_hi = b_lo + 1.5
+    ref = 0.0
+    for l in range(n + 1):
+        ref += (math.comb(n, l) * (-b_lo) ** l
+                * _scalar_power_moment(n - l, b_lo, s_hi))
+    assert _shifted_moment(n, b_lo, s_hi) == ref
+    assert _shifted_moment(n, b_lo, s_hi, _power_moments(9, b_lo, s_hi)) == ref
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7])

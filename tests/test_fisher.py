@@ -28,8 +28,9 @@ from binloc.fisher import (
     rmin_expected,
     x_breve,
 )
-from binloc.fisher import (_lattice_information, _log_kernel,
-                           _log_kernel_array, _sensor_information)
+from binloc.fisher import (_integrate_log, _lattice_information, _log_kernel,
+                           _log_kernel_array, _prefactors, _sensor_information,
+                           _x_breakpoints)
 from binloc.montecarlo import SimConfig, sample_field
 
 from _reference import detection_probability_derivatives, expected_f22_r_domain
@@ -122,6 +123,33 @@ def test_expected_fim_rejects_bad_power():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             expected_fim_quadrature(_cfg(2.0), bad, _FIELD)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("tau", [0.10, 0.40, 1.36, 2.00])
+def test_shared_node_values_keep_every_bit(tau, alpha, monkeypatch):
+    # F11 and F22 share each node's Marcum values within one call; the
+    # entries equal, to the bit, one quadrature per entry with no sharing
+    cfg = DetectorConfig(tau=tau, sigma2=0.25, alpha=alpha)
+    t, xb = cfg.threshold_coordinate, x_breve(cfg, _P, _FIELD)
+    pts = _x_breakpoints(t, xb)
+    ref = [c * _integrate_log(lambda x: _log_kernel(x, t, p), 0.0, xb, pts)
+           for c, p in _prefactors(cfg, _P, _FIELD)]
+    nodes = []
+    pair = specfun.log_marcum_q_pair
+
+    def counted(x, t):
+        nodes.append(x)
+        return pair(x, t)
+
+    monkeypatch.setattr(specfun, "log_marcum_q_pair", counted)
+    res = expected_fim_quadrature(cfg, _P, _FIELD)
+    assert (res.F11, res.F22) == tuple(ref)
+    # one Marcum pair per distinct node: 42 at the default grid's typical
+    # point (84 without sharing), 63 at tau = 0.10, alpha = 2
+    assert len(nodes) == len(set(nodes))
+    if alpha == 2.0:
+        assert len(nodes) == (63 if tau == 0.10 else 42)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 4.0])

@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from binloc import detection, specfun
-from binloc.closedform import _half_moment, _power_moment
+from binloc.closedform import _power_moment
 from binloc.specfun import (
     _SERIES_LAMBDA_MAX,
     i1_squared_taylor_coeff,
@@ -837,7 +837,9 @@ def upper_gamma(s: float, x: float) -> float:
 
 def lower_gamma(s: float, x: float) -> float:
     # gamma(s, x) = 2 int_0^{sqrt x} u^(2s-1) e^{-u^2} du
-    return 2.0 * _half_moment(_moment_order(s), math.sqrt(x))
+    #             = 2 (-1)^(2s-1) int_{-sqrt x}^0 u^(2s-1) e^{-u^2} du
+    j = _moment_order(s)
+    return 2.0 * (-1.0) ** j * _power_moment(j, -math.sqrt(x), 0.0)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.5, 4.0, 7.5])

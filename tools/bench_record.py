@@ -10,9 +10,11 @@ BENCHMARK.json declares it (its own run_seconds, --trace 0).  A plan
 entry WORKLOAD:SEED:PAIRS runs PAIRS pairs, each one parent run and one
 change run, back to back; pair i runs the parent first when i + j is
 even, j the position of SEED among the seeds planned for WORKLOAD, so
-that neither side always runs first.  Last, one traced run per side of
-the first campaign entry of the plan (the first entry if it has none)
-adds the per-layer counts.
+that neither side always runs first.  Last, TRACED_PAIRS alternating
+pairs of traced runs (parent first in even pairs) add the per-layer
+metrics of TRACED_KEYS, as each side's median.  They trace the first
+entry of the claimed workload, else the first campaign entry of the
+plan, else the first entry.
 
 --change takes any tree-ish: a commit, or for a staged change the tree
 that `git write-tree` prints.  Run from the root of the repository.
@@ -36,7 +38,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "perfbench"))
 from workloads import HELD_OUT_SEED, WORKLOADS  # noqa: E402
 
-# the per-layer metrics a traced run contributes to the record
+# the per-layer metrics a traced run contributes to the record: the
+# campaign's, then the crb sweep's (a workload reports 0 for the others)
 TRACED_KEYS = (
     "montecarlo.nll_evals_per_trial",
     "montecarlo.nll_evals_grid_per_trial",
@@ -51,8 +54,17 @@ TRACED_KEYS = (
     "montecarlo.est_max_dev",
     "detection.sensors_per_nll",
     "detection.ns_per_sensor_eval",
+    "fisher.quad_ms_per_point",
+    "closedform.point_ms",
+    "fisher.self_s",
+    "closedform.self_s",
+    "specfun.self_s",
     "trace.overhead_s",
 )
+
+# alternating pairs of traced runs, so that drift in machine speed does
+# not read as a change between the sides
+TRACED_PAIRS = 3
 
 SIDES = ("parent", "change")
 
@@ -131,12 +143,27 @@ def parse_plan(items: list[str]) -> list[tuple[str, int, int]]:
     return plan
 
 
-def traced_entry(plan: list[tuple[str, int, int]]) -> tuple[str, int, int]:
-    """The plan entry whose traced run the record keeps: the first
-    campaign entry, since TRACED_KEYS are campaign metrics, else the
+def traced_entry(plan: list[tuple[str, int, int]],
+                 claimed: str | None = None) -> tuple[str, int, int]:
+    """The plan entry whose traced runs the record keeps: the first entry
+    of the claimed workload, else the first campaign entry, else the
     first entry."""
-    return next((entry for entry in plan if WORKLOADS[entry[0]].is_campaign),
-                plan[0])
+    return next((entry for entry in plan if entry[0] == claimed),
+                next((entry for entry in plan
+                      if WORKLOADS[entry[0]].is_campaign), plan[0]))
+
+
+def summarize_traced(pairs: list[dict]) -> dict:
+    """Each side's median of every TRACED_KEYS metric its runs report,
+    from traced pairs {"first": side, "parent": metrics, "change": ...},
+    metrics mapping a name to its value."""
+    out: dict = {"pairs": len(pairs),
+                 "first_in_pair": [p["first"] for p in pairs]}
+    for side in SIDES:
+        out[side] = {key: statistics.median(p[side][key] for p in pairs)
+                     for key in TRACED_KEYS
+                     if all(key in p[side] for p in pairs)}
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -215,16 +242,22 @@ def main(argv: list[str] | None = None) -> int:
             out["workloads"][-1] = summarize_entry(workload, seed, pairs)
             write()
 
-    workload, seed, _ = traced_entry(plan)
-    out["traced"] = {
-        "command": (f"python3 perfbench/run.py --workload {workload} "
-                    f"--seed {seed} --seconds {seconds:g} --trace 1"),
-        "runs": "one per side"}
-    for side in SIDES:
-        record, _ = run_once(checkouts[side], workload, seed, seconds, trace=1)
-        out["traced"][side] = {k: record["metrics"][k]
-                               for k in TRACED_KEYS if k in record["metrics"]}
-    write()
+    workload, seed, _ = traced_entry(plan, out.get("claim", {}).get("workload"))
+    command = (f"python3 perfbench/run.py --workload {workload} "
+               f"--seed {seed} --seconds {seconds:g} --trace 1")
+    traced: list[dict] = []
+    for i in range(TRACED_PAIRS):
+        first = "parent" if i % 2 == 0 else "change"
+        pair = {"first": first}
+        for side in (first, "change" if first == "parent" else "parent"):
+            record, _ = run_once(checkouts[side], workload, seed, seconds,
+                                 trace=1)
+            note(side, record)
+            pair[side] = record["metrics"]
+        traced.append(pair)
+        out["traced"] = {"command": command, "runs": "median per side",
+                         **summarize_traced(traced)}
+        write()
     return 0
 
 
