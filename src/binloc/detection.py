@@ -173,19 +173,30 @@ def _signal_coordinate_vec(cfg: DetectorConfig, P: float, r: np.ndarray,
 
 def _log_likelihood_arrays(cfg: DetectorConfig, P: float, x0: float, y0: float,
                            sx: np.ndarray, sy: np.ndarray,
-                           detected: np.ndarray, pieces=None) -> float:
+                           detected: np.ndarray, pieces=None,
+                           ceiling: float = -math.inf) -> float:
     """Log-likelihood of binary decisions at sensor positions (sx, sy)
     for emitter hypothesis (P, x0, y0).  Total in the hypothesis: a
     sensor coinciding with it sees an infinite signal coordinate, hence
     certain detection (contribution 0 if it detected, -inf otherwise).
-    A list given as pieces receives (dx, dy, r, x, log terms) per sensor."""
+
+    Given a ceiling, a pass with terms that need the log tails first
+    sums its terms with tail-free upper bounds in their place
+    (specfun._log_sides); where that sum is below the ceiling it is
+    returned: at least the exact log-likelihood, and below the ceiling
+    as the exact one is.  Any other pass returns the bits of a pass
+    without a ceiling.  A list given as pieces receives
+    (dx, dy, r, x, log terms) per sensor, unless the sum is below the
+    ceiling."""
     dx, dy = sx - x0, sy - y0
     r = np.hypot(dx, dy)
     x = _signal_coordinate_vec(cfg, P, r)
-    log_terms = specfun._log_sides(x, cfg.threshold_coordinate, detected)
-    if pieces is not None:
+    log_terms = specfun._log_sides(x, cfg.threshold_coordinate, detected,
+                                   ceiling)
+    total = float(log_terms.sum())
+    if pieces is not None and not total < ceiling:
         pieces[:] = dx, dy, r, x, log_terms
-    return float(log_terms.sum())
+    return total
 
 
 def _nll_derivatives(cfg: DetectorConfig, P: float, x0: float, y0: float,
@@ -255,7 +266,7 @@ def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
     exact term (up to the last bits of x, taken from the squared range
     rather than hypot where that does not underflow), except where that
     term needs the log tails: there it takes the bound of
-    specfun._log_sides(..., tails=False), 0 for a detecting sensor and
+    specfun._log_sides(..., ceiling=inf), 0 for a detecting sensor and
     the Rayleigh bound (x - t)^2/2 for a silent one with x > t, so the
     screen never sums a Neumann series.  Any other takes a
     closed form from the Poisson mixture
@@ -290,7 +301,7 @@ def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
     if near.any():
         terms[near] = -specfun._log_sides(
             x_near, cfg.threshold_coordinate,
-            np.broadcast_to(detected, lam.shape)[near], tails=False)
+            np.broadcast_to(detected, lam.shape)[near], math.inf)
     return terms.sum(axis=-1)
 
 

@@ -297,12 +297,18 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
     nll at the returned point, never worse than the initializer's.
 
     1. Grid guard: 9 x 9 positions around the detection centroid at 0.25,
-       1 and 4 times the initializer's power; a candidate whose nll lower
-       bound shows that it cannot win skips its full evaluation.  The
-       bounds take one range pass per column of 27 candidates (one x
-       offset, nine y offsets, three powers).
+       1 and 4 times the initializer's power.  Lower bounds on their nlls
+       take one range pass per column of 27 candidates (one x offset,
+       nine y offsets, three powers).  The candidates are evaluated best
+       first, in ascending bound order, until a bound shows that none of
+       the rest can win; among equal nlls the lowest index wins, so the
+       guard picks the start of an exhaustive loop in index order.
     2. Marquardt-damped Newton steps from the best candidate
        (_damped_newton).  A fit out of steps reports converged=False.
+    In both stages a candidate's nll pass is given the nll it must not
+    exceed (the running best, the current iterate's) as a ceiling, and
+    stops where the tail-free bound of _log_likelihood_arrays already
+    exceeds it: the candidate's exact nll would have lost too.
     3. The collapsed supremum: a likelihood with no interior maximum peaks
        as P -> 0 with the emitter on a detecting sensor, which the
        log-power wall (P = e^-30) attains to double precision, with
@@ -323,7 +329,9 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
     # the latest nll pass's iterate and pieces, reused at accepted iterates
     last = [None, None]
 
-    def nll(theta_log: np.ndarray) -> float:
+    def nll(theta_log: np.ndarray, ceiling: float = math.inf) -> float:
+        # a pass that shows the nll above the ceiling may stop there and
+        # return a bound above it (_log_likelihood_arrays)
         log_p, x0, y0 = theta_log
         if not (abs(log_p) <= _LOG_POWER_WALL and math.isfinite(x0)
                 and math.isfinite(y0)):
@@ -334,7 +342,8 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
         last[:] = theta_log, []
         # 0.0 - ll, not -ll: a certain outcome (ll = 0) has nll 0, not -0
         val = 0.0 - _log_likelihood_arrays(cfg, math.exp(log_p), x0, y0,
-                                           sx, sy, detected, pieces=last[1])
+                                           sx, sy, detected, pieces=last[1],
+                                           ceiling=-ceiling)
         return val if math.isfinite(val) else math.inf
 
     def derivatives(theta_log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,23 +386,26 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
         log_powers = [math.log(init.P * fac) for fac in _GRID_POWER_FACTORS]
         powers = np.array([math.exp(lp) for lp in log_powers])
         # one bound pass per column (one x offset, every y offset and
-        # power) shares its ranges between the powers; bounds[i, j] are
-        # those of column j at power i
+        # power) shares its ranges between the powers; bounds[i, j, k] is
+        # that of power i, x offset j and y offset k, and index order is
+        # the order of its flat index
         bounds = np.stack([
             _nll_lower_bound(cfg, powers[:, None], cen_x + dx, cen_y + offs,
-                             sx, sy, detected) for dx in offs], axis=1)
-        for lp, power_bounds in zip(log_powers, bounds):
-            for dx, column in zip(offs, power_bounds):
-                cx = cen_x + dx
-                for dy, bound in zip(offs, column):
-                    # a bound above the running best cannot pass the
-                    # strict test below
-                    if bound > best_val + _SCREEN_MARGIN * (1.0 + abs(best_val)):
-                        continue
-                    cand = np.array([lp, cx, cen_y + dy])
-                    val = nll(cand)
-                    if val < best_val:
-                        best, best_val = cand, val
+                             sx, sy, detected) for dx in offs], axis=1).ravel()
+        # best first: once a bound is above the running best, every later
+        # one is too, and none of them can win or tie.  Among equal nlls
+        # the lowest index wins, as index order's strict test picks it;
+        # the start (index -1) wins every tie
+        best_i = -1
+        for i in np.argsort(bounds, kind="stable"):
+            if bounds[i] > best_val + _SCREEN_MARGIN * (1.0 + abs(best_val)):
+                break
+            j, k = divmod(int(i), _GRID_POINTS)
+            p, j = divmod(j, _GRID_POINTS)
+            cand = np.array([log_powers[p], cen_x + offs[j], cen_y + offs[k]])
+            val = nll(cand, best_val)
+            if val < best_val or (val == best_val and i < best_i):
+                best, best_val, best_i = cand, val, i
 
         # a fit that starts below the floor has not collapsed through it
         log_p_floor = math.log(_POWER_BRACKET[0])
@@ -439,7 +451,7 @@ def _damped_newton(nll, derivatives, theta: np.ndarray, val: float,
         step = -linalg.lapack.dpotrs(factor, grad)[0] if info == 0 else None
         if step is not None and np.isfinite(step).all():
             cand = theta + step
-            cand_val = nll(cand)
+            cand_val = nll(cand, val)
             if cand_val <= val:
                 theta, val, mu, grad = cand, cand_val, mu / 8.0, None
             if np.max(np.abs(step)) < _NEWTON_STEP_TOL:

@@ -350,7 +350,7 @@ def _takes_asymptotic(a: np.ndarray, b: float) -> np.ndarray:
 
 
 def _log_sides(a: np.ndarray, b: float, upper: np.ndarray,
-               tails: bool = True) -> np.ndarray:
+               ceiling: float = -math.inf) -> np.ndarray:
     """log Q1(a, b) where upper, log(1 - Q1(a, b)) elsewhere, for an array
     a >= 0, a scalar b and a bool array upper of a's shape; nothing is
     validated.
@@ -360,10 +360,15 @@ def _log_sides(a: np.ndarray, b: float, upper: np.ndarray,
     1 - Q1 < 1e-9, log Q1 lies in (-1e-9, 0] and log q is within about
     1e-16 of it, far below the last place of a likelihood sum.  A lower
     entry takes log1p(-q) wherever _linear_logs allows it.  Every other
-    entry comes from _log_pair, or, with tails=False, takes an upper
-    bound on its side instead: 0 for an upper entry, and the Rayleigh
-    bound 1 - Q1(a, b) = Pr[|a + n| <= b] <= Pr[|n| >= a - b] =
-    e^(-(a-b)^2/2) for a lower one with a > b (0 with a <= b).
+    entry comes from _log_pair.  Given a ceiling above -inf, those entries
+    first take an upper bound on their side instead: 0 for an upper
+    entry, and the Rayleigh bound 1 - Q1(a, b) = Pr[|a + n| <= b] <=
+    Pr[|n| >= a - b] = e^(-(a-b)^2/2) for a lower one with a > b (0 with
+    a <= b).  Where the array's sum is then below the ceiling the bounds
+    are returned: rounding is monotone, so that sum is at least the exact
+    array's, summed in the same order.  Else the bounded entries are
+    completed from _log_pair, to the bits of a pass without a ceiling.
+    A ceiling of inf never sums a log tail.
     """
     if b == 0.0:
         return np.where(upper, 0.0, -math.inf)
@@ -373,14 +378,15 @@ def _log_sides(a: np.ndarray, b: float, upper: np.ndarray,
     rest = ~np.where(upper, q >= _UFUNC_MIN, _linear_logs(a, b, q)[1])
     if rest.any():
         a_rest, up_rest = a[rest], upper[rest]
-        if tails:
-            log_q, log_1mq = _log_pair(a_rest, b, q[rest])
-            sides[rest] = np.where(up_rest, log_q, log_1mq)
-        else:
+        if ceiling > -math.inf:
             # a - b overflows its square only for a near inf
             with np.errstate(over="ignore"):
                 sides[rest] = np.where(
                     up_rest, 0.0, -0.5 * np.maximum(a_rest - b, 0.0) ** 2)
+            if sides.sum() < ceiling:
+                return sides
+        log_q, log_1mq = _log_pair(a_rest, b, q[rest])
+        sides[rest] = np.where(up_rest, log_q, log_1mq)
     return sides
 
 

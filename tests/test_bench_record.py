@@ -91,3 +91,17 @@ def test_traced_pairs_alternate_and_record_medians():
     assert traced["first_in_pair"] == ["parent", "change", "parent"]
     assert traced["parent"] == {"fisher.quad_ms_per_point": 0.60}
     assert traced["change"] == {"fisher.quad_ms_per_point": 0.33}
+
+
+def test_traced_metrics_listed_as_absent_are_left_out():
+    # a crb-sweep run reports the campaign's metrics as 0 and lists them
+    # under absent: they are not recorded as measured zeros
+    record = {"metrics": {"fisher.quad_ms_per_point": 0.35,
+                          "detection.nll_us": 0.0},
+              "absent": {"detection.nll_us": "no nll calls"}}
+    pairs = [{"first": first, "parent": bench_record.traced_metrics(record),
+              "change": bench_record.traced_metrics(record)}
+             for first in ("parent", "change", "parent")]
+    traced = bench_record.summarize_traced(pairs)
+    for side in ("parent", "change"):
+        assert traced[side] == {"fisher.quad_ms_per_point": 0.35}

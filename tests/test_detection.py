@@ -371,3 +371,68 @@ def test_nll_lower_bound_bounds_a_silent_band_sensor_without_log_tails(
     nll = -_log_likelihood_arrays(cfg, 2.0, 0.0, 0.0, sx, sy, detected)
     assert math.isfinite(bound)
     assert 19.0 < bound <= nll
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@settings(deadline=None)
+@given(case=_bound_case(), offset=st.floats(-1e3, 1e3))
+def test_bounded_likelihood_pass_keeps_its_bits_or_stops_below_the_ceiling(
+        case, offset):
+    # at any ceiling a pass either returns the bits of the pass without
+    # one, with its pieces, or stops with a value at least the exact
+    # log-likelihood and below the ceiling, without pieces.  The ceilings
+    # include the tail-free bound's sum and its neighbours, which decide
+    # whether a hypothesis with log-tail terms (a high power next to a
+    # silent sensor) stops
+    cfg, P, x0, y0, d = case
+    for k in range(len(P)):
+        args = (cfg, P[k], x0[k], y0[k], d.sx, d.sy, d.detected)
+        exact_pieces = []
+        exact = _log_likelihood_arrays(*args, pieces=exact_pieces)
+        bound = _log_likelihood_arrays(*args, ceiling=math.inf)
+        assert bound >= exact
+        for ceiling in (-math.inf, exact, exact + offset, bound,
+                        np.nextafter(bound, math.inf),
+                        np.nextafter(bound, -math.inf),
+                        0.5 * (exact + bound), math.inf):
+            pieces = []
+            val = _log_likelihood_arrays(*args, pieces=pieces,
+                                         ceiling=ceiling)
+            if _bits(val) == _bits(exact) and not val < ceiling:
+                assert all(u.tobytes() == v.tobytes()
+                           for u, v in zip(pieces, exact_pieces, strict=True))
+            else:
+                assert exact <= val < ceiling and pieces == []
+
+
+def test_bounded_pass_skips_the_log_tails_of_a_losing_hypothesis(
+        monkeypatch):
+    # a high power next to silent sensors at criterion 8's threshold:
+    # their terms need the log tails.  A ceiling above the tail-free
+    # bound stops the pass before them; one at the exact value lets it
+    # finish, to the bits of a plain pass
+    cfg = DetectorConfig(tau=0.40, sigma2=0.25)
+    sx = np.array([1.0, 2.0, 3.5, 30.0, -12.0])
+    sy = np.array([0.0, 1.0, -2.0, 4.0, 5.0])
+    detected = np.array([False, False, False, True, False])
+    args = (cfg, 2000.0, 0.0, 0.0, sx, sy, detected)
+    calls = []
+    log_tails = specfun._log_tails
+
+    def counted(a, b):
+        calls.append(np.size(a))
+        return log_tails(a, b)
+
+    monkeypatch.setattr(specfun, "_log_tails", counted)
+    exact = _log_likelihood_arrays(*args)
+    assert calls
+    calls.clear()
+    bound = _log_likelihood_arrays(*args, ceiling=math.inf)
+    assert calls == [] and exact < bound
+    assert _log_likelihood_arrays(*args, ceiling=bound + 1.0) == bound
+    assert calls == []
+    assert _bits(_log_likelihood_arrays(*args, ceiling=exact)) == _bits(exact)
+    assert calls

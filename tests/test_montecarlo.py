@@ -539,6 +539,127 @@ def test_ml_estimate_screen_skips_most_grid_evaluations(monkeypatch):
     assert len(grid) == 244
 
 
+_REFERENCE_SEEDS = (
+    20260814,               # interior maximum (campaign-ref call 0)
+    8931513741054456221,    # interior maximum (campaign-ref call 4)
+    8210255658006863255,    # collapses to zero power (campaign-ref call 1)
+)
+
+
+def test_ml_estimate_is_unchanged_by_the_likelihood_ceiling(monkeypatch):
+    # a pass that stops at its tail-free bound only ever rejects a
+    # hypothesis that its exact nll rejects too, so the fit is the same
+    # as one whose every pass runs to the end; on these trials the
+    # ceiling stops passes that would have summed the log tails
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    nll_arrays = montecarlo._log_likelihood_arrays
+    stopped = []
+
+    def checked(*args, ceiling=-math.inf, **kwargs):
+        val = nll_arrays(*args, ceiling=ceiling, **kwargs)
+        exact = nll_arrays(*args)
+        if val != exact:
+            assert exact <= val < ceiling
+            stopped.append(args[1:4])
+        return val
+
+    def unbounded(*args, ceiling=None, **kwargs):
+        return nll_arrays(*args, **kwargs)
+
+    for seed in _REFERENCE_SEEDS:
+        decisions = _reference_trial(0.4, seed)
+        init = initial_guess(det, decisions)
+        monkeypatch.setattr(montecarlo, "_log_likelihood_arrays", checked)
+        bounded = ml_estimate(det, decisions, init)
+        monkeypatch.setattr(montecarlo, "_log_likelihood_arrays", unbounded)
+        assert bounded == ml_estimate(det, decisions, init)
+    assert stopped
+
+
+def _index_order_evaluations(det, decisions, start, columns) -> int:
+    # the grid guard's evaluations in index order, the order of the
+    # exhaustive loop: a candidate is evaluated unless its bound is above
+    # the running best; columns are the recorded bound calls and their
+    # bounds, one call per x offset, bounds[i, k] at power i, y offset k
+    def nll(P, x0, y0):
+        return -_log_likelihood_arrays(det, P, x0, y0, decisions.sx,
+                                       decisions.sy, decisions.detected)
+
+    best, count = nll(*start), 0
+    for i in range(3):
+        for (cfg, P, x0, y0, *arrays), bounds in columns:
+            for k, bound in enumerate(bounds[i]):
+                margin = montecarlo._SCREEN_MARGIN * (1.0 + abs(best))
+                if bound > best + margin:
+                    continue
+                count += 1
+                best = min(best, nll(P[i, 0], x0, y0[k]))
+    return count
+
+
+def test_best_first_grid_evaluates_no_more_than_index_order(monkeypatch):
+    # best first stops at the first bound above the running best, so on
+    # the reference trials it evaluates no more candidates than index
+    # order does, and fewer over the three
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    bound = montecarlo._nll_lower_bound
+    columns = []
+
+    def recorded(*args):
+        out = bound(*args)
+        columns.append((args, out))
+        return out
+
+    monkeypatch.setattr(montecarlo, "_nll_lower_bound", recorded)
+    grid, derivative_passes = _count_grid_evaluations(monkeypatch)
+    best_first = index_order = 0
+    for seed in _REFERENCE_SEEDS:
+        decisions = _reference_trial(0.4, seed)
+        for record in (columns, grid, derivative_passes):
+            record.clear()
+        ml_estimate(det, decisions, initial_guess(det, decisions))
+        assert len(columns) == 9
+        n = _index_order_evaluations(det, decisions, grid[0], columns)
+        assert len(grid) - 1 <= n
+        best_first += len(grid) - 1
+        index_order += n
+    assert best_first < index_order
+
+
+def test_grid_guard_ties_go_to_the_lowest_index(monkeypatch):
+    # every candidate's nll is equal and below the start's, and the
+    # bounds fall with the index, so best first evaluates the candidates
+    # from the last index down; the first index must still win, as in
+    # the index-order loop, whose strict test keeps the first of equals
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    decisions = _reference_trial(0.4, 20260814)
+    init = initial_guess(det, decisions)
+    columns, evaluated, starts = [], [], []
+
+    def falling(cfg, P, x0, y0, *arrays):
+        j = len(columns)
+        columns.append((x0, y0))
+        return -1e6 - (81 * np.arange(3)[:, None] + 9 * j + np.arange(9))
+
+    def constant(cfg, P, x0, y0, *arrays, **kwargs):
+        evaluated.append((P, x0, y0))
+        return -2.0 if len(evaluated) == 1 else -1.0
+
+    def start_only(nll, derivatives, theta, val, log_p_stop):
+        starts.append((theta, val))
+        return theta, val, True
+
+    monkeypatch.setattr(montecarlo, "_nll_lower_bound", falling)
+    monkeypatch.setattr(montecarlo, "_log_likelihood_arrays", constant)
+    monkeypatch.setattr(montecarlo, "_damped_newton", start_only)
+    ml_estimate(det, decisions, init)
+    (theta, val), = starts
+    assert len(evaluated) == 244 and val == 1.0
+    assert evaluated[1][1:] == (columns[8][0], columns[8][1][8])
+    assert theta.tolist() == [math.log(init.P * 0.25), columns[0][0],
+                              columns[0][1][0]]
+
+
 # ----------------------------------------------------------------------
 # campaign and report
 def test_nll_derivatives_match_central_differences():

@@ -12,9 +12,9 @@ change run, back to back; pair i runs the parent first when i + j is
 even, j the position of SEED among the seeds planned for WORKLOAD, so
 that neither side always runs first.  Last, TRACED_PAIRS alternating
 pairs of traced runs (parent first in even pairs) add the per-layer
-metrics of TRACED_KEYS, as each side's median.  They trace the first
-entry of the claimed workload, else the first campaign entry of the
-plan, else the first entry.
+metrics of TRACED_KEYS that the runs measured, as each side's median.
+They trace the first entry of the claimed workload, else the first
+campaign entry of the plan, else the first entry.
 
 --change takes any tree-ish: a commit, or for a staged change the tree
 that `git write-tree` prints.  Run from the root of the repository.
@@ -39,7 +39,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from workloads import HELD_OUT_SEED, WORKLOADS  # noqa: E402
 
 # the per-layer metrics a traced run contributes to the record: the
-# campaign's, then the crb sweep's (a workload reports 0 for the others)
+# campaign's, then the crb sweep's (a run lists the others as absent)
 TRACED_KEYS = (
     "montecarlo.nll_evals_per_trial",
     "montecarlo.nll_evals_grid_per_trial",
@@ -153,6 +153,13 @@ def traced_entry(plan: list[tuple[str, int, int]],
                       if WORKLOADS[entry[0]].is_campaign), plan[0]))
 
 
+def traced_metrics(record: dict) -> dict:
+    """The metrics a traced run's record measured: those it lists under
+    absent are reported as 0 and left out."""
+    return {name: value for name, value in record["metrics"].items()
+            if name not in record["absent"]}
+
+
 def summarize_traced(pairs: list[dict]) -> dict:
     """Each side's median of every TRACED_KEYS metric its runs report,
     from traced pairs {"first": side, "parent": metrics, "change": ...},
@@ -253,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
             record, _ = run_once(checkouts[side], workload, seed, seconds,
                                  trace=1)
             note(side, record)
-            pair[side] = record["metrics"]
+            pair[side] = traced_metrics(record)
         traced.append(pair)
         out["traced"] = {"command": command, "runs": "median per side",
                          **summarize_traced(traced)}
