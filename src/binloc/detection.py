@@ -30,6 +30,7 @@ terms from the per-sensor arrays of the value pass at the same iterate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -248,61 +249,60 @@ def _nll_derivatives(cfg: DetectorConfig, P: float, x0: float, y0: float,
     return grad, hess
 
 
-# Signal half-power lambda = x^2/2 above which a sensor's term in
-# _nll_lower_bound is its exact nll term.  At or below it the closed
-# forms fall short of it by at most 0.24 for a detecting sensor and 0.04
-# for a silent one at criterion 8's threshold (s = 1.6), and far less at
-# the false-alarm floor, where nearly all sensors of a field sit.
-_BOUND_EXACT_LAMBDA = 0.5
+# _nll_term_table's nodes lambda_j = exp(MIN + j STEP), from 1e-6 to 1e2
+_TABLE_LOG_MIN, _TABLE_LOG_STEP = math.log(1e-6), 1e-3
+_TABLE_NODES = round(math.log(1e8) / _TABLE_LOG_STEP) + 1
+
+
+@functools.lru_cache(maxsize=8)
+def _nll_term_table(t: float) -> np.ndarray:
+    """-specfun._log_sides(x, t, upper, ceiling=inf), tail-free and at
+    most the exact nll terms, at lambda = x^2/2 = 0, lambda_0 ..
+    lambda_(N-1) for a silent sensor (entries 0 .. N, N = _TABLE_NODES),
+    then lambda_0 .. lambda_(N-1) and inf for a detecting one."""
+    lam = np.exp(_TABLE_LOG_MIN + _TABLE_LOG_STEP * np.arange(_TABLE_NODES))
+    lam = np.concatenate([[0.0], lam, lam, [math.inf]])
+    upper = np.arange(lam.size) > _TABLE_NODES
+    table = -specfun._log_sides(np.sqrt(2.0 * lam), t, upper, math.inf)
+    table.flags.writeable = False   # one array serves every caller
+    return table
 
 
 def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
                      sy: np.ndarray, detected: np.ndarray) -> np.ndarray:
-    """Lower bounds on -_log_likelihood_arrays at the hypotheses
-    (P[k], x0[k], y0[k]) (arrays or scalars, broadcast together), one
-    per hypothesis, from one pass over all of them.
+    """Lower bounds on -_log_likelihood_arrays, one per hypothesis
+    (P[k], x0[k], y0[k]) (arrays or scalars, broadcast together).
 
-    A sensor with lambda = x^2/2 > _BOUND_EXACT_LAMBDA contributes its
-    exact term (up to the last bits of x, taken from the squared range
-    rather than hypot where that does not underflow), except where that
-    term needs the log tails: there it takes the bound of
-    specfun._log_sides(..., ceiling=inf), 0 for a detecting sensor and
-    the Rayleigh bound (x - t)^2/2 for a silent one with x > t, so the
-    screen never sums a Neumann series.  Any other takes a
-    closed form from the Poisson mixture
-    Q1 e^s = sum_j s^j/j! Pr[Poisson(lambda) >= j], s = t^2/2,
-    whose tail probabilities lie between 1 - e^-lambda (j = 1, and 0 for
-    j >= 2) and lambda^j/j!.  With p_fa = e^-s, a detecting sensor has
-    Q1 <= p_fa e^(lambda s), so -log Q1 >= max(0, s (1 - lambda)), and a
-    silent one has Q1 >= p_fa (1 + s (1 - e^-lambda)), which bounds
-    -log(1 - Q1) from below.
+    A sensor's term depends on the hypothesis only through lambda = x^2/2
+    = T P / (2 sigma2 r^alpha), monotonely: -log Q1(x, t) falls as lambda
+    grows and -log(1 - Q1(x, t)) rises.  Its slot k, lambda_(k-1) <=
+    lambda < lambda_k (lambda_-1 = 0, lambda_N = inf), is floored from
+    ln lambda = ln(T P / (2 sigma2)) - (alpha/2) ln r^2, and it takes the
+    _nll_term_table entry at the slot's end where its term is lowest:
+    lambda_k if it detected, lambda_(k-1) if not; an entry is at most the
+    exact term at its node, so at most the term at lambda.  Rounding moves
+    ln lambda and the nodes by ulps; a sensor that close to a node may
+    take the next slot, which moves its term far less than the screen's
+    1e-9 relative margin (_SCREEN_MARGIN), bar up to 5e-7 for a silent
+    one at specfun's log-tail switch, 1 - Q1 = 1e-9.
     """
     P, x0, y0 = (np.asarray(v, dtype=float)[..., None] for v in (P, x0, y0))
     dx, dy = sx - x0, sy - y0
-    r2 = dx * dx + dy * dy
-    r_alpha = r2 ** (0.5 * cfg.alpha)
-    # r2 underflows within ~1e-154 of a hypothesis; only those ranges come
-    # from hypot, as the nll's do, since hypot costs 3.5x the squares
-    tiny = r2 < np.finfo(float).tiny
-    if tiny.any():
-        r = np.hypot(np.broadcast_to(dx, r2.shape)[tiny],
-                     np.broadcast_to(dy, r2.shape)[tiny])
-        r_alpha[tiny] = r ** cfg.alpha
-    s = cfg.tau / cfg.sigma2
-    p_fa = cfg.false_alarm_probability
-    # lam overflows next to a hypothesis, and at a tiny threshold the silent
-    # form reaches log1p(-1); both only for near sensors, whose terms are exact
+    # ln lambda is -inf at P = 0 or where r2 overflows, inf on a hypothesis;
+    # ln r2 from hypot, as the nll's r, where the squares underflow
     with np.errstate(divide="ignore", over="ignore"):
-        lam = 0.5 * cfg.T * P / (cfg.sigma2 * r_alpha)
-        terms = np.where(detected, np.maximum(0.0, s * (1.0 - lam)),
-                         -np.log1p(-p_fa * (1.0 - s * np.expm1(-lam))))
-        near = lam > _BOUND_EXACT_LAMBDA
-        x_near = np.sqrt(2.0 * lam[near])
-    if near.any():
-        terms[near] = -specfun._log_sides(
-            x_near, cfg.threshold_coordinate,
-            np.broadcast_to(detected, lam.shape)[near], math.inf)
-    return terms.sum(axis=-1)
+        r2 = dx * dx + dy * dy
+        log_r2 = np.log(r2)
+        tiny = r2 < np.finfo(float).tiny
+        if tiny.any():
+            dx, dy = np.broadcast_arrays(dx, dy)
+            log_r2[tiny] = 2.0 * np.log(np.hypot(dx[tiny], dy[tiny]))
+        log_c = math.log(cfg.T) - math.log(2.0 * cfg.sigma2) - _TABLE_LOG_MIN
+        slots = ((np.log(P) + log_c) / _TABLE_LOG_STEP + 1.0    # k + 1
+                 - (0.5 * cfg.alpha / _TABLE_LOG_STEP) * log_r2)
+    index = np.clip(slots, 0.0, _TABLE_NODES, out=slots).astype(np.intp)
+    index += np.where(detected, _TABLE_NODES + 1, 0)
+    return _nll_term_table(cfg.threshold_coordinate).take(index).sum(axis=-1)
 
 
 def log_likelihood(cfg: DetectorConfig, theta: TargetParams,

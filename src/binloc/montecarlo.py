@@ -299,10 +299,10 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
     1. Grid guard: 9 x 9 positions around the detection centroid at 0.25,
        1 and 4 times the initializer's power.  Lower bounds on their nlls
        take one range pass per column of 27 candidates (one x offset,
-       nine y offsets, three powers).  The candidates are evaluated best
-       first, in ascending bound order, until a bound shows that none of
-       the rest can win; among equal nlls the lowest index wins, so the
-       guard picks the start of an exhaustive loop in index order.
+       nine y offsets, three powers) and a table per threshold.  Best
+       first, in ascending bound order, they are evaluated until a bound
+       shows that none of the rest can win; among equal nlls the lowest
+       index wins: the start of an exhaustive loop in index order.
     2. Marquardt-damped Newton steps from the best candidate
        (_damped_newton).  A fit out of steps reports converged=False.
     In both stages a candidate's nll pass is given the nll it must not

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import importlib.util
+import io
 import os
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
-                     "bench_record.py")
+from binloc import cli
+
+_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+_PATH = os.path.join(_ROOT, "tools", "bench_record.py")
 _spec = importlib.util.spec_from_file_location("bench_record", _PATH)
 bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
@@ -105,3 +110,18 @@ def test_traced_metrics_listed_as_absent_are_left_out():
     traced = bench_record.summarize_traced(pairs)
     for side in ("parent", "change"):
         assert traced[side] == {"fisher.quad_ms_per_point": 0.35}
+
+
+def test_output_digest_is_the_sha256_of_one_operations_output():
+    # crb-sweep's operation, its two `binloc crb` calls, in a fresh
+    # interpreter of this checkout against the same calls made here
+    digest = hashlib.sha256()
+    for argv in bench_record.WORKLOADS["crb-sweep"].argvs(20260814):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        digest.update(buf.getvalue().encode())
+    assert bench_record.output_digest(_ROOT, "crb-sweep", 20260814) == (
+        digest.hexdigest())
+    with pytest.raises(RuntimeError, match="no-such-workload"):
+        bench_record.output_digest(_ROOT, "no-such-workload", 1)

@@ -4,6 +4,7 @@ the decision log-likelihood."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binloc import specfun
+from binloc import detection, specfun
 from binloc.detection import (
     Decisions,
     DetectorConfig,
@@ -371,6 +372,34 @@ def test_nll_lower_bound_bounds_a_silent_band_sensor_without_log_tails(
     nll = -_log_likelihood_arrays(cfg, 2.0, 0.0, 0.0, sx, sy, detected)
     assert math.isfinite(bound)
     assert 19.0 < bound <= nll
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 4.5])
+def test_nll_lower_bound_holds_at_the_table_edges(alpha):
+    # one sensor at a time, either decision, with lambda = x^2/2 exactly
+    # on a table node or one ulp either side of it (at range 1, where
+    # lambda = 2 P; within rounding of that at range 2), at 0 (P = 0, or
+    # a range whose square overflows), subnormal, below the first node,
+    # past the last, and inf (on the hypothesis): the floored slot must
+    # never take the entry on the term's far side
+    cfg = DetectorConfig(tau=0.40, sigma2=0.25, alpha=alpha)
+    nodes = np.exp(detection._TABLE_LOG_MIN + detection._TABLE_LOG_STEP
+                   * np.arange(detection._TABLE_NODES))
+    lams = [0.0, 1e-310, 0.5 * nodes[0], 2.0 * nodes[-1], math.inf]
+    for j in (0, 1, 2302, 12429, 13816, len(nodes) - 2, len(nodes) - 1):
+        node = float(nodes[j])
+        lams += [math.nextafter(node, 0.0), node,
+                 math.nextafter(node, math.inf)]
+    cases = [(lam * r ** alpha / 2.0, r) for lam in lams if lam < math.inf
+             for r in (1.0, 2.0)]
+    cases += [(2.0, 0.0), (2.0, 1e200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (P, r), det in itertools.product(cases, (False, True)):
+            args = (np.array([r]), np.array([0.0]), np.array([det]))
+            bound = _nll_lower_bound(cfg, P, 0.0, 0.0, *args)
+            nll = -_log_likelihood_arrays(cfg, P, 0.0, 0.0, *args)
+            assert bound <= nll + 1e-12 * (1.0 + abs(nll)), (P, r, det)
 
 
 def _bits(value: float) -> bytes:

@@ -536,6 +536,94 @@ def test_weak_signal_polynomial_matches_mpmath_oracle(b, lam):
     assert log_marcum_q_pair(a, b) == pytest.approx((lq_ref, l1_ref), rel=1e-14, abs=0.0)
 
 
+def _switch(branch, lo: float, hi: float) -> float:
+    """The first a past lo at which the bool branch(a) differs from
+    branch(lo), by bisection to adjacent doubles in [lo, hi]."""
+    first = branch(lo)
+    assert branch(hi) != first
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if branch(mid) == first else (lo, mid)
+    return hi
+
+
+def _linear_complement(b: float):
+    return lambda a: bool(specfun._linear_logs(
+        a, b, float(specfun._marcum_q_linear(a, b)))[1])
+
+
+def _ufunc_floor(b: float):
+    return lambda a: float(specfun._marcum_q_linear(a, b)) >= specfun._UFUNC_MIN
+
+
+def _asymptotic(b: float):
+    return lambda a: _takes_asymptotic(a, b)
+
+
+def _below(lam: float):
+    return lambda a: specfun._below_half_square(a, lam)
+
+
+_WEAK_BS = (math.sqrt(3.2), _B_WEAK_CAP * (1.0 - 1e-9),
+            _B_WEAK_CAP * (1.0 + 1e-9))
+# (branch switch, b, the switch's bool in a and a range holding it once,
+# the relative slack of monotonicity there, the points of the grid
+# within 1e-3 relative of the switch and the doubles either side of it)
+_SWITCHES = [
+    *(("weak polynomial", b, _below(specfun._WEAK_LAMBDA_MAX), 0.5, 1.0,
+       1e-13, 2001, 64) for b in _WEAK_BS),
+    # below the switch log(1 - Q1) is log1p(-q), and 1 - q keeps only
+    # about 1e-7 of its own there: from it to the series log(1 - Q1)
+    # rises by 2.6e-7 at criterion 8's b and 5.0e-7 (2.4e-8 relative) at
+    # b = 8
+    *(("1e-9 complement", b, _linear_complement(b), b, b + 20.0, 5e-8,
+       2001, 64) for b in _WEAK_BS),
+    *(("lambda 256", b, _below(_SERIES_LAMBDA_MAX), 20.0, 25.0, 1e-13,
+       2001, 64) for b in (math.sqrt(3.2), 30.0)),
+    ("ufunc floor", 31.15, _ufunc_floor(31.15), 0.0, 31.15, 1e-13, 2001, 64),
+    ("ufunc floor", 40.0, _ufunc_floor(40.0), 0.0, 40.0, 1e-13, 2001, 64),
+    # a b > 2e6 near a = b, where each entry's Neumann series runs to some
+    # 12,500 terms.  On the side a < b the switch moves both logs against
+    # the grain by up to 4.1e-4 relative, the asymptotic form's own error
+    # there (_RICE_CASES); the grid guard's table has a <= sqrt(200)
+    ("asymptotic", 1415.0, _asymptotic(1415.0), 1414.5, 1415.0, 5e-4, 9, 8),
+    ("asymptotic", 1415.0, _asymptotic(1415.0), 1415.0, 1415.5, 1e-13, 9, 8),
+]
+
+
+@pytest.mark.parametrize("name,b,branch,lo,hi,slack,points,ulps", _SWITCHES,
+                         ids=[f"{c[0]}-{c[1]:.9g}-{c[3]:g}" for c in _SWITCHES])
+def test_log_sides_are_monotone_in_a_across_each_branch_switch(
+        name, b, branch, lo, hi, slack, points, ulps):
+    # the premise of the grid guard's table: a detecting sensor's log Q1
+    # never falls as a grows and a silent one's log(1 - Q1) never rises,
+    # on a grid around the switch that takes in its neighbouring doubles;
+    # and each side matches the oracle just below and above the switch
+    a_switch = _switch(branch, lo, hi)
+    near = [a_switch]
+    for direction in (-math.inf, math.inf):
+        a = a_switch
+        for _ in range(ulps):
+            a = math.nextafter(a, direction)
+            near.append(a)
+    a = np.unique(np.concatenate([
+        np.linspace(a_switch * (1.0 - 1e-3), a_switch * (1.0 + 1e-3), points),
+        near]))
+    log_q = specfun._log_sides(a, b, np.ones(a.shape, bool))
+    log_1mq = specfun._log_sides(a, b, np.zeros(a.shape, bool))
+    assert np.all(np.diff(log_q) >= -slack * np.abs(log_q[1:]))
+    assert np.all(np.diff(log_1mq) <= slack * np.abs(log_1mq[1:]))
+    for a in (a_switch * (1.0 - 1e-9), a_switch * (1.0 + 1e-9)):
+        if name == "asymptotic":
+            close = pytest.approx(_mp_rice_log_tails(a, b), rel=0.0, abs=5e-4)
+        else:
+            # log Q1 in (-1e-9, 0] is the log of a q within a rounding of 1
+            close = pytest.approx(_mp_log_tails(a, b), rel=1e-6, abs=1e-15)
+        sides = [specfun._log_sides(np.array([a]), b, np.array([upper]))[0]
+                 for upper in (True, False)]
+        assert sides == close
+
+
 def test_weak_signal_polynomial_length():
     # the remainder bound stops the series at 14 terms at criterion 8's
     # threshold and 18 at the cap; at s -> 0 it keeps d_0 and d_1

@@ -14,7 +14,10 @@ that neither side always runs first.  Last, TRACED_PAIRS alternating
 pairs of traced runs (parent first in even pairs) add the per-layer
 metrics of TRACED_KEYS that the runs measured, as each side's median.
 They trace the first entry of the claimed workload, else the first
-campaign entry of the plan, else the first entry.
+campaign entry of the plan, else the first entry.  Before its pairs,
+each plan entry records per side the sha256 of one operation's `binloc`
+output, its calls' standard output concatenated (output_sha256), and
+whether the two sides' digests are equal.
 
 --change takes any tree-ish: a commit, or for a staged change the tree
 that `git write-tree` prints.  Run from the root of the repository.
@@ -25,6 +28,7 @@ keeps what it has measured.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -68,6 +72,21 @@ TRACED_PAIRS = 3
 
 SIDES = ("parent", "change")
 
+# one operation's `binloc` calls in one interpreter, their standard
+# output hashed in call order; run in a checkout with argv workload, seed
+_DIGEST_SCRIPT = """
+import contextlib, hashlib, io, sys
+from binloc import cli
+from workloads import WORKLOADS
+digest = hashlib.sha256()
+for argv in WORKLOADS[sys.argv[1]].argvs(int(sys.argv[2])):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.main(argv)
+    digest.update(buf.getvalue().encode())
+print(digest.hexdigest())
+"""
+
 
 def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], check=True,
@@ -96,6 +115,24 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
     record = next(json.loads(line[len("# run "):]) for line in lines
                   if line.startswith("# run "))
     return record, json.loads(lines[-1])
+
+
+def output_digest(checkout: str, workload: str, seed: int) -> str:
+    """sha256 of one operation's concatenated `binloc` output, run in
+    checkout with its own package and workloads, single-threaded as
+    perfbench runs it."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        os.path.join(os.path.abspath(checkout), d) for d in ("src", "perfbench"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT, workload, str(seed)],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"output digest of {workload} seed {seed} in "
+                           f"{checkout} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-4000:]}")
+    return proc.stdout.split()[-1]
 
 
 def spread(runs: list[float]) -> dict:
@@ -234,7 +271,13 @@ def main(argv: list[str] | None = None) -> int:
     for workload, seed, n_pairs in plan:
         j = [s for w, s, _ in plan if w == workload].index(seed)
         pairs: list[dict] = []
-        out["workloads"].append(None)
+        digests = {side: output_digest(checkouts[side], workload, seed)
+                   for side in SIDES}
+        outputs = {"output_sha256": digests,
+                   "outputs_equal": digests["parent"] == digests["change"]}
+        out["workloads"].append({"workload": workload, "seed": seed,
+                                 **outputs})
+        write()
         for i in range(n_pairs):
             first = "parent" if (i + j) % 2 == 0 else "change"
             pair = {"first": first}
@@ -246,7 +289,8 @@ def main(argv: list[str] | None = None) -> int:
                       f"{pair[side][1]['metrics']['wall_s']['value']:.3f}",
                       file=sys.stderr)
             pairs.append(pair)
-            out["workloads"][-1] = summarize_entry(workload, seed, pairs)
+            out["workloads"][-1] = {**summarize_entry(workload, seed, pairs),
+                                    **outputs}
             write()
 
     workload, seed, _ = traced_entry(plan, out.get("claim", {}).get("workload"))
