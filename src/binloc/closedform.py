@@ -57,8 +57,7 @@ from scipy import special
 from . import specfun
 from .detection import DetectorConfig, _positive
 from .fisher import (FieldConfig, FisherResult, x_breve, _LOG_TINY,
-                     _log_kernel_array, _prefactors)
-from .fisher import _log_kernel  # noqa: F401 (hooked by perfbench/spans.py)
+                     _log_kernel, _prefactors)
 
 __all__ = [
     "TaylorModel",
@@ -327,7 +326,7 @@ def _gl_reference(cfg: DetectorConfig, P: float, field: FieldConfig,
     only to sanity-check the closed form."""
     xb = x_breve(cfg, P, field)
     x = 0.5 * xb * (_QUALITY_U + 1.0)
-    lg = (_log_kernel_array(x, cfg.threshold_coordinate, 0.0)
+    lg = (_log_kernel(x, cfg.threshold_coordinate, 0.0)
           + np.multiply.outer(powers, np.log(x)))
     ws = 0.5 * xb * _QUALITY_W
     return np.sum(np.where(lg > _LOG_TINY, ws * np.exp(lg), 0.0), axis=1)

@@ -27,11 +27,9 @@ is truncated there: closer sensors are present in less than half the
 fields, and including them would claim information a typical realization
 does not carry).  The integrand is assembled in log space so that the
 1/(1-Q) factor stays usable far past the point where 1 - Q underflows.
-_prefactors states (c11, 1 - 4/alpha) and (c22, 1) once; the adaptive
-quadrature here and the closed form of binloc.closedform both read them,
-so the two routes share c11 and c22 and differ only in the integral.
-The two quadratures of one expected_fim_quadrature call share the Marcum
-values of the nodes they both visit; no value is kept across calls.
+The closed form of binloc.closedform and the adaptive quadrature here,
+QUADPACK's dqagp in arrays, read c11, c22 and the powers from
+_prefactors, so the two routes differ only in the integral.
 
 The bounds are CRB_P = 1/F11 and CRB_x = CRB_y = 1/F22.
 """
@@ -40,10 +38,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import specfun
 from .detection import (DetectorConfig, TargetParams, _positive,
@@ -63,10 +60,28 @@ __all__ = [
 # exp() underflow threshold for assembling integrands from log values
 _LOG_TINY = -745.0
 
-# error control of the adaptive quadratures (scipy.integrate.quad)
+# error control of the adaptive quadrature (dqagpe's stop test, panel cap)
 _QUAD_REL_TOL = 1e-10
 _QUAD_ABS_TOL = 1e-13
 _QUAD_LIMIT = 200
+
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21) on [-1, 1]: rows (x_j,
+# Kronrod weight, Gauss weight) in the order in which dqk21 adds them, the
+# centre, the Gauss nodes, the rest; a panel's nodes are c, c -+ h x_j
+_GK21 = np.array([
+    (0.0, 0.1494455540029169, 0.0),
+    (0.9739065285171717, 0.032558162307964725, 0.06667134430868814),
+    (0.8650633666889845, 0.07503967481091996, 0.1494513491505806),
+    (0.6794095682990244, 0.10938715880229764, 0.21908636251598204),
+    (0.4333953941292472, 0.13470921731147334, 0.26926671930999635),
+    (0.14887433898163122, 0.14773910490133849, 0.29552422471475287),
+    (0.9956571630258081, 0.011694638867371874, 0.0),
+    (0.9301574913557082, 0.054755896574351995, 0.0),
+    (0.7808177265864169, 0.0931254545836976, 0.0),
+    (0.5627571346686047, 0.12349197626206584, 0.0),
+    (0.2943928627014602, 0.14277593857706009, 0.0)])
+_GK21_X = np.concatenate([[0.0], np.outer(_GK21[1:, 0], (-1.0, 1.0)).ravel()])
+_GK21_WK = np.concatenate([_GK21[:1, 1], np.repeat(_GK21[1:, 1], 2)])
 
 
 class QuadratureError(RuntimeError):
@@ -169,7 +184,7 @@ def _sensor_information(cfg: DetectorConfig, P: float, x0: float, y0: float,
     dx, dy = sx - x0, sy - y0
     r = np.hypot(dx, dy)
     x = _signal_coordinate_vec(cfg, P, r)
-    log_w = _log_kernel_array(x, cfg.threshold_coordinate, 2.0) - math.log(4.0)
+    log_w = _log_kernel(x, cfg.threshold_coordinate, 2.0) - math.log(4.0)
     # r * r overflows beyond r ~ 1e154 (a lattice at rho < 1e-304), where
     # the slopes round to 0
     with np.errstate(over="ignore"):
@@ -182,33 +197,11 @@ def _sensor_information(cfg: DetectorConfig, P: float, x0: float, y0: float,
 # expected information over the field
 # ----------------------------------------------------------------------
 
-def _log_kernel(x: float, t: float, power: float,
-                memo: dict[float, tuple[float, float, float]] | None = None
-                ) -> float:
-    """log of x^power * Q'(x)^2 / (Q (1-Q)) at signal coordinate x, with
-    Q' = dQ1(x, t)/dx.  The weight 1/(Q(1-Q)) comes from the log tails,
-    so that it stays finite where 1 - Q underflows.
-
-    memo, if given, keeps each x's (log x, 2 log Q', log Q + log(1-Q)) at
-    this t, so that a second power at the same x makes no Marcum call;
-    the caller owns it and decides how long it lives."""
-    if x <= 0.0:
-        return -math.inf
-    terms = memo.get(x) if memo is not None else None
-    if terms is None:
-        log_q, log_1mq = specfun.log_marcum_q_pair(x, t)
-        terms = (math.log(x), 2.0 * specfun.log_marcum_q_da(x, t),
-                 log_q + log_1mq)
-        if memo is not None:
-            memo[x] = terms
-    log_x, log_da2, log_weight = terms
-    return power * log_x + log_da2 - log_weight
-
-
-def _log_kernel_array(x: np.ndarray, t: float, power: float) -> np.ndarray:
-    """_log_kernel(x_i, t, power) for an array x, from one
-    log_marcum_q_pair_array call: equal entry by entry bar the last bits
-    of a linear log (np.log against math.log)."""
+def _log_kernel(x: np.ndarray, t: float, power) -> np.ndarray:
+    """log of x^power * Q'(x)^2 / (Q (1-Q)), Q' = dQ1(x, t)/dx, at signal
+    coordinates x (-inf where x <= 0), from one log_marcum_q_pair_array
+    call, whose log tails keep 1/(Q(1-Q)) finite where 1 - Q underflows;
+    a power column (m, 1) gives one row per power."""
     log_q, log_1mq = specfun.log_marcum_q_pair_array(x, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_da = np.log(t * special.i1e(x * t)) - 0.5 * (x - t) ** 2
@@ -229,49 +222,71 @@ def _prefactors(cfg: DetectorConfig, P: float, field: FieldConfig
     return (c11, 1.0 - 4.0 / alpha), (c22, 1.0)
 
 
-def _integrate_log(log_f: Callable[[float], float], lo: float, hi: float,
-                   breakpoints: Sequence[float] = ()) -> float:
-    def f(u: float) -> float:
-        lg = log_f(u)
-        return math.exp(lg) if lg > _LOG_TINY else 0.0
-
-    pts = sorted(p for p in breakpoints if lo < p < hi)
-    value, err = integrate.quad(f, lo, hi,
-                                epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
-                                limit=_QUAD_LIMIT, points=pts or None)
-    if not math.isfinite(value) or err > 1e3 * max(_QUAD_ABS_TOL,
-                                                   _QUAD_REL_TOL * abs(value)):
-        raise QuadratureError(
-            f"quadrature error estimate {err:.3e} too large for value "
-            f"{value:.6e} on [{lo:g}, {hi:g}]", estimate=value)
-    return value
-
-
 def _x_breakpoints(t: float, xb: float) -> list[float]:
     # integrand peaks where Q(1-Q) is largest (x near t) and dies off a
-    # few units past it; guide the subdivision on wide intervals
-    return [t, t + 8.0, t + 20.0, 0.5 * xb]
+    # few units past it; guide the subdivision on wide intervals (in order)
+    return sorted(p for p in (t, t + 8.0, t + 20.0, 0.5 * xb) if p < xb)
+
+
+def _gk21_panels(f: np.ndarray, half: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """dqk21's (integral, error estimate) per panel of half-width half
+    (n,) from f >= 0 (..., n, 21) at its nodes c + half * _GK21_X; the
+    integral sums in dqk21's order, and is its resabs too as f >= 0."""
+    pairs = np.concatenate([f[..., :1], f[..., 1::2] + f[..., 2::2]], -1)
+    resk = np.cumsum(pairs * _GK21[:, 1], axis=-1)[..., -1]
+    resasc = np.abs(f - 0.5 * resk[..., None]) @ _GK21_WK * half
+    err = np.abs((resk - pairs @ _GK21[:, 2]) * half)
+    ratio = 200.0 * err / np.where(resasc > 0.0, resasc, 1.0)
+    err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    result = resk * half
+    return result, np.maximum(err, 50.0 * np.finfo(float).eps * result)
 
 
 def expected_fim_quadrature(cfg: DetectorConfig, P: float,
                             field: FieldConfig) -> FisherResult:
     """Expected Fisher information by adaptive quadrature over the signal
-    coordinate on (0, x_breve].
-
-    F11 and F22 differ only in the power of x, and QUADPACK visits the
-    same nodes for both (all of them at alpha 2 and 4), so the Marcum
-    values of each node are kept for the length of this call: the F22
-    integral reuses what F11 computed.  Nothing is kept from one call to
-    the next."""
+    coordinate on (0, x_breve]: QUADPACK's dqagp in arrays, on the panels
+    of _x_breakpoints.  Each round takes its new panels' kernel values
+    from one _log_kernel call for both powers, then bisects the panels
+    whose error exceeds their share of dqagpe's target.  Where F11's
+    kernel, x^(3 - 4/alpha) at 0, is not smooth, the first panel [0, b]
+    is mapped by x = b (u/b)^3."""
     P = _positive("P", P)
-    t = cfg.threshold_coordinate
-    xb = x_breve(cfg, P, field)
-    pts = _x_breakpoints(t, xb)
-    memo: dict[float, tuple[float, float, float]] = {}
-    f11, f22 = (c * _integrate_log(lambda x: _log_kernel(x, t, p, memo),
-                                   0.0, xb, pts)
-                for c, p in _prefactors(cfg, P, field))
-    return FisherResult(F11=f11, F22=f22, method="quadrature")
+    t, xb = cfg.threshold_coordinate, x_breve(cfg, P, field)
+    (c11, p11), (c22, p22) = _prefactors(cfg, P, field)
+    edges = np.array([0.0, *_x_breakpoints(t, xb), xb])
+    lo, hi, b = edges[:-1], edges[1:], edges[1]
+    k = 1.0 if 3.0 - 4.0 / cfg.alpha in (0.0, 1.0, 2.0) else 3.0
+    res = err = np.empty((2, 0))
+    while True:
+        a, c = lo[res.shape[1]:], hi[res.shape[1]:]   # this round's panels
+        half = 0.5 * (c - a)
+        u = (0.5 * (a + c))[:, None] + half[:, None] * _GK21_X
+        x, jac = u, 1.0
+        if k != 1.0:
+            s = np.minimum(u / b, 1.0) ** (k - 1.0)
+            x, jac = u * s, np.where(u < b, k * s, 1.0)
+        lg = _log_kernel(x.ravel(), t, np.array([[p11], [p22]]))
+        f = np.where(lg > _LOG_TINY, np.exp(lg), 0.0).reshape(2, *u.shape)
+        r, e = _gk21_panels(f * jac, half)
+        res, err = np.hstack([res, r]), np.hstack([err, e])
+        value, total, n = res.sum(axis=1), err.sum(axis=1), res.shape[1]
+        bound = np.maximum(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(value))
+        if (total <= bound).all():
+            return FisherResult(F11=c11 * value[0], F22=c22 * value[1],
+                                method="quadrature")
+        split = np.any(err > bound[:, None] / n, axis=0)
+        if n + split.sum() > _QUAD_LIMIT or not np.isfinite(total).all():
+            j = int(np.argmax(~(total <= bound)))
+            raise QuadratureError(
+                f"quadrature error estimate {total[j]:.3e} too large for "
+                f"value {value[j]:.6e} on [0, {xb:g}] after {n} panels",
+                float(value[j]))
+        mid = 0.5 * (lo[split] + hi[split])
+        lo = np.concatenate([lo[~split], lo[split], mid])
+        hi = np.concatenate([hi[~split], mid, hi[split]])
+        res, err = res[:, ~split], err[:, ~split]
 
 
 def _lattice_information(cfg: DetectorConfig, P: float,

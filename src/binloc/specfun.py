@@ -83,8 +83,8 @@ _UFUNC_MIN = 1e-150
 # Half-argument beyond which scipy's ufunc is not asked for Q1 (see
 # _marcum_q_ufunc), and the half-argument a b / 2 at which the log tails
 # switch to Gaussian tail asymptotics on a = b.  Far outside the
-# accuracy-contracted domain -- these values exist so that optimizers
-# probing absurd parameters see finite, monotone surfaces.
+# accuracy-contracted domain, they keep optimizers' surfaces finite; on
+# a < b the switch steps against the grain (4.0e-4 relative at b = 1415).
 _ASYMPTOTIC_HALF_ARG = 1e6
 
 # The Neumann series' k-th term falls as (min/max)^k e^(-k^2 / (2 a b))

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import math
 import os
 
 import pytest
@@ -121,7 +122,28 @@ def test_output_digest_is_the_sha256_of_one_operations_output():
         with contextlib.redirect_stdout(buf):
             assert cli.main(argv) == 0
         digest.update(buf.getvalue().encode())
-    assert bench_record.output_digest(_ROOT, "crb-sweep", 20260814) == (
-        digest.hexdigest())
+    text = bench_record.output_text(_ROOT, "crb-sweep", 20260814)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest.hexdigest()
     with pytest.raises(RuntimeError, match="no-such-workload"):
-        bench_record.output_digest(_ROOT, "no-such-workload", 1)
+        bench_record.output_text(_ROOT, "no-such-workload", 1)
+
+
+def test_output_deviation_names_each_differing_column():
+    parent = ("# binloc crb\n# rho=0.05\n# columns: tau,method,F11,F22,quality\n"
+              "0.5,quadrature,0.25,2.0,ok\n0.5,closed-form,0.5,4.0,ok\n"
+              "0.7,quadrature,0.125,1.0,ok\n"
+              "# summary columns: n_trials,crb_P\n5,0\n")
+    change = parent.replace("0.25,2.0,ok", "0.2500001,2.0,negative").replace(
+        "0.125,1.0", "0.1249999,1.5").replace("5,0", "5,1e-300")
+    dev = bench_record.output_deviation(parent, change)
+    assert (dev["rows"], dev["rows_differ"]) == (4, 3)
+    cols = dev["columns"]
+    assert set(cols) == {"F11", "F22", "quality", "crb_P"}
+    assert cols["F11"]["rows_differ"] == 2
+    assert cols["F11"]["max_rel_dev"] == pytest.approx(8e-7)
+    assert cols["F22"] == {"rows_differ": 1, "max_rel_dev": 0.5}
+    # a field that is not a number on both sides has no relative deviation
+    assert cols["quality"] == {"rows_differ": 1, "max_rel_dev": None}
+    assert cols["crb_P"] == {"rows_differ": 1, "max_rel_dev": math.inf}
+    assert bench_record.output_deviation(parent, parent) == {
+        "rows": 4, "rows_differ": 0, "columns": {}}

@@ -246,7 +246,6 @@ def test_default_radius_beyond_the_doubles_is_a_config_error(capsys) -> None:
     assert "tau" in err and "sigma2" in err and "region_radius" in err
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("command", ["crb", "check"])
 def test_divergent_expected_information_is_a_config_error(capsys,
                                                           command) -> None:
@@ -358,8 +357,8 @@ def test_crb_floats_round_trip_and_match_library(capsys) -> None:
     ("2", [
         "0.40000000000000002,2,closed-form,3,0.34542563030334505,"
         "0.22703512654906144,2.8949791569369721,4.4046047640293393,ok",
-        "0.40000000000000002,2,quadrature,,0.32693374143147308,"
-        "0.22477002454712253,3.0587237512454948,4.4489918173691008,ok",
+        "0.40000000000000002,2,quadrature,,0.32693374143147313,"
+        "0.22477002454712247,3.0587237512454943,4.4489918173691017,ok",
         "1.3600000000000001,2,closed-form,3,0.078825030830240755,"
         "0.053726409301199853,12.686325517000064,18.612820268591211,ok",
         "1.3600000000000001,2,quadrature,,0.08001819793287733,"

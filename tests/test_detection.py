@@ -335,8 +335,10 @@ def test_nll_lower_bound_survives_an_underflowing_squared_range():
 
 
 def test_nll_lower_bound_tiny_threshold_is_silent():
-    # at tau = 1e-9 the silent closed form rounds to log1p(-1) for near
-    # sensors; they take their exact terms, and numpy must not warn
+    # at tau = 1e-9 (t = 8.9e-5) the silent near sensor's term
+    # -log(1 - Q1) is large; the bound reads it from the term table built
+    # at this threshold, stays finite and below the nll, and numpy must
+    # not warn
     cfg = DetectorConfig(tau=1e-9, sigma2=0.25)
     sx = np.array([0.2, 0.5, 40.0])
     sy = np.array([0.0, -2.0, 3.0])

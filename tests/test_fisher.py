@@ -1,17 +1,21 @@
 """Tests for the expected Fisher information of the detector field and
 the per-sensor information matrices.
 
-The quadrature results are pinned against frozen high-precision values
-and cross-checked through an independent range-domain formulation of the
-same integral.  A polar lattice of per-sensor matrices checks the
-analytic zero of the off-diagonal entries, and its diagonal reproduces
-the quadrature; the array per-sensor information is checked against the
-scalar routes.
+The quadrature results are pinned against frozen high-precision values,
+against scipy's QUADPACK over the scalar kernel on the default sweeps,
+against a 20-digit mpmath oracle where QUADPACK misses, and through an
+independent range-domain formulation of the same integral.  A polar
+lattice of per-sensor matrices checks the analytic zero of the
+off-diagonal entries, and its diagonal reproduces the quadrature; the
+array per-sensor information is checked against the scalar routes.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,12 +32,13 @@ from binloc.fisher import (
     rmin_expected,
     x_breve,
 )
-from binloc.fisher import (_integrate_log, _lattice_information, _log_kernel,
-                           _log_kernel_array, _prefactors, _sensor_information,
-                           _x_breakpoints)
+from binloc.cli import Settings, sweep_points
+from binloc.fisher import _lattice_information, _log_kernel, _sensor_information
 from binloc.montecarlo import SimConfig, sample_field
 
-from _reference import detection_probability_derivatives, expected_f22_r_domain
+from _reference import (detection_probability_derivatives, expected_f22_r_domain,
+                        expected_fim_mpmath, expected_fim_quadpack,
+                        log_kernel_scalar)
 
 _FIELD = FieldConfig(rho=0.05)
 _P = 2.0
@@ -128,28 +133,121 @@ def test_expected_fim_rejects_bad_power():
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0])
 @pytest.mark.parametrize("tau", [0.10, 0.40, 1.36, 2.00])
 def test_shared_node_values_keep_every_bit(tau, alpha, monkeypatch):
-    # F11 and F22 share each node's Marcum values within one call; the
-    # entries equal, to the bit, one quadrature per entry with no sharing
+    # F11 and F22 take their kernel rows from one Marcum call per round;
+    # the entries equal, to the bit, one kernel call per power
     cfg = DetectorConfig(tau=tau, sigma2=0.25, alpha=alpha)
-    t, xb = cfg.threshold_coordinate, x_breve(cfg, _P, _FIELD)
-    pts = _x_breakpoints(t, xb)
-    ref = [c * _integrate_log(lambda x: _log_kernel(x, t, p), 0.0, xb, pts)
-           for c, p in _prefactors(cfg, _P, _FIELD)]
-    nodes = []
-    pair = specfun.log_marcum_q_pair
+    sizes = []
+    pair = specfun.log_marcum_q_pair_array
 
     def counted(x, t):
-        nodes.append(x)
+        sizes.append(x.size)
         return pair(x, t)
 
-    monkeypatch.setattr(specfun, "log_marcum_q_pair", counted)
-    res = expected_fim_quadrature(cfg, _P, _FIELD)
-    assert (res.F11, res.F22) == tuple(ref)
-    # one Marcum pair per distinct node: 42 at the default grid's typical
-    # point (84 without sharing), 63 at tau = 0.10, alpha = 2
-    assert len(nodes) == len(set(nodes))
+    monkeypatch.setattr(specfun, "log_marcum_q_pair_array", counted)
+    shared = expected_fim_quadrature(cfg, _P, _FIELD)
+    rounds, nodes = len(sizes), sum(sizes)
+    kernel = fisher._log_kernel
+    monkeypatch.setattr(fisher, "_log_kernel", lambda x, t, powers: np.stack(
+        [kernel(x, t, float(p)) for p in powers[:, 0]]))
+    alone = expected_fim_quadrature(cfg, _P, _FIELD)
+    assert (shared.F11, shared.F22) == (alone.F11, alone.F22)
+    assert len(sizes) == 3 * rounds
+    # 21 Gauss-Kronrod nodes a panel: 42 at the default grid's typical
+    # point, 63 at tau = 0.10, alpha = 2, where no panel is split
     if alpha == 2.0:
-        assert len(nodes) == (63 if tau == 0.10 else 42)
+        assert (rounds, nodes) == (1, 63 if tau == 0.10 else 42)
+
+
+# the default crb sweep (acceptance criterion 4's grid)
+_SWEEP = sweep_points(Settings())
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0, 2.5, 3.0, 4.0])
+def test_default_sweep_matches_the_quadpack_route(alpha):
+    # every entry of the default 96-point sweep against scipy's QUADPACK
+    # over the scalar kernel.  At alpha 2 and 4 neither route splits a
+    # panel, so both sum the same Gauss-Kronrod panels and differ by the
+    # rounding of numpy's exp and log1p against libm's
+    rel = 1e-15 if alpha in (2.0, 4.0) else 1e-12
+    for tau in _SWEEP:
+        cfg = DetectorConfig(tau=tau, sigma2=0.25, alpha=alpha)
+        res = expected_fim_quadrature(cfg, _P, _FIELD)
+        ref11, ref22 = expected_fim_quadpack(cfg, _P, _FIELD)
+        assert res.F22 == pytest.approx(ref22, rel=rel, abs=0.0)
+        # QUADPACK itself misses F11 by 7.8e-12 at alpha = 1.2,
+        # tau = 0.2; the mpmath oracle test checks that point instead
+        if (alpha, tau) != (1.2, 0.2):
+            assert res.F11 == pytest.approx(ref11, rel=rel, abs=0.0)
+
+
+# (rho, P, alpha, tau) where the singular F11 kernel x^(1 - 4/alpha) or a
+# peak far from 0 tests the route: QUADPACK misses F11 by 2.1e-4 at the
+# first, by 2.6e-9 at the second and by 7.8e-12 at the last, while its
+# error estimate passes
+_HARD_POINTS = [(0.05, 0.01, 1.2, 8.0), (1e-4, 0.01, 2.5, 0.1),
+                (10.0, 2.0, 2.0, 8.0), (0.05, 2.0, 1.2, 0.2)]
+
+
+def _meets_oracle(point, route) -> bool:
+    rho, P, alpha, tau = point
+    cfg = DetectorConfig(tau=tau, sigma2=0.25, alpha=alpha)
+    field = FieldConfig(rho=rho)
+    got, ref = route(cfg, P, field), expected_fim_mpmath(cfg, P, field)
+    return all(abs(g - r) <= 1e-10 * r for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("point", _HARD_POINTS)
+def test_hard_points_meet_the_mpmath_oracle(point):
+    def route(cfg, P, field):
+        res = expected_fim_quadrature(cfg, P, field)
+        return res.F11, res.F22
+
+    assert _meets_oracle(point, route)
+
+
+def test_quadpack_route_misses_the_mpmath_oracle():
+    # the same check has teeth: QUADPACK's F11 fails it
+    assert not _meets_oracle(_HARD_POINTS[0], expected_fim_quadpack)
+
+
+def test_singular_f11_kernel_costs_at_most_twice_the_smooth_one(monkeypatch):
+    # the first panel's map x = b (u/b)^3 smooths F11's kernel at 0: the
+    # default sweeps at alpha 1.5 and 3 take at most twice the Marcum
+    # nodes of alpha 2's (21 times as many without the map at 1.5)
+    sizes = []
+    pair = specfun.log_marcum_q_pair_array
+
+    def counted(x, t):
+        sizes.append(x.size)
+        return pair(x, t)
+
+    monkeypatch.setattr(specfun, "log_marcum_q_pair_array", counted)
+    nodes = {}
+    for alpha in (1.5, 2.0, 3.0):
+        sizes.clear()
+        for tau in _SWEEP:
+            expected_fim_quadrature(
+                DetectorConfig(tau=tau, sigma2=0.25, alpha=alpha), _P, _FIELD)
+        nodes[alpha] = sum(sizes)
+    assert nodes[1.5] <= 2 * nodes[2.0] and nodes[3.0] <= 2 * nodes[2.0]
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # the quadrature needs no QUADPACK, so a CLI process does not pay
+    # scipy.integrate's import
+    src = os.path.dirname(os.path.dirname(fisher.__file__))
+    code = ("import sys, binloc.cli; "
+            "assert 'scipy.integrate' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_divergent_f11_raises_quadrature_error():
+    # at alpha = 1 the F11 integrand goes as 1/x at x -> 0: the panel at 0
+    # is split until the panel limit
+    with pytest.raises(QuadratureError, match="after 200 panels") as info:
+        expected_fim_quadrature(_cfg(1.0), _P, _FIELD)
+    assert math.isfinite(info.value.estimate) and info.value.estimate > 0.0
 
 
 @pytest.mark.parametrize("alpha", [2.0, 4.0])
@@ -272,8 +370,8 @@ def test_log_kernel_array_matches_scalar():
                          [300.0, 1500.0]])
     for t in (0.2, math.sqrt(3.2), 3.0, 8.0, 40.0):
         for power in (-1.0, 0.0, 1.0, 2.0):
-            arr = _log_kernel_array(xs, t, power)
-            ref = np.array([_log_kernel(float(x), t, power) for x in xs])
+            arr = _log_kernel(xs, t, power)
+            ref = np.array([log_kernel_scalar(float(x), t, power) for x in xs])
             finite = np.isfinite(ref)
             np.testing.assert_array_equal(np.isfinite(arr), finite)
             err = np.abs(arr - ref)[finite]

@@ -17,7 +17,9 @@ They trace the first entry of the claimed workload, else the first
 campaign entry of the plan, else the first entry.  Before its pairs,
 each plan entry records per side the sha256 of one operation's `binloc`
 output, its calls' standard output concatenated (output_sha256), and
-whether the two sides' digests are equal.
+whether the two sides' digests are equal; where they are not, it also
+records how the data rows differ (output_deviation): per CSV column, the
+largest relative deviation and the number of rows that differ.
 
 --change takes any tree-ish: a commit, or for a staged change the tree
 that `git write-tree` prints.  Run from the root of the repository.
@@ -31,7 +33,9 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -73,19 +77,20 @@ TRACED_PAIRS = 3
 SIDES = ("parent", "change")
 
 # one operation's `binloc` calls in one interpreter, their standard
-# output hashed in call order; run in a checkout with argv workload, seed
-_DIGEST_SCRIPT = """
-import contextlib, hashlib, io, sys
+# output written in call order; run in a checkout with argv workload, seed
+_OUTPUT_SCRIPT = """
+import contextlib, io, sys
 from binloc import cli
 from workloads import WORKLOADS
-digest = hashlib.sha256()
-for argv in WORKLOADS[sys.argv[1]].argvs(int(sys.argv[2])):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    for argv in WORKLOADS[sys.argv[1]].argvs(int(sys.argv[2])):
         cli.main(argv)
-    digest.update(buf.getvalue().encode())
-print(digest.hexdigest())
+sys.stdout.write(buf.getvalue())
 """
+
+# the comment line that names the CSV columns of the data rows below it
+_COLUMNS = re.compile(r"# (?:\w+ )?columns: (.*)")
 
 
 def _git(*args: str) -> bytes:
@@ -117,22 +122,58 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
     return record, json.loads(lines[-1])
 
 
-def output_digest(checkout: str, workload: str, seed: int) -> str:
-    """sha256 of one operation's concatenated `binloc` output, run in
-    checkout with its own package and workloads, single-threaded as
-    perfbench runs it."""
+def output_text(checkout: str, workload: str, seed: int) -> str:
+    """One operation's concatenated `binloc` output, run in checkout with
+    its own package and workloads, single-threaded as perfbench runs it."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         os.path.join(os.path.abspath(checkout), d) for d in ("src", "perfbench"))
     proc = subprocess.run(
-        [sys.executable, "-c", _DIGEST_SCRIPT, workload, str(seed)],
-        cwd=checkout, env=env, capture_output=True, text=True)
+        [sys.executable, "-c", _OUTPUT_SCRIPT, workload, str(seed)],
+        cwd=checkout, env=env, capture_output=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"output digest of {workload} seed {seed} in "
+        raise RuntimeError(f"output of {workload} seed {seed} in "
                            f"{checkout} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-4000:]}")
-    return proc.stdout.split()[-1]
+                           f"{proc.stderr.decode()[-4000:]}")
+    return proc.stdout.decode()
+
+
+def _rel_dev(p: str, c: str) -> float | None:
+    try:
+        p_val, c_val = float(p), float(c)
+    except ValueError:
+        return None
+    return abs(c_val - p_val) / abs(p_val) if p_val else math.inf
+
+
+def output_deviation(parent: str, change: str) -> dict:
+    """How two outputs' data rows differ, paired line by line: the rows
+    compared, the rows that differ, and for each CSV column with a
+    differing field its count of such rows and its largest relative
+    deviation |c - p| / |p| (None where a differing field is not a
+    number on both sides)."""
+    names: list[str] = []
+    rows = differ = 0
+    columns: dict[str, dict] = {}
+    for p_line, c_line in zip(parent.splitlines(), change.splitlines()):
+        if p_line.startswith("#"):
+            match = _COLUMNS.fullmatch(p_line)
+            names = match.group(1).split(",") if match else names
+            continue
+        rows += 1
+        pairs = [(name, p, c) for name, p, c in zip(
+            names, p_line.split(","), c_line.split(",")) if p != c]
+        differ += p_line != c_line
+        for name, p, c in pairs:
+            col = columns.setdefault(name, {"rows_differ": 0,
+                                            "max_rel_dev": 0.0})
+            col["rows_differ"] += 1
+            dev = _rel_dev(p, c)
+            if col["max_rel_dev"] is not None:
+                col["max_rel_dev"] = None if dev is None else max(
+                    col["max_rel_dev"], dev)
+    return {"rows": rows, "rows_differ": differ, "columns": columns}
 
 
 def spread(runs: list[float]) -> dict:
@@ -271,10 +312,15 @@ def main(argv: list[str] | None = None) -> int:
     for workload, seed, n_pairs in plan:
         j = [s for w, s, _ in plan if w == workload].index(seed)
         pairs: list[dict] = []
-        digests = {side: output_digest(checkouts[side], workload, seed)
+        texts = {side: output_text(checkouts[side], workload, seed)
+                 for side in SIDES}
+        digests = {side: hashlib.sha256(texts[side].encode()).hexdigest()
                    for side in SIDES}
         outputs = {"output_sha256": digests,
                    "outputs_equal": digests["parent"] == digests["change"]}
+        if not outputs["outputs_equal"]:
+            outputs["output_deviation"] = output_deviation(
+                texts["parent"], texts["change"])
         out["workloads"].append({"workload": workload, "seed": seed,
                                  **outputs})
         write()
