@@ -21,10 +21,11 @@ execution order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 
 from . import specfun
 from .detection import (
@@ -77,6 +78,11 @@ _NEWTON_STEP_TOL = 1e-9
 # median and at most 115
 _FIT_MAX_STEPS = 500
 _POWER_BRACKET = (1e-3, 1e3)
+# the initializer's root find in log-power: scipy.optimize.brentq's
+# rtol (4 eps) and step limit, at xtol 1e-10
+_BRENT_XTOL = 1e-10
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 # relative slack of the grid guard's screen: a candidate is skipped only
 # when its nll lower bound beats the running best by more than this, far
 # above the ~1e-12 rounding of a sum of some 600 sensor terms
@@ -264,7 +270,7 @@ def nearest_distance_samples(field: FieldConfig, n_trials: int,
 def initial_guess(cfg: DetectorConfig, decisions: Decisions) -> TargetParams:
     """Detection-centroid position with power chosen so the expected
     number of detections over this very field matches the observed count
-    (monotone in P; bisected in log-power)."""
+    (monotone in P; Brent's root find in log-power)."""
     sx, sy, detected = decisions.sx, decisions.sy, decisions.detected
     if not detected.any():
         raise NoDetections("cannot build an initial guess with no detections")
@@ -281,13 +287,72 @@ def initial_guess(cfg: DetectorConfig, decisions: Decisions) -> TargetParams:
         return float(specfun.marcum_q_array(x, t).sum()) - n_det
 
     lo, hi = math.log(_POWER_BRACKET[0]), math.log(_POWER_BRACKET[1])
-    if excess(lo) >= 0.0:
+    f_lo = excess(lo)
+    if f_lo >= 0.0:
         p0 = _POWER_BRACKET[0]
-    elif excess(hi) <= 0.0:
+    elif (f_hi := excess(hi)) <= 0.0:
         p0 = _POWER_BRACKET[1]
     else:
-        p0 = math.exp(optimize.brentq(excess, lo, hi, xtol=1e-10))
+        p0 = math.exp(_brentq(excess, lo, hi, f_lo, f_hi))
     return TargetParams(P=p0, x=cx, y=cy)
+
+
+def _brentq(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f in [a, b] by the steps of scipy's brentq.c, at
+    `scipy.optimize.brentq`'s tolerances with xtol = 1e-10, given
+    fa = f(a) and fb = f(b), nonzero and of opposite signs: f is
+    evaluated only at the points brentq visits after its two ends, so
+    the root is the same float.  Raises ValueError on a NaN value and
+    RuntimeError after _BRENT_MAXITER steps, as brentq does."""
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise ValueError(f"f(a) = {fa!r} and f(b) = {fb!r} must be nonzero "
+                         "and of opposite signs")
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # an underflowed divisor: C's quotient is inf or NaN,
+                # which fails the test below and bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"f({xcur!r}) is NaN; the root find cannot "
+                             "continue")
+    raise RuntimeError(f"root find failed to converge after "
+                       f"{_BRENT_MAXITER} steps, value is {xcur!r}")
 
 
 def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
@@ -512,3 +577,12 @@ def mse_report(results: list[TrialResult], truth: TargetParams) -> MseReport:
             n_converged=len(conv),
             n_failed=len(results) - len(conv),
         )
+
+
+def __getattr__(name: str):
+    # perfbench's hook table still reads `montecarlo.optimize`; importing
+    # scipy.optimize only on that read keeps it out of every other process
+    if name == "optimize":
+        from scipy import optimize
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

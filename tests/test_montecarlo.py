@@ -10,6 +10,9 @@ their analytic targets.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from binloc.detection import (
     log_likelihood,
 )
 from binloc.detection import _log_likelihood_arrays, _nll_derivatives
-from binloc import montecarlo
+from binloc import montecarlo, specfun
 from binloc.fisher import FieldConfig
 from binloc.montecarlo import (
     AllTrialsFailed,
@@ -261,6 +264,202 @@ def test_initial_guess_requires_detections():
     decisions = Decisions(sx=[1.0], sy=[2.0], detected=[False])
     with pytest.raises(NoDetections):
         initial_guess(_DET, decisions)
+
+
+def _recording(f, points: list):
+    def recorded(x):
+        points.append(x)
+        return f(x)
+    return recorded
+
+
+def _scipy_brentq(f, a: float, b: float) -> tuple[float, list]:
+    points = []
+    root = optimize.brentq(_recording(f, points), a, b, xtol=1e-10)
+    return root, points
+
+
+def _assert_brentq_matches_scipy(f, a: float, b: float) -> None:
+    # the same root to the bit, from the same points after scipy's two
+    # end evaluations, which the port takes as arguments
+    root, points = _scipy_brentq(f, a, b)
+    assert points[:2] == [a, b]
+    mine = []
+    got = montecarlo._brentq(_recording(f, mine), a, b, f(a), f(b))
+    assert got.hex() == root.hex()
+    assert mine == points[2:]
+
+
+def _monotone_brackets(n: int, log10_scale=(-6.0, 6.0)):
+    # seeded monotone functions with a root inside (lo, hi): steep
+    # exponentials and tanh walls, cubics flat at the root and
+    # near-linear functions, rising and falling
+    rng = np.random.default_rng(20260814)
+    for k in range(n):
+        r = rng.uniform(-5.0, 5.0)
+        lo, hi = r - rng.uniform(1e-3, 10.0), r + rng.uniform(1e-3, 10.0)
+        s = float(rng.choice([-1.0, 1.0]))
+        s *= 10.0 ** rng.uniform(*log10_scale)
+        c = 10.0 ** rng.uniform(-3.0, 1.0)
+        kind = k % 5
+        if kind == 0:
+            f = lambda x, r=r, s=s, c=c: s * math.expm1(c * (x - r))
+        elif kind == 1:
+            f = lambda x, r=r, s=s, c=c: s * math.tanh(c * (x - r))
+        elif kind == 2:
+            f = lambda x, r=r, s=s, c=c: s * ((x - r) ** 3 + c * (x - r))
+        elif kind == 3:
+            f = lambda x, r=r, s=s, c=c: s * ((x - r) + 1e-3 * c
+                                              * math.atan(x - r))
+        else:
+            f = lambda x, r=r, s=s: s * (math.exp(x) - math.exp(r))
+        yield f, lo, hi
+
+
+def test_brentq_port_matches_scipy_on_monotone_brackets():
+    for f, lo, hi in _monotone_brackets(250):
+        _assert_brentq_matches_scipy(f, lo, hi)
+
+
+def test_brentq_port_bisects_where_a_divisor_underflows():
+    # at values near 1e-250 the extrapolation's divisor underflows to
+    # 0.0: C divides to inf and bisects, where Python would raise
+    for f, lo, hi in _monotone_brackets(50, log10_scale=(-300.0, -200.0)):
+        _assert_brentq_matches_scipy(f, lo, hi)
+
+
+def _capture_brentq(monkeypatch) -> list:
+    # (f, a, b) of every root find the initializer starts
+    brentq, calls = montecarlo._brentq, []
+
+    def captured(f, a, b, fa, fb):
+        calls.append((f, a, b))
+        return brentq(f, a, b, fa, fb)
+
+    monkeypatch.setattr(montecarlo, "_brentq", captured)
+    return calls
+
+
+def test_brentq_port_matches_scipy_on_the_campaign_excess(monkeypatch):
+    # criterion 8's first trials: the initializer's own excess count.
+    # 8 of 12 reach the root find; the others start at the power floor,
+    # as about 113 of their ~118 detections are expected false alarms
+    calls = _capture_brentq(monkeypatch)
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    cfg = SimConfig(field=_FIELD, detector=det, truth=_TRUTH, trials=12,
+                    region_radius=60.0, master_seed=20260814)
+    for k in range(cfg.trials):
+        initial_guess(det, sample_decisions(cfg, sample_field(cfg, k), k))
+    assert len(calls) == 8
+    monkeypatch.undo()
+    for f, a, b in calls:
+        _assert_brentq_matches_scipy(f, a, b)
+
+
+def test_brentq_port_raises_on_nan():
+    def holed(x):
+        return math.nan if 0.2 < x < 0.8 else x - 0.5
+
+    with pytest.raises(ValueError):
+        optimize.brentq(holed, -1.0, 2.0, xtol=1e-10)
+    with pytest.raises(ValueError, match="NaN"):
+        montecarlo._brentq(holed, -1.0, 2.0, -1.5, 1.5)
+    with pytest.raises(ValueError, match="opposite signs"):
+        montecarlo._brentq(holed, -1.0, 2.0, math.nan, 1.5)
+
+
+def test_brentq_port_raises_when_it_cannot_converge():
+    # a step function defeats interpolation, and 100 bisections do not
+    # narrow a bracket of 2e300 to 1e-10 around 0.3
+    def step(x):
+        return math.copysign(1.0, x - 0.3)
+
+    points, mine = [], []
+    with pytest.raises(RuntimeError):
+        optimize.brentq(_recording(step, points), -1e300, 1e300, xtol=1e-10)
+    with pytest.raises(RuntimeError, match="100 steps"):
+        montecarlo._brentq(_recording(step, mine), -1e300, 1e300, -1.0, 1.0)
+    assert len(mine) == 100 and mine == points[2:]
+
+
+def _count_guess_work(monkeypatch, det, decisions):
+    # initial_guess's TargetParams, its marcum_q_array calls and the
+    # powers it evaluated the excess count at
+    marcum_q_array = specfun.marcum_q_array
+    signal = montecarlo._signal_coordinate_vec
+    calls, powers = [], []
+
+    def counted(x, t):
+        calls.append(len(x))
+        return marcum_q_array(x, t)
+
+    def recorded(cfg, P, *args):
+        powers.append(P)
+        return signal(cfg, P, *args)
+
+    monkeypatch.setattr(specfun, "marcum_q_array", counted)
+    monkeypatch.setattr(montecarlo, "_signal_coordinate_vec", recorded)
+    init = initial_guess(det, decisions)
+    monkeypatch.undo()
+    return init, len(calls), powers
+
+
+def test_initial_guess_evaluates_each_bracket_end_once(monkeypatch):
+    det = DetectorConfig(tau=0.4, sigma2=0.25)
+    decisions = _reference_trial(0.4, 20260814)
+    found = _capture_brentq(monkeypatch)
+    init, n_calls, powers = _count_guess_work(monkeypatch, det, decisions)
+    ends = [math.exp(math.log(p)) for p in montecarlo._POWER_BRACKET]
+    assert powers[:2] == ends and n_calls == len(powers)
+    assert len(set(powers)) == len(powers)
+
+    # scipy's brentq evaluates both ends again: on top of the two the
+    # initializer has made, as many calls as the whole guess now makes,
+    # for the same root
+    [(excess, lo, hi)] = found
+    root, points = _scipy_brentq(excess, lo, hi)
+    assert len(points) == n_calls
+    assert init.P == math.exp(root)
+
+
+def test_initial_guess_at_either_bracket_end_is_unchanged(monkeypatch):
+    # one detection among 586 sensors at tau = 1.2 is below the false
+    # alarms expected at the lowest power; a field where every sensor
+    # detects is above the count expected at the highest.  Either way
+    # the guess is the bracket end, from the ends' evaluations alone
+    low, high = montecarlo._POWER_BRACKET
+    det = DetectorConfig(tau=1.2, sigma2=0.25)
+    decisions = _reference_trial(1.2, 1466814125164838466)
+    init, n_calls, _ = _count_guess_work(monkeypatch, det, decisions)
+    j = int(np.flatnonzero(decisions.detected)[0])
+    assert n_calls == 1
+    assert init == TargetParams(P=low, x=float(decisions.sx[j]),
+                                y=float(decisions.sy[j]))
+
+    everyone = Decisions(sx=decisions.sx, sy=decisions.sy,
+                         detected=np.ones(len(decisions), dtype=bool))
+    init, n_calls, _ = _count_guess_work(monkeypatch, det, everyone)
+    assert n_calls == 2
+    assert init == TargetParams(P=high, x=float(decisions.sx.mean()),
+                                y=float(decisions.sy.mean()))
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # the initializer's root find is a port, so a CLI process does not
+    # pay scipy.optimize's import; montecarlo.optimize still resolves
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    code = ("import sys, binloc.cli\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "from binloc import montecarlo\n"
+            "assert montecarlo.optimize is sys.modules['scipy.optimize']\n"
+            "try:\n"
+            "    montecarlo.no_such_name\n"
+            "except AttributeError as e:\n"
+            "    assert 'no_such_name' in str(e)\n"
+            "else:\n"
+            "    raise SystemExit('no AttributeError')\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 # ----------------------------------------------------------------------
