@@ -25,6 +25,7 @@ completed but at least one closed-form point fell back to quadrature,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -361,6 +362,9 @@ def cmd_simulate(settings: Settings, out: IO[str]) -> int:
                   trials=settings.trials,
                   region_radius=settings.region_radius,
                   master_seed=settings.seed)
+    # before the first trial: a bound that does not converge is a config
+    # error, reported before any output
+    fim = expected_fim_quadrature(det, truth.P, field)
     _header(out, "simulate", settings)
     _emit(out, f"# effective_region_radius={_fmt(sim.radius)}")
     _emit(out, "# columns: " + ",".join(_TRIAL_COLUMNS))
@@ -385,7 +389,6 @@ def cmd_simulate(settings: Settings, out: IO[str]) -> int:
             return EXIT_OK
         return EXIT_SIM_FAILED
     rep = mse_report(results, truth)
-    fim = expected_fim_quadrature(det, truth.P, field)
     crb_p, crb_x = fim.crb_P, fim.crb_x
     _emit(out, ",".join(_fmt(v) for v in (
         rep.n_trials, rep.n_converged, rep.n_failed,
@@ -502,7 +505,11 @@ def cmd_check(settings: Settings, out: IO[str]) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use.
+    parse_args keeps no state between calls, and --set appends to a new
+    list each parse, so one parser serves every main call."""
     parser = argparse.ArgumentParser(
         prog="binloc",
         description="Cramer-Rao bounds and Monte-Carlo validation for "
@@ -531,8 +538,7 @@ _COMMANDS: dict[str, Callable[[Settings, IO[str]], int]] = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         settings = resolve_settings(args)
         command = _COMMANDS[args.command]

@@ -202,9 +202,12 @@ def _log_likelihood_arrays(cfg: DetectorConfig, P: float, x0: float, y0: float,
 
 def _nll_derivatives(cfg: DetectorConfig, P: float, x0: float, y0: float,
                      sx: np.ndarray, sy: np.ndarray, detected: np.ndarray,
+                     sign: np.ndarray | None = None,
                      pieces=None) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of -_log_likelihood_arrays in (ln P, x0, y0),
     from one pass over the sensors or from the pieces of such a pass here.
+    sign, where given, is np.where(detected, 1.0, -1.0), made once for
+    many passes over one field.
 
     A sensor's term L = log Q1(x, t) or log(1 - Q1(x, t)) depends on the
     hypothesis only through u = ln x, with gradient
@@ -225,16 +228,20 @@ def _nll_derivatives(cfg: DetectorConfig, P: float, x0: float, y0: float,
         _log_likelihood_arrays(cfg, P, x0, y0, sx, sy, detected, pieces)
     dx, dy, r, x, log_terms = pieces
     t = cfg.threshold_coordinate
+    if sign is None:
+        sign = np.where(detected, 1.0, -1.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = x * t
         i1 = special.i1e(z)
-        w = np.where(detected, 1.0, -1.0) * np.exp(
-            -0.5 * (x - t) ** 2 - log_terms)
+        w = sign * np.exp(-0.5 * (x - t) ** 2 - log_terms)
         l_u = z * i1 * w
         l_uu = (l_u - l_u * l_u
                 + x * x * (t * t * (special.i0e(z) - i1 / z) - z * i1) * w)
         k = 0.5 * cfg.alpha / (r * r)
-        grad_u = np.stack([np.full_like(x, 0.5), k * dx, k * dy])
+        grad_u = np.empty((3, x.size))
+        grad_u[0] = 0.5
+        np.multiply(k, dx, out=grad_u[1])
+        np.multiply(k, dy, out=grad_u[2])
         # hess u is nonzero in the position block only:
         # (k / r^2) [[dx^2 - dy^2, 2 dx dy], [2 dx dy, dy^2 - dx^2]]
         c = l_u * k / (r * r)
@@ -268,10 +275,19 @@ def _nll_term_table(t: float) -> np.ndarray:
     return table
 
 
+def _table_offsets(detected: np.ndarray) -> np.ndarray:
+    """Where each sensor's entries start in _nll_term_table: the silent
+    block at 0, the detecting one at _TABLE_NODES + 1."""
+    return np.where(detected, _TABLE_NODES + 1, 0)
+
+
 def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
-                     sy: np.ndarray, detected: np.ndarray) -> np.ndarray:
+                     sy: np.ndarray, detected: np.ndarray,
+                     offsets: np.ndarray | None = None) -> np.ndarray:
     """Lower bounds on -_log_likelihood_arrays, one per hypothesis
     (P[k], x0[k], y0[k]) (arrays or scalars, broadcast together).
+    offsets, where given, is _table_offsets(detected), made once for
+    many calls on one field.
 
     A sensor's term depends on the hypothesis only through lambda = x^2/2
     = T P / (2 sigma2 r^alpha), monotonely: -log Q1(x, t) falls as lambda
@@ -301,7 +317,7 @@ def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
         slots = ((np.log(P) + log_c) / _TABLE_LOG_STEP + 1.0    # k + 1
                  - (0.5 * cfg.alpha / _TABLE_LOG_STEP) * log_r2)
     index = np.clip(slots, 0.0, _TABLE_NODES, out=slots).astype(np.intp)
-    index += np.where(detected, _TABLE_NODES + 1, 0)
+    index += _table_offsets(detected) if offsets is None else offsets
     return _nll_term_table(cfg.threshold_coordinate).take(index).sum(axis=-1)
 
 

@@ -39,6 +39,7 @@ from .detection import (
     _nll_derivatives,
     _nll_lower_bound,
     _signal_coordinate_vec,
+    _table_offsets,
 )
 from .fisher import FieldConfig
 
@@ -411,10 +412,13 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
                                            ceiling=-ceiling)
         return val if math.isfinite(val) else math.inf
 
+    sign = np.where(detected, 1.0, -1.0)
+
     def derivatives(theta_log: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pieces = last[1] if last[0] is theta_log else None
         return _nll_derivatives(cfg, math.exp(theta_log[0]), theta_log[1],
-                                theta_log[2], sx, sy, detected, pieces=pieces)
+                                theta_log[2], sx, sy, detected, sign,
+                                pieces=pieces)
 
     det_x, det_y = sx[detected], sy[detected]
 
@@ -454,9 +458,11 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
         # power) shares its ranges between the powers; bounds[i, j, k] is
         # that of power i, x offset j and y offset k, and index order is
         # the order of its flat index
+        table_offsets = _table_offsets(detected)
         bounds = np.stack([
             _nll_lower_bound(cfg, powers[:, None], cen_x + dx, cen_y + offs,
-                             sx, sy, detected) for dx in offs], axis=1).ravel()
+                             sx, sy, detected, table_offsets)
+            for dx in offs], axis=1).ravel()
         # best first: once a bound is above the running best, every later
         # one is too, and none of them can win or tie.  Among equal nlls
         # the lowest index wins, as index order's strict test picks it;
@@ -514,12 +520,14 @@ def _damped_newton(nll, derivatives, theta: np.ndarray, val: float,
             grad, hess = derivatives(theta)
         factor, info = linalg.lapack.dpotrf(hess + mu * eye, clean=False)
         step = -linalg.lapack.dpotrs(factor, grad)[0] if info == 0 else None
-        if step is not None and np.isfinite(step).all():
+        # three floats: Python tests them faster than numpy reduces them
+        if step is not None and all(map(math.isfinite,
+                                        coords := step.tolist())):
             cand = theta + step
             cand_val = nll(cand, val)
             if cand_val <= val:
                 theta, val, mu, grad = cand, cand_val, mu / 8.0, None
-            if np.max(np.abs(step)) < _NEWTON_STEP_TOL:
+            if max(map(abs, coords)) < _NEWTON_STEP_TOL:
                 return theta, val, True
             if grad is None:
                 continue

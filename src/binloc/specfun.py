@@ -184,7 +184,10 @@ def _marcum_q_linear(a, b: float):
             return _horner(coeffs, lam)
         return _marcum_q_ufunc(a, b)
     weak = _below_half_square(a, _WEAK_LAMBDA_MAX)
-    if not weak.any():
+    n_weak = np.count_nonzero(weak)
+    if n_weak == weak.size:     # the masked path's bits, without the mask
+        return _horner(coeffs, 0.5 * a * a)
+    if not n_weak:
         return _marcum_q_ufunc(a, b)
     a_weak = np.where(weak, a, 0.0)
     q = _horner(coeffs, 0.5 * a_weak * a_weak)
@@ -306,9 +309,15 @@ def log_marcum_q_pair_array(a, b: float) -> tuple[np.ndarray, np.ndarray]:
 def _linear_logs(a, b: float, q):
     """Masks (bools, for a float a) of where log Q1 and log(1 - Q1) are
     the logarithms of the linear value q = Q1(a, b)."""
-    both = (_below_half_square(a, _SERIES_LAMBDA_MAX) & (0.5 * b * b <= 700.0)
+    on_1mq = _linear_log_complement(a, b, q)
+    return on_1mq & (q >= _UFUNC_MIN), on_1mq
+
+
+def _linear_log_complement(a, b: float, q):
+    """The second of _linear_logs' masks: where log(1 - Q1) is
+    log1p(-q)."""
+    return (_below_half_square(a, _SERIES_LAMBDA_MAX) & (0.5 * b * b <= 700.0)
             & (q <= 1.0 - _SERIES_COMPLEMENT_MIN))
-    return both & (q >= _UFUNC_MIN), both
 
 
 def _log_pair(a: np.ndarray, b: float, q: np.ndarray):
@@ -375,7 +384,7 @@ def _log_sides(a: np.ndarray, b: float, upper: np.ndarray,
     q = np.asarray(_marcum_q_linear(a, b), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         sides = np.where(upper, np.log(q), np.log1p(-q))
-    rest = ~np.where(upper, q >= _UFUNC_MIN, _linear_logs(a, b, q)[1])
+    rest = ~np.where(upper, q >= _UFUNC_MIN, _linear_log_complement(a, b, q))
     if rest.any():
         a_rest, up_rest = a[rest], upper[rest]
         if ceiling > -math.inf:

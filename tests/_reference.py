@@ -11,7 +11,10 @@ them as independent oracles:
 * expected_f22_r_domain, F22 written as an integral over range instead of
   the signal coordinate, for the same;
 * detection_probability_derivatives, the slopes of P_D in range and
-  power, for the per-sensor information and the detection model.
+  power, for the per-sensor information and the detection model;
+* nll_derivatives_stacked, the nll's gradient and Hessian with the
+  gradient of u = ln x stacked from three new rows, for
+  detection._nll_derivatives, which fills them in place.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 import mpmath
-from scipy import integrate
+import numpy as np
+from scipy import integrate, special
 
 from binloc import specfun
-from binloc.detection import DetectorConfig, _positive, signal_coordinate
+from binloc.detection import (DetectorConfig, _log_likelihood_arrays,
+                              _positive, signal_coordinate)
 from binloc.fisher import (_LOG_TINY, _QUAD_ABS_TOL, _QUAD_LIMIT,
                            _QUAD_REL_TOL, FieldConfig, QuadratureError,
                            _prefactors, _x_breakpoints, rmin_expected,
@@ -174,3 +179,37 @@ def expected_f22_r_domain(cfg: DetectorConfig, P: float,
             f"outer truncation too aggressive: tail bound {tail:.3e} vs "
             f"value {value:.6e}", estimate=value)
     return 2.0 * math.pi ** 2 * field.rho * value
+
+
+def nll_derivatives_stacked(cfg: DetectorConfig, P: float, x0: float,
+                            y0: float, sx: np.ndarray, sy: np.ndarray,
+                            detected: np.ndarray
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the nll in (ln P, x0, y0) from a fresh
+    likelihood pass, as detection._nll_derivatives documents them, with
+    the sign array and the (3, n) gradient of u = ln x built per call by
+    np.where and np.stack."""
+    pieces: list = []
+    _log_likelihood_arrays(cfg, P, x0, y0, sx, sy, detected, pieces)
+    dx, dy, r, x, log_terms = pieces
+    t = cfg.threshold_coordinate
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = x * t
+        i1 = special.i1e(z)
+        w = np.where(detected, 1.0, -1.0) * np.exp(
+            -0.5 * (x - t) ** 2 - log_terms)
+        l_u = z * i1 * w
+        l_uu = (l_u - l_u * l_u
+                + x * x * (t * t * (special.i0e(z) - i1 / z) - z * i1) * w)
+        k = 0.5 * cfg.alpha / (r * r)
+        grad_u = np.stack([np.full_like(x, 0.5), k * dx, k * dy])
+        c = l_u * k / (r * r)
+        h_xx = c @ (dx * dx - dy * dy)
+        h_xy = c @ (2.0 * dx * dy)
+        grad = -(grad_u @ l_u)
+        hess = -((grad_u * l_uu) @ grad_u.T)
+    hess[1, 1] -= h_xx
+    hess[2, 2] += h_xx
+    hess[1, 2] -= h_xy
+    hess[2, 1] -= h_xy
+    return grad, hess

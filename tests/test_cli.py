@@ -246,17 +246,27 @@ def test_default_radius_beyond_the_doubles_is_a_config_error(capsys) -> None:
     assert "tau" in err and "sigma2" in err and "region_radius" in err
 
 
-@pytest.mark.parametrize("command", ["crb", "check"])
-def test_divergent_expected_information_is_a_config_error(capsys,
+@pytest.mark.parametrize("command", ["crb", "check", "simulate"])
+def test_divergent_expected_information_is_a_config_error(capsys, monkeypatch,
                                                           command) -> None:
     # at alpha = 1 the F11 integrand goes as 1/x at x -> 0, so no
-    # quadrature converges
+    # quadrature converges; simulate finds that out before its first
+    # trial, and writes nothing
+    def no_field(*args):
+        raise AssertionError("a field was sampled")
+
+    monkeypatch.setattr(montecarlo, "sample_field", no_field)
+    extra = (("--set", "trials=1", "--set", "region_radius=5")
+             if command == "simulate" else ())
     code, out, err = _run(capsys, command, "--set", "alpha=1",
-                          "--set", "sweep.start=0.5", "--set", "sweep.stop=0.5")
+                          "--set", "sweep.start=0.5", "--set", "sweep.stop=0.5",
+                          *extra)
     assert code == EXIT_CONFIG
     assert err.startswith("binloc: config error: the expected information "
                           "does not converge")
     assert _data_rows(out) == []
+    if command == "simulate":
+        assert out == ""
 
 
 _FUZZ_KEYS = ("tau", "sigma2", "T", "alpha", "P", "rho")
@@ -655,6 +665,54 @@ def test_check_quadrature_only_skips_closed_form(capsys) -> None:
     assert not any("closed-form-f11" in line for line in lines)
     assert not any("far_field_excess" in line for line in lines)
     assert "# region_radius=auto" in lines
+
+
+# ----------------------------------------------------------------------
+# one parser per process
+# ----------------------------------------------------------------------
+
+def test_one_parser_serves_many_calls(tmp_path, capsys, monkeypatch) -> None:
+    # main builds its parser once; every call through it gives the output
+    # and exit code of a freshly built parser, and no --set carries over
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau = 0.6\nsweep.start = 0.5\nsweep.stop = 0.54\n",
+                   encoding="utf-8")
+    argvs = [
+        ("crb", "--set", "alpha=4", "--set", "sweep.start=0.5",
+         "--set", "sweep.stop=0.54"),
+        ("simulate", "--set", "trials=2", "--set", "region_radius=10"),
+        ("check", "--set", "tau=0.7"),
+        ("crb", "--config", str(cfg)),
+        ("crb", "--set", "volume=3"),
+        ("crb", "--bogus"),
+    ]
+    argvs.append(argvs[0])
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:       # argparse's own errors
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert build_parser() is build_parser()
+    shared = [run(argv) for argv in argvs]
+    assert build_parser().parse_args(["crb"]).set is None
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    fresh = [run(argv) for argv in argvs]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [
+        EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_CONFIG, ("SystemExit", 2),
+        EXIT_OK]
+    headers = [out.splitlines() for _, out, _ in shared]
+    assert "# alpha=4" in headers[0]
+    for lines in headers[1:4]:
+        assert "# alpha=2" in lines
+    assert "# tau=0.69999999999999996" in headers[2]
+    assert "# tau=0.59999999999999998" in headers[3]
+    assert "# sweep.stop=2" in headers[1]
 
 
 # ----------------------------------------------------------------------

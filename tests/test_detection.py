@@ -23,9 +23,11 @@ from binloc.detection import (
     log_likelihood,
     signal_coordinate,
 )
-from binloc.detection import _log_likelihood_arrays, _nll_lower_bound
+from binloc.detection import (_log_likelihood_arrays, _nll_derivatives,
+                              _nll_lower_bound)
 
-from _reference import detection_probability_derivatives
+from _reference import (detection_probability_derivatives,
+                        nll_derivatives_stacked)
 
 # Reference operating point used throughout: tau = 0.5, sigma2 = 0.25,
 # T = 1, alpha = 2, P = 2.
@@ -305,6 +307,26 @@ def test_nll_lower_bound_never_exceeds_the_nll(case):
 
 
 @settings(deadline=None)
+@given(case=_bound_case())
+def test_nll_derivatives_keep_the_bits_of_the_stacked_formula(case):
+    # the in-place gradient rows and a sign array made once per fit give
+    # the bits of rows stacked and a sign made per pass, from a fresh
+    # pass or from its pieces; a sensor on the first hypothesis makes
+    # some entries NaN or inf, whose bits must match too
+    cfg, P, x0, y0, d = case
+    sign = np.where(d.detected, 1.0, -1.0)
+    for k in range(len(P)):
+        args = (cfg, P[k], x0[k], y0[k], d.sx, d.sy, d.detected)
+        pieces = []
+        _log_likelihood_arrays(*args, pieces=pieces)
+        want = nll_derivatives_stacked(*args)
+        for got in (_nll_derivatives(*args), _nll_derivatives(*args, sign),
+                    _nll_derivatives(*args, sign, pieces=pieces)):
+            assert all(u.tobytes() == v.tobytes() and u.flags.c_contiguous
+                       for u, v in zip(got, want, strict=True))
+
+
+@settings(deadline=None)
 @given(case=_bound_case(column=True))
 def test_nll_lower_bound_broadcasts_a_power_column_against_positions(case):
     # the grid guard's column form: bounds[i, k] at (P[i], x0[k], y0[k]),
@@ -314,6 +336,10 @@ def test_nll_lower_bound_broadcasts_a_power_column_against_positions(case):
         warnings.simplefilter("error")
         bounds = _nll_lower_bound(cfg, P, x0, y0, d.sx, d.sy, d.detected)
     assert bounds.shape == (len(P), len(x0))
+    # the fit's form, with the table offsets made once per field
+    offsets = detection._table_offsets(d.detected)
+    assert _nll_lower_bound(cfg, P, x0, y0, d.sx, d.sy, d.detected,
+                            offsets).tobytes() == bounds.tobytes()
     for (i, k), bound in np.ndenumerate(bounds):
         nll = -_log_likelihood_arrays(cfg, P[i, 0], x0[k], y0[k],
                                       d.sx, d.sy, d.detected)

@@ -661,6 +661,51 @@ def test_strong_signal_array_skips_the_polynomial(monkeypatch, b):
         [log_marcum_q_pair(float(a), b) for a in strong], rtol=1e-15, atol=0.0)
 
 
+# entries on either side of the weak-signal switch: 0, subnormals, the
+# smallest normal, and the largest a with lambda below 0.25; a = sqrt(0.5)
+# has lambda = 0.25 + 1 ulp, past the switch
+_WEAK_EDGES = (0.0, 5e-324, 2.2e-308, np.finfo(float).tiny,
+               math.nextafter(_A_WEAK_SWITCH, 0.0))
+_STRONG_EDGES = (_A_WEAK_SWITCH, math.nextafter(_A_WEAK_SWITCH, 1.0), 0.8,
+                 3.0, 1e3, math.inf)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(weak=st.lists(st.one_of(
+           st.sampled_from(_WEAK_EDGES),
+           st.floats(0.0, _A_WEAK_SWITCH, exclude_max=True)), max_size=12),
+       strong=st.sampled_from(_STRONG_EDGES),
+       at=st.integers(0, 12),
+       b=st.one_of(st.sampled_from([1e-10, math.sqrt(3.2), _B_WEAK_CAP]),
+                   st.floats(1e-3, _B_WEAK_CAP)))
+def test_all_weak_array_skips_the_mask_with_the_masked_bits(weak, strong, at,
+                                                            b):
+    # an array of weak entries alone goes straight to the polynomial, with
+    # the bits each entry gets on the masked path, inside an array with a
+    # strong entry, and on the scalar route; the strong entry (inf among
+    # them) still takes the masked path and the ufunc
+    a = np.array(weak, dtype=float)
+    mixed = np.insert(a, min(at, a.size), strong)
+    ufunc_calls = []
+    ufunc = specfun._marcum_q_ufunc
+
+    def spy(x, b):
+        ufunc_calls.append(np.asarray(x).tolist())
+        return ufunc(x, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specfun, "_marcum_q_ufunc", spy)
+        q = specfun._marcum_q_linear(a, b)
+        assert ufunc_calls == []
+        q_mixed = specfun._marcum_q_linear(mixed, b)
+        assert ufunc_calls == [[strong]]
+    keep = np.arange(mixed.size) != min(at, a.size)
+    assert q.dtype == np.float64 and q.shape == a.shape
+    assert q.tobytes() == q_mixed[keep].tobytes()
+    assert q.tobytes() == np.array(
+        [specfun._marcum_q_linear(float(v), b) for v in weak]).tobytes()
+
+
 def test_marcum_tiny_threshold_strong_signal():
     # below b^2 = 2^-25 scipy's noncentral chi-square tail overflows (its
     # tgamma) for a^2 above ~339 and raises for the whole call, after
