@@ -31,22 +31,20 @@ from .detection import (Decisions, DetectorConfig, TargetParams,
                         log_likelihood, signal_coordinate)
 from .fisher import (FieldConfig, FisherResult, QuadratureError,
                      expected_fim_quadrature, offdiag_quadrature_estimate,
-                     per_sensor_fim, rmin_expected, x_breve)
+                     rmin_expected, x_breve)
 from .montecarlo import (AllTrialsFailed, MseReport, NoDetections,
                          SimConfig, TrialResult, default_region_radius,
                          far_field_excess, initial_guess, ml_estimate,
                          mse_report, nearest_distance_samples, run_campaign,
                          sample_decisions, sample_field)
-from .specfun import (log1m_marcum_q, log_marcum_q, marcum_q, marcum_q_da,
-                      marcum_q_daa)
+from .specfun import marcum_q, marcum_q_da, marcum_q_daa
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # special functions
-    "marcum_q", "log_marcum_q", "log1m_marcum_q", "marcum_q_da",
-    "marcum_q_daa",
+    "marcum_q", "marcum_q_da", "marcum_q_daa",
     # detection model
     "DetectorConfig", "TargetParams", "Decisions", "signal_coordinate",
     "detection_probability", "detection_probability_array",
@@ -54,7 +52,7 @@ __all__ = [
     # Fisher information / CRB
     "FieldConfig", "FisherResult", "QuadratureError",
     "expected_fim_quadrature", "offdiag_quadrature_estimate",
-    "per_sensor_fim", "rmin_expected", "x_breve",
+    "rmin_expected", "x_breve",
     # closed form
     "TaylorModel", "ModelInvalid", "UnsupportedAlpha", "build_taylor_model",
     "closed_form_fisher", "default_series_order", "f11_closed_form",

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -35,8 +36,7 @@ from scipy import special
 
 from . import specfun
 from .closedform import (M_MAX, ModelInvalid, build_taylor_model,
-                         approximation_quality, closed_form_fisher,
-                         _F11_ALPHAS)
+                         closed_form_fisher, _F11_ALPHAS)
 from .detection import DetectorConfig, TargetParams
 from .fisher import (FieldConfig, QuadratureError,
                      expected_fim_quadrature, offdiag_quadrature_estimate,
@@ -442,8 +442,8 @@ def _check_diagonality(det: DetectorConfig, P: float,
 def _check_taylor_quality(det: DetectorConfig, P: float, field: FieldConfig,
                           m: int | None) -> tuple[bool, str]:
     try:
+        quality = closed_form_fisher(det, P, field, m).quality
         model = build_taylor_model(det, P, field)
-        quality = approximation_quality(det, P, field, m, model)
     except ModelInvalid as exc:
         return False, f"ModelInvalid: {exc}"
     ok = quality == "ok"
@@ -538,14 +538,13 @@ _COMMANDS: dict[str, Callable[[Settings, IO[str]], int]] = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command.  Its output is held until it returns, so a config
+    error writes nothing to stdout and leaves an existing --out file as
+    it was."""
     args = build_parser().parse_args(argv)
+    buf = io.StringIO()
     try:
-        settings = resolve_settings(args)
-        command = _COMMANDS[args.command]
-        if args.out is not None:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                return command(settings, fh)
-        return command(settings, sys.stdout)
+        code = _COMMANDS[args.command](resolve_settings(args), buf)
     except ConfigError as exc:
         print(f"binloc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -553,6 +552,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"binloc: config error: the expected information does not "
               f"converge at these settings: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.out is None:
+        sys.stdout.write(buf.getvalue())
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(buf.getvalue())
+    return code
 
 
 if __name__ == "__main__":

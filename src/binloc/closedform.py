@@ -207,18 +207,11 @@ def _power_moments(n: int, lo: float, hi: float) -> list[float]:
     return (sign * left + right).tolist()
 
 
-def _power_moment(j: int, lo: float, hi: float) -> float:
-    """int_lo^hi s^j e^{-s^2} ds, lo <= hi: entry j of _power_moments."""
-    return _power_moments(j, lo, hi)[j]
-
-
 def _shifted_moment(n: int, b_lo: float, s_hi: float,
-                    moments: list[float] | None = None) -> float:
+                    moments: list[float]) -> float:
     """M_n = int_{b_lo}^{s_hi} (s - b_lo)^n e^{-s^2} ds via the binomial
     expansion in power moments.  moments is _power_moments(N, b_lo, s_hi)
-    for some N >= n, computed here if omitted."""
-    if moments is None:
-        moments = _power_moments(n, b_lo, s_hi)
+    for some N >= n."""
     total = 0.0
     for l in range(n + 1):
         coef = math.comb(n, l) * (-b_lo) ** l
@@ -333,24 +326,16 @@ def _gl_reference(cfg: DetectorConfig, P: float, field: FieldConfig,
 
 
 def approximation_quality(cfg: DetectorConfig, P: float, field: FieldConfig,
-                          m: int | None = None,
-                          model: TaylorModel | None = None, *,
-                          entries: tuple[float, float | None] | None = None
-                          ) -> str:
+                          m: int, model: TaylorModel,
+                          entries: tuple[float, float | None]) -> str:
     """Comma-joined flags for the closed form at this configuration:
     "ok", else any of "series-radius", "negative", "quadrature-mismatch".
 
-    entries is the (F22, F11) pair already computed from the same model
-    (F11 None for alpha outside {2, 4}); it is computed here if omitted."""
-    m_res = _resolve_m(m, float(cfg.alpha))
-    if model is None:
-        model = build_taylor_model(cfg, P, field)
+    entries is the (F22, F11) pair computed from model at series order m
+    (F11 None for alpha outside {2, 4})."""
     flags = []
-    if _series_guard(model, m_res):
+    if _series_guard(model, m):
         flags.append("series-radius")
-    if entries is None:
-        entries = (_entry(cfg, P, field, m_res, model, 1),
-                   _entry(cfg, P, field, m_res, model, 0))
     f22, f11 = entries
     if f22 <= 0.0 or (f11 is not None and f11 <= 0.0):
         flags.append("negative")
@@ -371,7 +356,6 @@ def closed_form_fisher(cfg: DetectorConfig, P: float, field: FieldConfig,
     model = build_taylor_model(cfg, P, field)
     f22 = _entry(cfg, P, field, m_res, model, 1)
     f11 = _entry(cfg, P, field, m_res, model, 0)
-    quality = approximation_quality(cfg, P, field, m_res, model,
-                                    entries=(f22, f11))
+    quality = approximation_quality(cfg, P, field, m_res, model, (f22, f11))
     return FisherResult(F11=math.nan if f11 is None else f11, F22=f22,
                         method="closed-form", m=m_res, quality=quality)

@@ -202,12 +202,12 @@ def _log_likelihood_arrays(cfg: DetectorConfig, P: float, x0: float, y0: float,
 
 def _nll_derivatives(cfg: DetectorConfig, P: float, x0: float, y0: float,
                      sx: np.ndarray, sy: np.ndarray, detected: np.ndarray,
-                     sign: np.ndarray | None = None,
+                     sign: np.ndarray,
                      pieces=None) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of -_log_likelihood_arrays in (ln P, x0, y0),
     from one pass over the sensors or from the pieces of such a pass here.
-    sign, where given, is np.where(detected, 1.0, -1.0), made once for
-    many passes over one field.
+    sign is np.where(detected, 1.0, -1.0), made once for many passes over
+    one field.
 
     A sensor's term L = log Q1(x, t) or log(1 - Q1(x, t)) depends on the
     hypothesis only through u = ln x, with gradient
@@ -228,8 +228,6 @@ def _nll_derivatives(cfg: DetectorConfig, P: float, x0: float, y0: float,
         _log_likelihood_arrays(cfg, P, x0, y0, sx, sy, detected, pieces)
     dx, dy, r, x, log_terms = pieces
     t = cfg.threshold_coordinate
-    if sign is None:
-        sign = np.where(detected, 1.0, -1.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z = x * t
         i1 = special.i1e(z)
@@ -282,12 +280,11 @@ def _table_offsets(detected: np.ndarray) -> np.ndarray:
 
 
 def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
-                     sy: np.ndarray, detected: np.ndarray,
-                     offsets: np.ndarray | None = None) -> np.ndarray:
+                     sy: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Lower bounds on -_log_likelihood_arrays, one per hypothesis
-    (P[k], x0[k], y0[k]) (arrays or scalars, broadcast together).
-    offsets, where given, is _table_offsets(detected), made once for
-    many calls on one field.
+    (P[k], x0[k], y0[k]) (arrays or scalars, broadcast together), for
+    sensors at (sx, sy) whose decisions give offsets =
+    _table_offsets(detected), made once for many calls on one field.
 
     A sensor's term depends on the hypothesis only through lambda = x^2/2
     = T P / (2 sigma2 r^alpha), monotonely: -log Q1(x, t) falls as lambda
@@ -317,7 +314,7 @@ def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
         slots = ((np.log(P) + log_c) / _TABLE_LOG_STEP + 1.0    # k + 1
                  - (0.5 * cfg.alpha / _TABLE_LOG_STEP) * log_r2)
     index = np.clip(slots, 0.0, _TABLE_NODES, out=slots).astype(np.intp)
-    index += _table_offsets(detected) if offsets is None else offsets
+    index += offsets
     return _nll_term_table(cfg.threshold_coordinate).take(index).sum(axis=-1)
 
 

@@ -43,8 +43,8 @@ import numpy as np
 from scipy import special
 
 from . import specfun
-from .detection import (DetectorConfig, TargetParams, _positive,
-                        _signal_coordinate_vec, signal_coordinate)
+from .detection import (DetectorConfig, _positive, _signal_coordinate_vec,
+                        signal_coordinate)
 
 __all__ = [
     "FieldConfig",
@@ -52,7 +52,6 @@ __all__ = [
     "QuadratureError",
     "rmin_expected",
     "x_breve",
-    "per_sensor_fim",
     "expected_fim_quadrature",
     "offdiag_quadrature_estimate",
 ]
@@ -154,21 +153,6 @@ def x_breve(cfg: DetectorConfig, P: float, field: FieldConfig) -> float:
 # ----------------------------------------------------------------------
 # single-sensor information
 # ----------------------------------------------------------------------
-
-def per_sensor_fim(cfg: DetectorConfig, theta: TargetParams,
-                   sensor_x: float, sensor_y: float) -> np.ndarray:
-    """3x3 information matrix contributed by one sensor (rank one, PSD).
-
-    Ordering (P, x_T, y_T).  Raises if the sensor sits exactly at the
-    hypothesized emitter position.
-    """
-    if sensor_x == theta.x and sensor_y == theta.y:
-        raise ValueError("sensor coincides with the emitter position")
-    log_w, u = _sensor_information(cfg, theta.P, theta.x, theta.y,
-                                   np.array([sensor_x], float),
-                                   np.array([sensor_y], float))
-    return math.exp(log_w[0]) * np.outer(u[:, 0], u[:, 0])
-
 
 def _sensor_information(cfg: DetectorConfig, P: float, x0: float, y0: float,
                         sx: np.ndarray, sy: np.ndarray

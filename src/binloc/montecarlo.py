@@ -461,7 +461,7 @@ def ml_estimate(cfg: DetectorConfig, decisions: Decisions,
         table_offsets = _table_offsets(detected)
         bounds = np.stack([
             _nll_lower_bound(cfg, powers[:, None], cen_x + dx, cen_y + offs,
-                             sx, sy, detected, table_offsets)
+                             sx, sy, table_offsets)
             for dx in offs], axis=1).ravel()
         # best first: once a bound is above the running best, every later
         # one is too, and none of them can win or tie.  Among equal nlls

@@ -52,8 +52,6 @@ from scipy.special._ufuncs import _ncx2_sf
 __all__ = [
     "marcum_q",
     "marcum_q_array",
-    "log_marcum_q",
-    "log1m_marcum_q",
     "log_marcum_q_pair",
     "log_marcum_q_pair_array",
     "marcum_q_da",
@@ -74,7 +72,7 @@ _SERIES_LAMBDA_MAX = 256.0
 _SERIES_COMPLEMENT_MIN = 1e-9
 
 # Smallest ufunc value that marcum_q takes as it is, and whose logarithm
-# log_marcum_q takes; below it Q comes from exp(log Q).  Once b^2/2
+# log_marcum_q_pair takes; below it Q comes from exp(log Q).  Once b^2/2
 # passes ~700 the ufunc loses its value from Q ~ 1e-162 down (1.5e-3
 # relative error at (30, 60.22), where Q = 1e-200; 0.0 at (30, 62),
 # where Q = 7.84e-225).
@@ -269,16 +267,6 @@ def _marcum_q_ufunc(a, b: float):
     if b * b < 2.0 ** -24:
         nc = np.where(nc > 256.0, math.nan, nc)
     return _ncx2_sf(b * b, 2.0, nc)
-
-
-def log_marcum_q(a: float, b: float) -> float:
-    """log Q1(a, b), accurate even when Q1 underflows linear doubles."""
-    return log_marcum_q_pair(a, b)[0]
-
-
-def log1m_marcum_q(a: float, b: float) -> float:
-    """log(1 - Q1(a, b)), accurate deep into the left tail."""
-    return log_marcum_q_pair(a, b)[1]
 
 
 def log_marcum_q_pair(a: float, b: float) -> tuple[float, float]:

@@ -251,7 +251,7 @@ def test_divergent_expected_information_is_a_config_error(capsys, monkeypatch,
                                                           command) -> None:
     # at alpha = 1 the F11 integrand goes as 1/x at x -> 0, so no
     # quadrature converges; simulate finds that out before its first
-    # trial, and writes nothing
+    # trial, and no command writes anything
     def no_field(*args):
         raise AssertionError("a field was sampled")
 
@@ -264,9 +264,7 @@ def test_divergent_expected_information_is_a_config_error(capsys, monkeypatch,
     assert code == EXIT_CONFIG
     assert err.startswith("binloc: config error: the expected information "
                           "does not converge")
-    assert _data_rows(out) == []
-    if command == "simulate":
-        assert out == ""
+    assert out == ""
 
 
 _FUZZ_KEYS = ("tau", "sigma2", "T", "alpha", "P", "rho")
@@ -733,3 +731,21 @@ def test_out_writes_file_instead_of_stdout(tmp_path, capsys) -> None:
     text = data.decode("utf-8")
     assert text.startswith("# binloc crb\n")
     assert len(_data_rows(text)) == 1
+
+
+@pytest.mark.parametrize("command", ["crb", "simulate", "check"])
+@pytest.mark.parametrize("assignment", ["rho=-1", "alpha=1"])
+def test_config_error_leaves_out_file_untouched(tmp_path, capsys, command,
+                                                assignment) -> None:
+    # rho = -1 fails validation; alpha = 1 fails only once the first
+    # bound is computed
+    dest = tmp_path / "keep.csv"
+    dest.write_bytes(b"old,data\n")
+    code, out, err = _run(capsys, command, "--set", assignment,
+                          "--set", "trials=1", "--set", "region_radius=5",
+                          "--set", "sweep.start=0.5",
+                          "--set", "sweep.stop=0.5", "--out", str(dest))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("binloc: config error: ")
+    assert dest.read_bytes() == b"old,data\n"

@@ -31,7 +31,7 @@ from binloc.closedform import (
     f11_closed_form,
     f22_closed_form,
 )
-from binloc.closedform import _power_moment, _power_moments, _shifted_moment
+from binloc.closedform import _power_moments, _shifted_moment
 from binloc.detection import DetectorConfig
 from binloc.fisher import FieldConfig, expected_fim_quadrature
 
@@ -110,7 +110,7 @@ def test_taylor_model_matches_log_weight_at_endpoint():
     # f(xb) = -ln Q - ln(1 - Q) evaluated directly
     model = build_taylor_model(_CFG2, _P, _FIELD)
     xb, t = model.x_breve, model.t
-    f_direct = -(specfun.log_marcum_q(xb, t) + specfun.log1m_marcum_q(xb, t))
+    f_direct = -sum(specfun.log_marcum_q_pair(xb, t))
     f_poly = model.f0 + model.f1 * xb + model.f2 * xb * xb
     assert f_poly == pytest.approx(f_direct, rel=1e-12)
 
@@ -121,7 +121,7 @@ def test_taylor_model_matches_log_weight_slope():
     h = 1e-5
 
     def f(x: float) -> float:
-        return -(specfun.log_marcum_q(x, t) + specfun.log1m_marcum_q(x, t))
+        return -sum(specfun.log_marcum_q_pair(x, t))
 
     fd_slope = (f(xb + h) - f(xb - h)) / (2.0 * h)
     assert model.f1 + 2.0 * model.f2 * xb == pytest.approx(fd_slope, rel=1e-6)
@@ -169,7 +169,7 @@ def test_power_moment_matches_quadrature(j, interval):
         lambda s: s**j * math.exp(-s * s), lo, hi, epsabs=1e-14
     )
     assert err < 1e-10
-    got = _power_moment(j, lo, hi)
+    got = _power_moments(j, lo, hi)[j]
     assert got == pytest.approx(ref, rel=1e-11, abs=1e-13)
 
 
@@ -181,15 +181,16 @@ def _unsplit_power_moment(j, lo, hi):
 
 
 def test_power_moment_unsplit_exact_only_on_positive_intervals():
-    # the difference-of-gammas shortcut is what _power_moment uses for
+    # the difference-of-gammas shortcut is what _power_moments uses for
     # lo >= 0 ...
     for j in (0, 1, 2, 3):
-        assert _power_moment(j, 0.4, 1.3) == _unsplit_power_moment(j, 0.4, 1.3)
+        assert (_power_moments(j, 0.4, 1.3)[j]
+                == _unsplit_power_moment(j, 0.4, 1.3))
     # ... but it drops the sign of even powers left of zero, which the
     # split form keeps
     ref, _ = integrate.quad(lambda s: math.exp(-s * s), -1.0, 0.5, epsabs=1e-14)
     assert abs(_unsplit_power_moment(0, -1.0, 0.5) - ref) > 1e-3
-    assert _power_moment(0, -1.0, 0.5) == pytest.approx(ref, rel=1e-11)
+    assert _power_moments(0, -1.0, 0.5)[0] == pytest.approx(ref, rel=1e-11)
 
 
 def _scalar_power_moment(j, lo, hi):
@@ -219,7 +220,7 @@ def test_power_moment_table_matches_scalar_bits(interval):
     assert len(table) == 10
     for j in range(10):
         assert table[j] == _scalar_power_moment(j, lo, hi), j
-        assert _power_moment(j, lo, hi) == table[j]
+        assert _power_moments(j, lo, hi)[j] == table[j]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7])
@@ -232,7 +233,7 @@ def test_shifted_moment_keeps_scalar_bits(n, b_lo):
     for l in range(n + 1):
         ref += (math.comb(n, l) * (-b_lo) ** l
                 * _scalar_power_moment(n - l, b_lo, s_hi))
-    assert _shifted_moment(n, b_lo, s_hi) == ref
+    assert _shifted_moment(n, b_lo, s_hi, _power_moments(n, b_lo, s_hi)) == ref
     assert _shifted_moment(n, b_lo, s_hi, _power_moments(9, b_lo, s_hi)) == ref
 
 
@@ -244,7 +245,7 @@ def test_shifted_moment_matches_quadrature(n, b_lo):
         lambda s: (s - b_lo) ** n * math.exp(-s * s), b_lo, s_hi, epsabs=1e-14
     )
     assert err < 1e-12
-    got = _shifted_moment(n, b_lo, s_hi)
+    got = _shifted_moment(n, b_lo, s_hi, _power_moments(n, b_lo, s_hi))
     assert got == pytest.approx(ref, rel=1e-10, abs=1e-13)
 
 
@@ -352,12 +353,12 @@ def test_series_guard_warns_on_dense_field():
 # ----------------------------------------------------------------------
 
 def test_quality_ok_at_reference_point():
-    assert approximation_quality(_CFG2, _P, _FIELD) == "ok"
-    assert approximation_quality(_CFG4, _P, _FIELD) == "ok"
+    assert closed_form_fisher(_CFG2, _P, _FIELD).quality == "ok"
+    assert closed_form_fisher(_CFG4, _P, _FIELD).quality == "ok"
 
 
 def test_quality_flags_dense_field():
-    flags = approximation_quality(_CFG2, _P, _DENSE_FIELD)
+    flags = closed_form_fisher(_CFG2, _P, _DENSE_FIELD).quality
     assert "series-radius" in flags
     assert "quadrature-mismatch" in flags
 
@@ -383,5 +384,11 @@ def test_closed_form_fisher_unsupported_alpha_yields_nan_f11():
 
 
 def test_closed_form_fisher_quality_matches_standalone():
+    # the flags of the entries the public functions compute from one model
     res = closed_form_fisher(_CFG2, _P, _DENSE_FIELD)
-    assert res.quality == approximation_quality(_CFG2, _P, _DENSE_FIELD)
+    model = build_taylor_model(_CFG2, _P, _DENSE_FIELD)
+    with pytest.warns(RuntimeWarning, match="series"):
+        entries = (f22_closed_form(_CFG2, _P, _DENSE_FIELD, 3, model),
+                   f11_closed_form(_CFG2, _P, _DENSE_FIELD, 3, model))
+    assert res.quality == approximation_quality(_CFG2, _P, _DENSE_FIELD, 3,
+                                                model, entries)

@@ -24,7 +24,7 @@ from binloc.detection import (
     signal_coordinate,
 )
 from binloc.detection import (_log_likelihood_arrays, _nll_derivatives,
-                              _nll_lower_bound)
+                              _nll_lower_bound, _table_offsets)
 
 from _reference import (detection_probability_derivatives,
                         nll_derivatives_stacked)
@@ -298,7 +298,8 @@ def test_nll_lower_bound_never_exceeds_the_nll(case):
     # least its bound; with a sensor on the hypothesis the nll is 0 or
     # +inf in that sensor's term
     cfg, P, x0, y0, d = case
-    bounds = _nll_lower_bound(cfg, P, x0, y0, d.sx, d.sy, d.detected)
+    bounds = _nll_lower_bound(cfg, P, x0, y0, d.sx, d.sy,
+                              _table_offsets(d.detected))
     assert bounds.shape == P.shape
     for k, bound in enumerate(bounds):
         nll = -_log_likelihood_arrays(cfg, P[k], x0[k], y0[k],
@@ -320,7 +321,7 @@ def test_nll_derivatives_keep_the_bits_of_the_stacked_formula(case):
         pieces = []
         _log_likelihood_arrays(*args, pieces=pieces)
         want = nll_derivatives_stacked(*args)
-        for got in (_nll_derivatives(*args), _nll_derivatives(*args, sign),
+        for got in (_nll_derivatives(*args, sign),
                     _nll_derivatives(*args, sign, pieces=pieces)):
             assert all(u.tobytes() == v.tobytes() and u.flags.c_contiguous
                        for u, v in zip(got, want, strict=True))
@@ -334,12 +335,9 @@ def test_nll_lower_bound_broadcasts_a_power_column_against_positions(case):
     cfg, P, x0, y0, d = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bounds = _nll_lower_bound(cfg, P, x0, y0, d.sx, d.sy, d.detected)
+        bounds = _nll_lower_bound(cfg, P, x0, y0, d.sx, d.sy,
+                                  _table_offsets(d.detected))
     assert bounds.shape == (len(P), len(x0))
-    # the fit's form, with the table offsets made once per field
-    offsets = detection._table_offsets(d.detected)
-    assert _nll_lower_bound(cfg, P, x0, y0, d.sx, d.sy, d.detected,
-                            offsets).tobytes() == bounds.tobytes()
     for (i, k), bound in np.ndenumerate(bounds):
         nll = -_log_likelihood_arrays(cfg, P[i, 0], x0[k], y0[k],
                                       d.sx, d.sy, d.detected)
@@ -354,7 +352,8 @@ def test_nll_lower_bound_survives_an_underflowing_squared_range():
     sx = np.array([3.7e-242, 5.0])
     sy = np.array([0.0, 1.0])
     detected = np.array([False, True])
-    bound = _nll_lower_bound(cfg, 1.0, 0.0, 0.0, sx, sy, detected)
+    bound = _nll_lower_bound(cfg, 1.0, 0.0, 0.0, sx, sy,
+                             _table_offsets(detected))
     nll = -_log_likelihood_arrays(cfg, 1.0, 0.0, 0.0, sx, sy, detected)
     assert math.isfinite(nll)
     assert bound <= nll + 1e-12 * (1.0 + abs(nll))
@@ -371,7 +370,8 @@ def test_nll_lower_bound_tiny_threshold_is_silent():
     detected = np.array([False, True, True])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bound = _nll_lower_bound(cfg, 2.0, 0.0, 0.0, sx, sy, detected)
+        bound = _nll_lower_bound(cfg, 2.0, 0.0, 0.0, sx, sy,
+                                 _table_offsets(detected))
     nll = -_log_likelihood_arrays(cfg, 2.0, 0.0, 0.0, sx, sy, detected)
     assert math.isfinite(bound)
     assert bound <= nll + 1e-12 * (1.0 + abs(nll))
@@ -394,7 +394,8 @@ def test_nll_lower_bound_bounds_a_silent_band_sensor_without_log_tails(
     sy = np.array([0.0, 0.0])
     detected = np.array([False, True])
     monkeypatch.setattr(specfun, "_log_tails", counted)
-    bound = _nll_lower_bound(cfg, 2.0, 0.0, 0.0, sx, sy, detected)
+    bound = _nll_lower_bound(cfg, 2.0, 0.0, 0.0, sx, sy,
+                             _table_offsets(detected))
     assert calls == []
     monkeypatch.undo()
     nll = -_log_likelihood_arrays(cfg, 2.0, 0.0, 0.0, sx, sy, detected)
@@ -424,9 +425,10 @@ def test_nll_lower_bound_holds_at_the_table_edges(alpha):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for (P, r), det in itertools.product(cases, (False, True)):
-            args = (np.array([r]), np.array([0.0]), np.array([det]))
-            bound = _nll_lower_bound(cfg, P, 0.0, 0.0, *args)
-            nll = -_log_likelihood_arrays(cfg, P, 0.0, 0.0, *args)
+            sx, sy, detected = np.array([r]), np.array([0.0]), np.array([det])
+            bound = _nll_lower_bound(cfg, P, 0.0, 0.0, sx, sy,
+                                     _table_offsets(detected))
+            nll = -_log_likelihood_arrays(cfg, P, 0.0, 0.0, sx, sy, detected)
             assert bound <= nll + 1e-12 * (1.0 + abs(nll)), (P, r, det)
 
 

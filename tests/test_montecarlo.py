@@ -912,11 +912,14 @@ def test_nll_derivatives_match_central_differences():
         return -_log_likelihood_arrays(det, math.exp(v[0]), v[1], v[2],
                                        d.sx, d.sy, d.detected)
 
+    sign = np.where(d.detected, 1.0, -1.0)
+
     def grad(v):
         return _nll_derivatives(det, math.exp(v[0]), v[1], v[2],
-                                d.sx, d.sy, d.detected)[0]
+                                d.sx, d.sy, d.detected, sign)[0]
 
-    g, hess = _nll_derivatives(det, 10.0, -1.8, -0.3, d.sx, d.sy, d.detected)
+    g, hess = _nll_derivatives(det, 10.0, -1.8, -0.3, d.sx, d.sy, d.detected,
+                               sign)
     assert np.all(np.abs(g) > 1e-3)
     steps = 1e-4 * np.eye(3)
     fd_g = [(nll(theta + e) - nll(theta - e)) / 2e-4 for e in steps]
@@ -938,10 +941,11 @@ def test_nll_derivatives_from_reused_pieces_match_a_fresh_pass(monkeypatch):
     det = DetectorConfig(tau=0.4, sigma2=0.25)
     d = _reference_trial(0.4, 20260814)
     args = (det, 10.0, -1.8, -0.3, d.sx, d.sy, d.detected)
+    sign = np.where(d.detected, 1.0, -1.0)
     pieces = []
     _log_likelihood_arrays(*args, pieces=pieces)
-    assert _same_bits(_nll_derivatives(*args, pieces=pieces),
-                      _nll_derivatives(*args))
+    assert _same_bits(_nll_derivatives(*args, sign, pieces=pieces),
+                      _nll_derivatives(*args, sign))
     derivatives = montecarlo._nll_derivatives
     passes, reused = [], []
 

@@ -39,12 +39,10 @@ from hypothesis import strategies as st
 from scipy import special
 
 from binloc import detection, specfun
-from binloc.closedform import _power_moment
+from binloc.closedform import _power_moments
 from binloc.specfun import (
     _SERIES_LAMBDA_MAX,
     i1_squared_taylor_coeff,
-    log1m_marcum_q,
-    log_marcum_q,
     log_marcum_q_pair,
     log_marcum_q_pair_array,
     marcum_q,
@@ -179,8 +177,8 @@ def test_marcum_equal_argument_identity(a):
     i0e = float(special.i0e(a * a))
     assert marcum_q(a, a) == pytest.approx(0.5 * (1.0 + i0e), rel=1e-13, abs=1e-13)
     log_half = math.log(0.5)
-    assert log_marcum_q(a, a) == pytest.approx(log_half + math.log1p(i0e), rel=1e-14, abs=0.0)
-    assert log1m_marcum_q(a, a) == pytest.approx(log_half + math.log1p(-i0e), rel=1e-14, abs=0.0)
+    assert log_marcum_q_pair(a, a)[0] == pytest.approx(log_half + math.log1p(i0e), rel=1e-14, abs=0.0)
+    assert log_marcum_q_pair(a, a)[1] == pytest.approx(log_half + math.log1p(-i0e), rel=1e-14, abs=0.0)
 
 
 def test_marcum_limits():
@@ -188,8 +186,8 @@ def test_marcum_limits():
     assert marcum_q(0.0, 0.0) == 1.0
     for b in (0.3, 1.0, 3.0):
         assert marcum_q(0.0, b) == pytest.approx(math.exp(-0.5 * b * b), rel=1e-13)
-    assert log_marcum_q(5.0, 0.0) == 0.0
-    assert log1m_marcum_q(5.0, 0.0) == -math.inf
+    assert log_marcum_q_pair(5.0, 0.0)[0] == 0.0
+    assert log_marcum_q_pair(5.0, 0.0)[1] == -math.inf
 
 
 def test_marcum_matches_noncentral_chi_square_tail():
@@ -248,9 +246,9 @@ def test_marcum_ufunc_path_and_its_fallbacks():
     assert list(log_q[2:]) == [0.0, 0.0, 0.0]
     assert log_1mq[2] == -math.inf
     # the edge entries take their complements from the log tail
-    assert log_1mq[3] == log1m_marcum_q(1e150, t)
+    assert log_1mq[3] == log_marcum_q_pair(1e150, t)[1]
     assert log_1mq[3] == pytest.approx(-0.5e300, rel=1e-12)
-    assert log_1mq[4] == log1m_marcum_q(50.0, t)
+    assert log_1mq[4] == log_marcum_q_pair(50.0, t)[1]
     assert -1300.0 < log_1mq[4] < -1100.0
 
 
@@ -266,8 +264,7 @@ def test_marcum_monotone_in_arguments():
 def test_marcum_log_forms_consistent():
     for a in (0.0, 0.5, 2.0, 8.0, 23.0):
         for b in (0.2, 1.0, 4.0, 9.0, 24.0):
-            lq = log_marcum_q(a, b)
-            l1 = log1m_marcum_q(a, b)
+            lq, l1 = log_marcum_q_pair(a, b)
             assert lq <= 0.0 and l1 <= 0.0
             assert math.exp(lq) + math.exp(l1) == pytest.approx(1.0, abs=1e-12)
             assert math.exp(lq) == pytest.approx(marcum_q(a, b), rel=1e-11, abs=1e-300)
@@ -276,20 +273,20 @@ def test_marcum_log_forms_consistent():
 @pytest.mark.parametrize("a,b,lq_ref,l1_ref", _DEEP_TAIL_TABLE)
 def test_marcum_deep_tails_match_frozen_references(a, b, lq_ref, l1_ref):
     if lq_ref is not None:
-        lq = log_marcum_q(a, b)
+        lq = log_marcum_q_pair(a, b)[0]
         assert lq == pytest.approx(lq_ref, rel=1e-10)
         # the complement is 1 - exp(lq); its log is -exp(lq) to double precision
-        assert log1m_marcum_q(a, b) == pytest.approx(-math.exp(lq), rel=1e-6, abs=0.0)
+        assert log_marcum_q_pair(a, b)[1] == pytest.approx(-math.exp(lq), rel=1e-6, abs=0.0)
     if l1_ref is not None:
-        l1 = log1m_marcum_q(a, b)
+        l1 = log_marcum_q_pair(a, b)[1]
         assert l1 == pytest.approx(l1_ref, rel=1e-10)
-        assert log_marcum_q(a, b) == pytest.approx(-math.exp(l1), rel=1e-6, abs=0.0)
+        assert log_marcum_q_pair(a, b)[0] == pytest.approx(-math.exp(l1), rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("a,b,ref,side,tol", _ASYMPTOTIC_TABLE)
 def test_marcum_asymptotic_branch_accuracy(a, b, ref, side, tol):
     assert not _takes_asymptotic(a, b)
-    got = log_marcum_q(a, b) if side == "lq" else log1m_marcum_q(a, b)
+    got = log_marcum_q_pair(a, b)[0 if side == "lq" else 1]
     assert got == pytest.approx(ref, rel=1e-13)
     (lq,), (l1,) = specfun._log_asymptotic(np.array([a]), b)
     assert (lq if side == "lq" else l1) == pytest.approx(ref, abs=tol)
@@ -302,7 +299,7 @@ def test_asymptotic_branch_finite_beyond_z4_overflow():
         assert special.log_ndtr(-z) == pytest.approx(-0.5 * z * z, rel=1e-15)
     assert special.log_ndtr(-1e200) == -math.inf
     assert marcum_q(1e80, 1.2) == 1.0
-    lqs = [log_marcum_q(1.0, b) for b in (1e76, 1.1e77, 1.3e77, 1e78, 1e200)]
+    lqs = [log_marcum_q_pair(1.0, b)[0] for b in (1e76, 1.1e77, 1.3e77, 1e78, 1e200)]
     assert all(x > y for x, y in zip(lqs, lqs[1:4]))
     assert lqs[3] == pytest.approx(-0.5e156, rel=1e-12) and lqs[4] == -math.inf
     log_q, log_1mq = log_marcum_q_pair_array(np.array([1e80, 2.0]), 1.2)
@@ -317,7 +314,7 @@ def test_asymptotic_branch_continuous_with_neumann_series():
     # asymptotic form's approximation error.
     a = math.sqrt(2.0 * 9.0e5)
     for b in (1300.0, a, 1400.0):
-        lq_w, l1_w = log_marcum_q(a, b), log1m_marcum_q(a, b)
+        lq_w, l1_w = log_marcum_q_pair(a, b)
         (lq_a,), (l1_a,) = specfun._log_asymptotic(np.array([a]), b)
         assert abs(lq_w - lq_a) <= max(2e-3, 1e-4 * abs(lq_w))
         assert abs(l1_w - l1_a) <= max(2e-3, 1e-4 * abs(l1_w))
@@ -500,8 +497,8 @@ _A_ABOVE_CAP = math.sqrt(2.0 * (_SERIES_LAMBDA_MAX + 0.06))
 def test_log_tails_match_mpmath_oracle(a, b):
     # the scalar routines and the array entry points, on one entry
     lq_ref, l1_ref = _mp_log_tails(a, b)
-    assert log_marcum_q(a, b) == pytest.approx(lq_ref, rel=1e-6, abs=0.0)
-    assert log1m_marcum_q(a, b) == pytest.approx(l1_ref, rel=1e-6, abs=0.0)
+    assert log_marcum_q_pair(a, b)[0] == pytest.approx(lq_ref, rel=1e-6, abs=0.0)
+    assert log_marcum_q_pair(a, b)[1] == pytest.approx(l1_ref, rel=1e-6, abs=0.0)
     log_q, log_1mq = log_marcum_q_pair_array(np.array([a]), b)
     assert log_q[0] == pytest.approx(lq_ref, rel=1e-6, abs=0.0)
     assert log_1mq[0] == pytest.approx(l1_ref, rel=1e-6, abs=0.0)
@@ -862,26 +859,26 @@ def test_vector_entries_below_the_ufunc_floor_take_one_tail_call(monkeypatch):
     monkeypatch.undo()
     assert np.all(q < specfun._UFUNC_MIN)
     assert list(q) == [marcum_q(float(v), t) for v in x]
-    assert list(log_q) == [log_marcum_q(float(v), t) for v in x]
+    assert list(log_q) == [log_marcum_q_pair(float(v), t)[0] for v in x]
     assert np.all(np.abs(np.logaddexp(log_q, log_1mq)) <= 1e-12)
 
 
 def test_marcum_infinite_arguments():
     assert marcum_q(math.inf, 3.0) == 1.0
     assert marcum_q(3.0, math.inf) == 0.0
-    assert log_marcum_q(math.inf, 3.0) == 0.0
-    assert log1m_marcum_q(math.inf, 3.0) == -math.inf
-    assert log_marcum_q(3.0, math.inf) == -math.inf
-    assert log1m_marcum_q(3.0, math.inf) == 0.0
+    assert log_marcum_q_pair(math.inf, 3.0)[0] == 0.0
+    assert log_marcum_q_pair(math.inf, 3.0)[1] == -math.inf
+    assert log_marcum_q_pair(3.0, math.inf)[0] == -math.inf
+    assert log_marcum_q_pair(3.0, math.inf)[1] == 0.0
     assert marcum_q(math.inf, 0.0) == 1.0
-    for fn in (marcum_q, log_marcum_q, log1m_marcum_q):
+    for fn in (marcum_q, log_marcum_q_pair):
         with pytest.raises(ValueError):
             fn(math.inf, math.inf)
 
 
 @pytest.mark.parametrize("bad", [-0.5, math.nan])
 def test_marcum_rejects_bad_arguments(bad):
-    for fn in (marcum_q, log_marcum_q, log1m_marcum_q):
+    for fn in (marcum_q, log_marcum_q_pair):
         with pytest.raises(ValueError):
             fn(bad, 1.0)
         with pytest.raises(ValueError):
@@ -965,14 +962,15 @@ def _moment_order(s: float) -> int:
 
 def upper_gamma(s: float, x: float) -> float:
     # Gamma(s, x) = 2 int_{sqrt x}^inf u^(2s-1) e^{-u^2} du
-    return 2.0 * _power_moment(_moment_order(s), math.sqrt(x), math.inf)
+    j = _moment_order(s)
+    return 2.0 * _power_moments(j, math.sqrt(x), math.inf)[j]
 
 
 def lower_gamma(s: float, x: float) -> float:
     # gamma(s, x) = 2 int_0^{sqrt x} u^(2s-1) e^{-u^2} du
     #             = 2 (-1)^(2s-1) int_{-sqrt x}^0 u^(2s-1) e^{-u^2} du
     j = _moment_order(s)
-    return 2.0 * (-1.0) ** j * _power_moment(j, -math.sqrt(x), 0.0)
+    return 2.0 * (-1.0) ** j * _power_moments(j, -math.sqrt(x), 0.0)[j]
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.5, 4.0, 7.5])
