@@ -554,9 +554,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     if args.out is None:
         sys.stdout.write(buf.getvalue())
-    else:
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(buf.getvalue())
+    except OSError as exc:
+        print(f"binloc: config error: cannot write --out: {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

@@ -11,7 +11,8 @@ incomplete gamma functions:
    weight is flattest there and the integrand is concentrated near xb for
    the configurations of interest);
 2. I1(y)^2 is replaced by its first m+1 Maclaurin terms,
-   sum_k c_k y^(2k+2), c_k = binom(2k+2, k) / (2^(k+1) (k+1)!)^2.
+   sum_k c_k y^(2k+2), c_k = binom(2k+2, k) / (2^(k+1) (k+1)!)^2
+   (_I1SQ_COEFFS, for k <= M_MAX).
 
 Completing the square, with y = x t,
 
@@ -74,6 +75,11 @@ __all__ = [
 
 # hard cap on the I1^2 series order
 M_MAX = 10
+
+# the c_k of the module docstring for k <= M_MAX, each rounded once
+_I1SQ_COEFFS = tuple(
+    math.comb(2 * k + 2, k) / (2 ** (k + 1) * math.factorial(k + 1)) ** 2
+    for k in range(M_MAX + 1))
 
 # path-loss exponents whose F11 kernel power 1 - 4/alpha is an integer
 _F11_ALPHAS = (2.0, 4.0)
@@ -207,8 +213,7 @@ def _power_moments(n: int, lo: float, hi: float) -> list[float]:
     return (sign * left + right).tolist()
 
 
-def _shifted_moment(n: int, b_lo: float, s_hi: float,
-                    moments: list[float]) -> float:
+def _shifted_moment(n: int, b_lo: float, moments: list[float]) -> float:
     """M_n = int_{b_lo}^{s_hi} (s - b_lo)^n e^{-s^2} ds via the binomial
     expansion in power moments.  moments is _power_moments(N, b_lo, s_hi)
     for some N >= n."""
@@ -240,8 +245,8 @@ def _surrogate_integral(model: TaylorModel, m: int, p: float) -> float:
     total = 0.0
     for k in range(m + 1):
         n = int(p) + 2 * k + 2
-        total += (specfun.i1_squared_taylor_coeff(k) * model.A ** (-(n + 1))
-                  * _shifted_moment(n, model.B, model.s_breve, moments))
+        total += (_I1SQ_COEFFS[k] * model.A ** (-(n + 1))
+                  * _shifted_moment(n, model.B, moments))
     return model.t ** (1.0 - p) * model.C * total
 
 

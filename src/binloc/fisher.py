@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import specfun
 from .detection import (DetectorConfig, _positive, _signal_coordinate_vec,
@@ -188,8 +187,8 @@ def _log_kernel(x: np.ndarray, t: float, power) -> np.ndarray:
     a power column (m, 1) gives one row per power."""
     log_q, log_1mq = specfun.log_marcum_q_pair_array(x, t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_da = np.log(t * special.i1e(x * t)) - 0.5 * (x - t) ** 2
-        value = power * np.log(x) + 2.0 * log_da - (log_q + log_1mq)
+        value = (power * np.log(x) + 2.0 * specfun._log_marcum_q_da(x, t)
+                 - (log_q + log_1mq))
     return np.where(x > 0.0, value, -math.inf)
 
 

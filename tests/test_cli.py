@@ -749,3 +749,15 @@ def test_config_error_leaves_out_file_untouched(tmp_path, capsys, command,
     assert out == ""
     assert err.startswith("binloc: config error: ")
     assert dest.read_bytes() == b"old,data\n"
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys) -> None:
+    # the command runs and succeeds, then --out cannot be opened
+    dest = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, "crb", "--set", "sweep.stop=0.2",
+                          "--out", str(dest))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("binloc: config error: cannot write --out: ")
+    assert "Traceback" not in err
+    assert not dest.parent.exists()

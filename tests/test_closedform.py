@@ -1,6 +1,7 @@
 """Tests for the closed-form Fisher information approximation: the
-endpoint Taylor surrogate, the shifted Gaussian moments, the finite
-gamma-function sums, and the quality flags.
+endpoint Taylor surrogate, the Maclaurin coefficients of I1(y)^2, the
+shifted Gaussian moments, the finite gamma-function sums, and the quality
+flags.
 
 The moment identities are checked against adaptive quadrature of their
 defining integrals; the full closed form is checked to be *exact* on a
@@ -31,7 +32,7 @@ from binloc.closedform import (
     f11_closed_form,
     f22_closed_form,
 )
-from binloc.closedform import _power_moments, _shifted_moment
+from binloc.closedform import _I1SQ_COEFFS, _power_moments, _shifted_moment
 from binloc.detection import DetectorConfig
 from binloc.fisher import FieldConfig, expected_fim_quadrature
 
@@ -82,7 +83,7 @@ def _synthetic_model(B: float) -> TaylorModel:
 def _surrogate_f22_by_quadrature(model: TaylorModel, rho: float,
                                  alpha: float, m: int) -> float:
     # pi^2 rho alpha C int_0^yb [sum_k c_k y^(2k+3)] e^{-(A y + B)^2} dy
-    coeffs = [specfun.i1_squared_taylor_coeff(k) for k in range(m + 1)]
+    coeffs = _I1SQ_COEFFS[:m + 1]
 
     def g(y: float) -> float:
         s = model.A * y + model.B
@@ -155,6 +156,40 @@ def test_taylor_model_invalid_when_amplitude_overflows():
     cfg = DetectorConfig(tau=5.0, sigma2=0.01, alpha=2.0)
     with pytest.raises(ModelInvalid):
         build_taylor_model(cfg, 0.5, FieldConfig(rho=5.0))
+
+
+# ----------------------------------------------------------------------
+# Maclaurin coefficients of I1(y)^2
+# ----------------------------------------------------------------------
+
+def test_i1_squared_leading_coefficients():
+    assert _I1SQ_COEFFS[0] == 0.25
+    assert _I1SQ_COEFFS[1] == 0.0625
+    assert _I1SQ_COEFFS[2] == pytest.approx(0.006510416666666667, rel=1e-15)
+
+
+def test_i1_squared_coefficients_by_series_convolution():
+    # c_k = 4^{-(k+1)} sum_m 1 / (m! (m+1)! (k-m)! (k-m+1)!)
+    assert len(_I1SQ_COEFFS) == M_MAX + 1
+    for k in range(M_MAX + 1):
+        conv = sum(
+            1.0
+            / (
+                math.factorial(m)
+                * math.factorial(m + 1)
+                * math.factorial(k - m)
+                * math.factorial(k - m + 1)
+            )
+            for m in range(0, k + 1)
+        )
+        ref = conv / 4.0 ** (k + 1)
+        assert _I1SQ_COEFFS[k] == pytest.approx(ref, rel=1e-13)
+
+
+def test_i1_squared_partial_series_reproduces_bessel():
+    z = 0.8
+    approx = sum(c * z ** (2 * k + 2) for k, c in enumerate(_I1SQ_COEFFS))
+    assert approx == pytest.approx(special.i1(z) ** 2, rel=1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -233,8 +268,8 @@ def test_shifted_moment_keeps_scalar_bits(n, b_lo):
     for l in range(n + 1):
         ref += (math.comb(n, l) * (-b_lo) ** l
                 * _scalar_power_moment(n - l, b_lo, s_hi))
-    assert _shifted_moment(n, b_lo, s_hi, _power_moments(n, b_lo, s_hi)) == ref
-    assert _shifted_moment(n, b_lo, s_hi, _power_moments(9, b_lo, s_hi)) == ref
+    assert _shifted_moment(n, b_lo, _power_moments(n, b_lo, s_hi)) == ref
+    assert _shifted_moment(n, b_lo, _power_moments(9, b_lo, s_hi)) == ref
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7])
@@ -245,7 +280,7 @@ def test_shifted_moment_matches_quadrature(n, b_lo):
         lambda s: (s - b_lo) ** n * math.exp(-s * s), b_lo, s_hi, epsabs=1e-14
     )
     assert err < 1e-12
-    got = _shifted_moment(n, b_lo, s_hi, _power_moments(n, b_lo, s_hi))
+    got = _shifted_moment(n, b_lo, _power_moments(n, b_lo, s_hi))
     assert got == pytest.approx(ref, rel=1e-10, abs=1e-13)
 
 

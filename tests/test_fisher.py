@@ -384,6 +384,22 @@ def test_log_kernel_array_matches_scalar():
             assert np.all(err <= 4e-15 * np.maximum(1.0, np.abs(ref[finite])))
 
 
+def test_log_slope_is_one_expression_for_scalars_and_arrays():
+    # scalar log_marcum_q_da and the quadrature's kernel both read
+    # specfun._log_marcum_q_da: the same bits entry by entry, from a = 0
+    # (-inf) over the quadrature's x range to a b = 1e6
+    xs = np.concatenate([[0.0], np.logspace(-4.0, 0.0, 30),
+                         np.linspace(1.0, 80.0, 80), [300.0, 1500.0, 2.5e4]])
+    for t in (0.2, math.sqrt(3.2), 3.0, 8.0, 40.0):
+        slope = specfun._log_marcum_q_da(xs, t)
+        np.testing.assert_array_equal(
+            slope, [specfun.log_marcum_q_da(float(x), t) for x in xs])
+        assert slope[0] == -math.inf
+        log_q, log_1mq = specfun.log_marcum_q_pair_array(xs, t)
+        np.testing.assert_array_equal(_log_kernel(xs, t, 0.0),
+                                      2.0 * slope - (log_q + log_1mq))
+
+
 def test_sensor_information_matches_scalar_assembly_over_a_field():
     # criterion 8's point: one sampled field, ~580 sensors, summed
     cfg = DetectorConfig(tau=0.40, sigma2=0.25)

@@ -1,8 +1,7 @@
 """Tests for the special-function layer: Marcum Q, its log tails and
-amplitude derivatives, the Maclaurin coefficients of I1(y)^2, the
-incomplete gamma functions that the closed-form moments evaluate, and the
-scaled Bessel functions that the Marcum derivatives and log tails take
-from scipy.
+amplitude derivatives, the incomplete gamma functions that the
+closed-form moments evaluate, and the scaled Bessel functions that the
+Marcum derivatives and log tails take from scipy.
 
 The log tails sum the Neumann series of scaled Bessel functions
 exp(-(a-b)^2/2) sum_k (a/b)^(+-k) ive(k, ab); their oracles use other
@@ -42,7 +41,6 @@ from binloc import detection, specfun
 from binloc.closedform import _power_moments
 from binloc.specfun import (
     _SERIES_LAMBDA_MAX,
-    i1_squared_taylor_coeff,
     log_marcum_q_pair,
     log_marcum_q_pair_array,
     marcum_q,
@@ -1005,47 +1003,3 @@ def test_upper_gamma_half_integer_closed_form():
 def test_lower_plus_upper_is_complete(s, x):
     total = lower_gamma(s, x) + upper_gamma(s, x)
     assert total == pytest.approx(math.gamma(s), rel=1e-13)
-
-
-# ----------------------------------------------------------------------
-# Maclaurin coefficients of I1(y)^2
-# ----------------------------------------------------------------------
-
-def test_i1_squared_leading_coefficients():
-    assert i1_squared_taylor_coeff(0) == 0.25
-    assert i1_squared_taylor_coeff(1) == 0.0625
-    assert i1_squared_taylor_coeff(2) == pytest.approx(
-        0.006510416666666667, rel=1e-15
-    )
-
-
-def test_i1_squared_coefficients_by_series_convolution():
-    # c_k = 4^{-(k+1)} sum_m 1 / (m! (m+1)! (k-m)! (k-m+1)!)
-    for k in range(0, 12):
-        conv = sum(
-            1.0
-            / (
-                math.factorial(m)
-                * math.factorial(m + 1)
-                * math.factorial(k - m)
-                * math.factorial(k - m + 1)
-            )
-            for m in range(0, k + 1)
-        )
-        ref = conv / 4.0 ** (k + 1)
-        assert i1_squared_taylor_coeff(k) == pytest.approx(ref, rel=1e-13)
-
-
-def test_i1_squared_partial_series_reproduces_bessel():
-    z = 0.8
-    approx = sum(i1_squared_taylor_coeff(k) * z ** (2 * k + 2) for k in range(12))
-    assert approx == pytest.approx(special.i1(z) ** 2, rel=1e-13)
-
-
-def test_i1_squared_coefficient_validation():
-    with pytest.raises(ValueError):
-        i1_squared_taylor_coeff(-1)
-    with pytest.raises(ValueError):
-        i1_squared_taylor_coeff(1.5)  # type: ignore[arg-type]
-    with pytest.raises(OverflowError):
-        i1_squared_taylor_coeff(65)
