@@ -29,7 +29,7 @@ import functools
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as _field, fields, replace
 from typing import Callable, IO, Sequence
 
 from scipy import special
@@ -74,30 +74,6 @@ class ConfigError(ValueError):
 # ----------------------------------------------------------------------
 # settings: defaults, config-file parsing, overrides
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Settings:
-    """Effective configuration; defaults match the reference operating
-    point (P=2, T=1, sigma2=0.25, rho=0.05) with a campaign radius whose
-    far-field detection excess is below 4e-4."""
-
-    tau: float = 0.5
-    sigma2: float = 0.25
-    T: float = 1.0
-    alpha: float = 2.0
-    P: float = 2.0
-    xT: float = 0.0
-    yT: float = 0.0
-    rho: float = 0.05
-    trials: int = 500
-    seed: int = 0
-    region_radius: float | None = 60.0
-    m: int | None = None
-    methods: tuple[str, ...] = ("quadrature", "closed-form")
-    sweep_start: float = 0.1
-    sweep_stop: float = 2.0
-    sweep_step: float = 0.02
-
 
 def _parse_float(key: str, raw: str) -> float:
     try:
@@ -146,25 +122,41 @@ def _parse_methods(key: str, raw: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-# key -> (Settings attribute, parser)
+@dataclass(frozen=True)
+class Settings:
+    """Effective configuration; defaults match the reference operating
+    point (P=2, T=1, sigma2=0.25, rho=0.05) with a campaign radius whose
+    far-field detection excess is below 4e-4.  Each field's metadata holds
+    its parser and, where it is not the field's name, its config key."""
+
+    tau: float = _field(default=0.5, metadata={"parse": _parse_float})
+    sigma2: float = _field(default=0.25, metadata={"parse": _parse_float})
+    T: float = _field(default=1.0, metadata={"parse": _parse_float})
+    alpha: float = _field(default=2.0, metadata={"parse": _parse_float})
+    P: float = _field(default=2.0, metadata={"parse": _parse_float})
+    xT: float = _field(default=0.0, metadata={"parse": _parse_float})
+    yT: float = _field(default=0.0, metadata={"parse": _parse_float})
+    rho: float = _field(default=0.05, metadata={"parse": _parse_float})
+    trials: int = _field(default=500, metadata={"parse": _parse_int})
+    seed: int = _field(default=0, metadata={"parse": _parse_int})
+    region_radius: float | None = _field(
+        default=60.0, metadata={"parse": _parse_radius})
+    m: int | None = _field(default=None, metadata={"parse": _parse_m})
+    methods: tuple[str, ...] = _field(default=("quadrature", "closed-form"),
+                                      metadata={"parse": _parse_methods})
+    sweep_start: float = _field(
+        default=0.1, metadata={"key": "sweep.start", "parse": _parse_float})
+    sweep_stop: float = _field(
+        default=2.0, metadata={"key": "sweep.stop", "parse": _parse_float})
+    sweep_step: float = _field(
+        default=0.02, metadata={"key": "sweep.step", "parse": _parse_float})
+
+
+# config key -> (Settings attribute, parser), in field order
 _KEY_TABLE: dict[str, tuple[str, Callable[[str, str], object]]] = {
-    "tau": ("tau", _parse_float),
-    "sigma2": ("sigma2", _parse_float),
-    "T": ("T", _parse_float),
-    "alpha": ("alpha", _parse_float),
-    "P": ("P", _parse_float),
-    "xT": ("xT", _parse_float),
-    "yT": ("yT", _parse_float),
-    "rho": ("rho", _parse_float),
-    "trials": ("trials", _parse_int),
-    "seed": ("seed", _parse_int),
-    "region_radius": ("region_radius", _parse_radius),
-    "m": ("m", _parse_m),
-    "methods": ("methods", _parse_methods),
-    "sweep.start": ("sweep_start", _parse_float),
-    "sweep.stop": ("sweep_stop", _parse_float),
-    "sweep.step": ("sweep_step", _parse_float),
-}
+    f.metadata.get("key", f.name): (f.name, f.metadata["parse"])
+    for f in fields(Settings)}
+
 
 def apply_assignment(settings: Settings, key: str, raw: str) -> Settings:
     key = key.strip()
@@ -311,14 +303,12 @@ _CRB_COLUMNS = ("tau", "alpha", "method", "m", "F11", "F22",
 def cmd_crb(settings: Settings, out: IO[str]) -> int:
     field = _config(FieldConfig, rho=settings.rho)
     P = _truth(settings).P
-    points = sweep_points(settings)
-    dets = [_detector(settings, tau) for tau in points]
-    for det in dets:
-        _check_scales(det, P, field)
     _header(out, "crb", settings)
     _emit(out, "# columns: " + ",".join(_CRB_COLUMNS))
     exit_code = EXIT_OK
-    for tau, det in zip(points, dets):
+    for tau in sweep_points(settings):
+        det = _detector(settings, tau)
+        _check_scales(det, P, field)
         # the quadrature row and a closed-form fallback share one result
         rows, quad = [], None
         for method in sorted(settings.methods):
@@ -362,8 +352,8 @@ def cmd_simulate(settings: Settings, out: IO[str]) -> int:
                   trials=settings.trials,
                   region_radius=settings.region_radius,
                   master_seed=settings.seed)
-    # before the first trial: a bound that does not converge is a config
-    # error, reported before any output
+    # the bound first, so that one that does not converge fails the
+    # command before any trial runs; main holds back the output
     fim = expected_fim_quadrature(det, truth.P, field)
     _header(out, "simulate", settings)
     _emit(out, f"# effective_region_radius={_fmt(sim.radius)}")

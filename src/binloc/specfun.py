@@ -191,8 +191,7 @@ def _marcum_q_linear(a, b: float):
     a_weak = np.where(weak, a, 0.0)
     q = _horner(coeffs, 0.5 * a_weak * a_weak)
     strong = ~weak
-    if strong.any():
-        q[strong] = _marcum_q_ufunc(a[strong], b)
+    q[strong] = _marcum_q_ufunc(a[strong], b)
     return q
 
 
@@ -480,8 +479,8 @@ def _log_complement(lx):
 
 
 def log_marcum_q_da(a: float, b: float) -> float:
-    """log dQ1/da = log(b * i1e(a b)) - (a - b)^2 / 2, finite for any
-    argument size; -inf where the slope vanishes (a = 0 or b = 0)."""
+    """log dQ1/da = log(b * i1e(a b)) - (a - b)^2 / 2 at any argument size;
+    -inf where the slope is 0 (a = 0 or b = 0) or its log below the doubles."""
     return float(_log_marcum_q_da(_check_nonneg("a", a),
                                   _check_nonneg("b", b)))
 
@@ -489,8 +488,11 @@ def log_marcum_q_da(a: float, b: float) -> float:
 def _log_marcum_q_da(a, b):
     """log_marcum_q_da for floats or arrays a, b >= 0, unchecked; the
     closed form's Taylor model and the quadrature's kernel both read it."""
+    # d * d: for a float, d ** 2 is libm's pow, which can differ from an
+    # array's square (d * d) in the last bit
+    d = a - b
     with np.errstate(divide="ignore"):
-        return np.log(b * special.i1e(a * b)) - 0.5 * (a - b) ** 2
+        return np.log(b * special.i1e(a * b)) - 0.5 * (d * d)
 
 
 def marcum_q_da(a: float, b: float) -> float:
@@ -502,8 +504,10 @@ def _marcum_q_daa_scaled(a: float, b: float) -> float:
     """d^2 Q1/da^2 * exp((a - b)^2 / 2) = b^2/2 (i0e + i2e)(ab) - ab i1e(ab):
     O(1) numbers, with the Gaussian factor left to the caller."""
     z = a * b
-    return float(0.5 * b * b * (special.i0e(z) + special.ive(2, z))
-                 - z * special.i1e(z))
+    i0, i1, i2 = special.i0e(z), special.i1e(z), special.ive(2, z)
+    if math.isnan(i2):      # scipy's ive(2, z) is NaN from z = 2^30 on
+        i2 = i0 - 2.0 * i1 / z
+    return float(0.5 * b * b * (i0 + i2) - z * i1)
 
 
 def marcum_q_daa(a: float, b: float) -> float:
@@ -512,4 +516,5 @@ def marcum_q_daa(a: float, b: float) -> float:
     b = _check_nonneg("b", b)
     if b == 0.0:
         return 0.0
-    return _marcum_q_daa_scaled(a, b) * math.exp(-0.5 * (a - b) ** 2)
+    d = a - b
+    return _marcum_q_daa_scaled(a, b) * math.exp(-0.5 * (d * d))

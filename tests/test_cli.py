@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -75,6 +75,26 @@ def test_default_settings_match_reference_point() -> None:
     assert s.m is None
     assert s.methods == ("quadrature", "closed-form")
     assert (s.sweep_start, s.sweep_stop, s.sweep_step) == (0.1, 2.0, 0.02)
+
+
+def test_each_setting_has_one_key_and_parser_in_field_order(capsys) -> None:
+    keys = ["tau", "sigma2", "T", "alpha", "P", "xT", "yT", "rho", "trials",
+            "seed", "region_radius", "m", "methods",
+            "sweep.start", "sweep.stop", "sweep.step"]
+    assert list(cli._KEY_TABLE) == keys
+    assert [attr for attr, _ in cli._KEY_TABLE.values()] == [
+        f.name for f in fields(Settings)]
+    # the header echoes every key in that order, and each echoed value
+    # parses back to the setting it shows
+    code, out, _ = _run(capsys, "crb", "--set", "methods=quadrature",
+                        "--set", "sweep.stop=0.1")
+    assert code == EXIT_OK
+    echoed = out.splitlines()[1:len(keys) + 1]
+    assert [line[2:].partition("=")[0] for line in echoed] == keys
+    settings = Settings(methods=("quadrature",), sweep_stop=0.1)
+    for line in echoed:
+        key, _, raw = line[2:].partition("=")
+        assert apply_assignment(settings, key, raw) == settings
 
 
 def test_default_sweep_expands_to_96_points() -> None:
@@ -748,6 +768,23 @@ def test_config_error_leaves_out_file_untouched(tmp_path, capsys, command,
     assert code == EXIT_CONFIG
     assert out == ""
     assert err.startswith("binloc: config error: ")
+    assert dest.read_bytes() == b"old,data\n"
+
+
+def test_config_error_at_a_late_sweep_point_writes_nothing(tmp_path,
+                                                          capsys) -> None:
+    # the sweep's first points are computed; at tau = 2.3e307 the
+    # threshold coordinate sqrt(2 tau / sigma2) overflows to inf
+    dest = tmp_path / "keep.csv"
+    dest.write_bytes(b"old,data\n")
+    for extra in ((), ("--out", str(dest))):
+        code, out, err = _run(capsys, "crb", "--set", "sweep.stop=1e308",
+                              "--set", "sweep.step=1e306", *extra)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("binloc: config error: tau and sigma2 give the "
+                              "threshold coordinate")
+        assert "= inf at tau = 2.2999999999999998e+307;" in err
     assert dest.read_bytes() == b"old,data\n"
 
 

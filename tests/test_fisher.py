@@ -387,9 +387,11 @@ def test_log_kernel_array_matches_scalar():
 def test_log_slope_is_one_expression_for_scalars_and_arrays():
     # scalar log_marcum_q_da and the quadrature's kernel both read
     # specfun._log_marcum_q_da: the same bits entry by entry, from a = 0
-    # (-inf) over the quadrature's x range to a b = 1e6
+    # (-inf) over the quadrature's x range to a b = 1e6; at x = 12.5193...
+    # and t = 3, a float's (x - t) ** 2 (pow) differs from (x - t) * (x - t)
     xs = np.concatenate([[0.0], np.logspace(-4.0, 0.0, 30),
-                         np.linspace(1.0, 80.0, 80), [300.0, 1500.0, 2.5e4]])
+                         np.linspace(1.0, 80.0, 80), [300.0, 1500.0, 2.5e4],
+                         [12.519351378178598]])
     for t in (0.2, math.sqrt(3.2), 3.0, 8.0, 40.0):
         slope = specfun._log_marcum_q_da(xs, t)
         np.testing.assert_array_equal(

@@ -41,6 +41,7 @@ from binloc import detection, specfun
 from binloc.closedform import _power_moments
 from binloc.specfun import (
     _SERIES_LAMBDA_MAX,
+    log_marcum_q_da,
     log_marcum_q_pair,
     log_marcum_q_pair_array,
     marcum_q,
@@ -923,10 +924,33 @@ def test_marcum_derivative_edge_values():
     # stays finite far outside the linear-space range
     assert marcum_q_da(500.0, 480.0) > 0.0
     assert math.isfinite(marcum_q_daa(500.0, 480.0))
+    # (a - b)^2 beyond the doubles: -inf and 0, not a float's OverflowError
+    assert log_marcum_q_da(1e200, 1.0) == -math.inf
+    assert marcum_q_da(1e200, 1.0) == 0.0
+    assert marcum_q_daa(1e200, 1.0) == 0.0
     with pytest.raises(ValueError):
         marcum_q_da(-1.0, 1.0)
     with pytest.raises(ValueError):
         marcum_q_daa(1.0, -1.0)
+
+
+def _mp_marcum_q_daa(a: float, b: float) -> float:
+    with mpmath.workdps(40):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        z = a_ * b_
+        return float((b_ * b_ / 2 * (mpmath.besseli(0, z) + mpmath.besseli(2, z))
+                      - z * mpmath.besseli(1, z)) * mpmath.exp(-(a_ * a_ + b_ * b_) / 2))
+
+
+@pytest.mark.parametrize("a, b", [(1e5, 1e5), (1e5, 1e5 + 1.0),
+                                  (1e5 + 3.0, 1e5), (32768.5, 32768.5)])
+def test_marcum_second_derivative_where_scipy_ive_is_nan(a, b):
+    # a b >= 2^30, where scipy's ive(2, ab) is NaN; the bracket's terms,
+    # of order sqrt(ab), cancel to its value, so the error is a few last
+    # places of those terms, as it is below 2^30
+    assert a * b >= 2.0 ** 30
+    assert marcum_q_daa(a, b) == pytest.approx(_mp_marcum_q_daa(a, b),
+                                               abs=1e-16 * math.sqrt(a * b))
 
 
 # ----------------------------------------------------------------------
