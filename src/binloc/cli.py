@@ -214,15 +214,11 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _emit(out: IO[str], line: str) -> None:
-    out.write(line + "\n")
-
-
 def _header(out: IO[str], command: str, settings: Settings) -> None:
     """The command's name and its effective configuration as comments."""
-    _emit(out, f"# binloc {command}")
+    print(f"# binloc {command}", file=out)
     for key, (attr, _) in _KEY_TABLE.items():
-        _emit(out, f"# {key}={_fmt(getattr(settings, attr))}")
+        print(f"# {key}={_fmt(getattr(settings, attr))}", file=out)
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +300,7 @@ def cmd_crb(settings: Settings, out: IO[str]) -> int:
     field = _config(FieldConfig, rho=settings.rho)
     P = _truth(settings).P
     _header(out, "crb", settings)
-    _emit(out, "# columns: " + ",".join(_CRB_COLUMNS))
+    print("# columns: " + ",".join(_CRB_COLUMNS), file=out)
     exit_code = EXIT_OK
     for tau in sweep_points(settings):
         det = _detector(settings, tau)
@@ -323,12 +319,12 @@ def cmd_crb(settings: Settings, out: IO[str]) -> int:
             rows.append(quad if method == "quadrature" else replace(
                 quad, quality="closed-form-invalid,quadrature-fallback"))
         for res in rows:
-            _emit(out, ",".join([
+            print(",".join([
                 _fmt(tau), _fmt(settings.alpha), res.method,
                 "" if res.m is None else _fmt(res.m),
                 _fmt(res.F11), _fmt(res.F22), _fmt(res.crb_P), _fmt(res.crb_x),
                 res.quality,
-            ]))
+            ]), file=out)
     return exit_code
 
 
@@ -356,37 +352,37 @@ def cmd_simulate(settings: Settings, out: IO[str]) -> int:
     # command before any trial runs; main holds back the output
     fim = expected_fim_quadrature(det, truth.P, field)
     _header(out, "simulate", settings)
-    _emit(out, f"# effective_region_radius={_fmt(sim.radius)}")
-    _emit(out, "# columns: " + ",".join(_TRIAL_COLUMNS))
+    print(f"# effective_region_radius={_fmt(sim.radius)}", file=out)
+    print("# columns: " + ",".join(_TRIAL_COLUMNS), file=out)
     results = run_campaign(sim)
     for idx, res in enumerate(results):
-        _emit(out, ",".join([
+        print(",".join([
             str(idx), str(res.n_sensors), str(res.n_detections),
             _fmt(res.theta_hat.P), _fmt(res.theta_hat.x),
             _fmt(res.theta_hat.y), _fmt(res.converged),
             _fmt(res.neg_log_lik),
-        ]))
+        ]), file=out)
 
-    _emit(out, "# summary columns: " + ",".join(_SUMMARY_COLUMNS))
+    print("# summary columns: " + ",".join(_SUMMARY_COLUMNS), file=out)
     if not any(res.converged for res in results):
-        _emit(out, ",".join(
-            [str(len(results)), "0", str(len(results))] + ["nan"] * 11))
+        print(",".join([str(len(results)), "0", str(len(results))]
+                       + ["nan"] * 11), file=out)
         if all(res.n_detections == 0 for res in results):
             # expected degenerate regime (threshold far beyond the signal):
             # every trial cleanly reported no detections
-            _emit(out, "# note: no trial produced a detection; "
-                       "mse/crb summary unavailable")
+            print("# note: no trial produced a detection; "
+                  "mse/crb summary unavailable", file=out)
             return EXIT_OK
         return EXIT_SIM_FAILED
     rep = mse_report(results, truth)
     crb_p, crb_x = fim.crb_P, fim.crb_x
-    _emit(out, ",".join(_fmt(v) for v in (
+    print(",".join(_fmt(v) for v in (
         rep.n_trials, rep.n_converged, rep.n_failed,
         rep.mse_P, rep.mse_x, rep.mse_y,
         rep.bias_P, rep.bias_x, rep.bias_y,
         crb_p, crb_x,
         rep.mse_P / crb_p, rep.mse_x / crb_x, rep.mse_y / crb_x,
-    )))
+    )), file=out)
     return EXIT_OK
 
 
@@ -480,14 +476,14 @@ def cmd_check(settings: Settings, out: IO[str]) -> int:
 
     if settings.region_radius is not None:
         excess = far_field_excess(det, P, settings.region_radius)
-        _emit(out, f"# far_field_excess(region_radius)={_fmt(excess)}")
+        print(f"# far_field_excess(region_radius)={_fmt(excess)}", file=out)
 
     failed = 0
     for name, ok, detail in checks:
-        _emit(out, f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}", file=out)
         if not ok:
             failed += 1
-    _emit(out, f"# {len(checks) - failed}/{len(checks)} checks passed")
+    print(f"# {len(checks) - failed}/{len(checks)} checks passed", file=out)
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 

@@ -34,10 +34,10 @@ where every term is a shifted Gaussian moment
 reducible to incomplete gamma functions of half-integer order.  When
 B < 0 the power moments are split at s = 0: s -> s^2 is not monotone
 there, and the unsplit difference of upper gammas would flip the sign of
-the even powers on [B, 0].  Every M_n of one entry draws on the same power
-moments j = 0..n_max, so each entry makes that table once, with one array
-call per special function, and shares it among its terms; no table
-outlives the entry.
+the even powers on [B, 0].  Every M_n of both entries draws on the power
+moments j = 0..2m+3 of one interval, F11's being a prefix of F22's, so a
+tau point makes that table once, with one array call per special
+function, and shares it among the terms of both entries.
 
 The curvature condition f2 < 1 is required for the Gaussian substitution
 (the completed square must decay); otherwise ModelInvalid is raised.
@@ -234,43 +234,34 @@ def _series_guard(model: TaylorModel, m: int) -> bool:
     return model.y_breve > 2.0 * (m + 2)
 
 
-def _surrogate_integral(model: TaylorModel, m: int, p: float) -> float:
-    """The surrogate of int_0^xb x^p Q'^2 / (Q(1-Q)) dx,
+def _entry(model: TaylorModel, m: int, c: float, p: float, name: str,
+           moments: list[float]) -> float:
+    """Closed-form entry name (F11 or F22) with constant c and integer
+    kernel power p >= -1 (a pair of fisher._prefactors): c times the
+    surrogate of int_0^xb x^p Q'^2 / (Q(1-Q)) dx,
 
         t^(1-p) C sum_{k<=m} c_k A^-(p+2k+3) M_{p+2k+2},
 
-    for an integer kernel power p >= -1.  The power moments of every
-    term come from one _power_moments table, built once per call."""
-    moments = _power_moments(int(p) + 2 * m + 2, model.B, model.s_breve)
-    total = 0.0
-    for k in range(m + 1):
-        n = int(p) + 2 * k + 2
-        total += (_I1SQ_COEFFS[k] * model.A ** (-(n + 1))
-                  * _shifted_moment(n, model.B, moments))
-    return model.t ** (1.0 - p) * model.C * total
-
-
-def _entry(cfg: DetectorConfig, P: float, field: FieldConfig, m: int,
-           model: TaylorModel, j: int) -> float | None:
-    """Closed-form F11 (j = 0; None for alpha outside _F11_ALPHAS) or F22
-    (j = 1): the constant of fisher._prefactors' pair j times the
-    surrogate integral at its power."""
-    if j == 0 and float(cfg.alpha) not in _F11_ALPHAS:
-        return None
-    c, p = _prefactors(cfg, float(P), field)[j]
+    whose power moments come from moments, a _power_moments(N, B, sb)
+    table with N >= p + 2m + 2."""
     try:
-        value = c * _surrogate_integral(model, m, p)
+        total = 0.0
+        for k in range(m + 1):
+            n = int(p) + 2 * k + 2
+            total += (_I1SQ_COEFFS[k] * model.A ** (-(n + 1))
+                      * _shifted_moment(n, model.B, moments))
+        value = c * (model.t ** (1.0 - p) * model.C * total)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ModelInvalid(f"closed-form {('F11', 'F22')[j]} overflowed")
+        raise ModelInvalid(f"closed-form {name} overflowed")
     return value
 
 
 def _public_entry(cfg: DetectorConfig, P: float, field: FieldConfig,
                    m: int | None, model: TaylorModel | None, j: int) -> float:
-    # the public entries: resolve m and the model, and warn past the
-    # series radius on behalf of their caller
+    # the public entries: resolve m and the model, warn past the series
+    # radius on behalf of their caller, and build the table of entry j
     m = _resolve_m(m, cfg.alpha)
     if model is None:
         model = build_taylor_model(cfg, P, field)
@@ -279,7 +270,9 @@ def _public_entry(cfg: DetectorConfig, P: float, field: FieldConfig,
             f"I1^2 series order m={m} is short for y_breve="
             f"{model.y_breve:.3g}; closed form may be unreliable",
             RuntimeWarning, stacklevel=3)
-    return _entry(cfg, P, field, m, model, j)
+    c, p = _prefactors(cfg, float(P), field)[j]
+    moments = _power_moments(int(p) + 2 * m + 2, model.B, model.s_breve)
+    return _entry(model, m, c, p, ("F11", "F22")[j], moments)
 
 
 def f22_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
@@ -317,16 +310,14 @@ def f11_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
 # quality assessment and bundled result
 # ----------------------------------------------------------------------
 
-def _gl_reference(cfg: DetectorConfig, P: float, field: FieldConfig,
-                  powers: tuple[float, ...]) -> np.ndarray:
-    """Fixed-order Gauss-Legendre estimates of the exact integral with
-    kernel x^p for each p in powers, from one kernel evaluation; used
-    only to sanity-check the closed form."""
-    xb = x_breve(cfg, P, field)
-    x = 0.5 * xb * (_QUALITY_U + 1.0)
-    lg = (_log_kernel(x, cfg.threshold_coordinate, 0.0)
-          + np.multiply.outer(powers, np.log(x)))
-    ws = 0.5 * xb * _QUALITY_W
+def _gl_reference(model: TaylorModel, powers: tuple[float, ...]
+                  ) -> np.ndarray:
+    """Fixed-order Gauss-Legendre estimates of the exact integral over
+    (0, model.x_breve] with kernel x^p for each p in powers, from one
+    kernel evaluation; used only to sanity-check the closed form."""
+    x = 0.5 * model.x_breve * (_QUALITY_U + 1.0)
+    lg = _log_kernel(x, model.t, np.array(powers)[:, None])
+    ws = 0.5 * model.x_breve * _QUALITY_W
     return np.sum(np.where(lg > _LOG_TINY, ws * np.exp(lg), 0.0), axis=1)
 
 
@@ -346,7 +337,7 @@ def approximation_quality(cfg: DetectorConfig, P: float, field: FieldConfig,
         flags.append("negative")
     # cheap exact-integral probes
     (c11, p11), (c22, p22) = _prefactors(cfg, float(P), field)
-    ref11, ref22 = (c11, c22) * _gl_reference(cfg, P, field, (p11, p22))
+    ref11, ref22 = (c11, c22) * _gl_reference(model, (p11, p22))
     if any(ref > 0.0 and abs(f - ref) > _QUALITY_RTOL * ref
            for f, ref in ((f11, ref11), (f22, ref22)) if f is not None):
         flags.append("quadrature-mismatch")
@@ -359,8 +350,12 @@ def closed_form_fisher(cfg: DetectorConfig, P: float, field: FieldConfig,
     carries the approximation_quality flags."""
     m_res = _resolve_m(m, float(cfg.alpha))
     model = build_taylor_model(cfg, P, field)
-    f22 = _entry(cfg, P, field, m_res, model, 1)
-    f11 = _entry(cfg, P, field, m_res, model, 0)
+    (c11, p11), (c22, p22) = _prefactors(cfg, float(P), field)
+    # one table serves both entries: F22's power 1 needs the most moments
+    moments = _power_moments(2 * m_res + 3, model.B, model.s_breve)
+    f22 = _entry(model, m_res, c22, p22, "F22", moments)
+    f11 = (_entry(model, m_res, c11, p11, "F11", moments)
+           if float(cfg.alpha) in _F11_ALPHAS else None)
     quality = approximation_quality(cfg, P, field, m_res, model, (f22, f11))
     return FisherResult(F11=math.nan if f11 is None else f11, F22=f22,
                         method="closed-form", m=m_res, quality=quality)

@@ -257,8 +257,8 @@ def expected_fim_quadrature(cfg: DetectorConfig, P: float,
         value, total, n = res.sum(axis=1), err.sum(axis=1), res.shape[1]
         bound = np.maximum(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(value))
         if (total <= bound).all():
-            return FisherResult(F11=c11 * value[0], F22=c22 * value[1],
-                                method="quadrature")
+            return FisherResult(F11=float(c11 * value[0]),
+                                F22=float(c22 * value[1]), method="quadrature")
         split = np.any(err > bound[:, None] / n, axis=0)
         if n + split.sum() > _QUAD_LIMIT or not np.isfinite(total).all():
             j = int(np.argmax(~(total <= bound)))

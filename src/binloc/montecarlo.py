@@ -130,6 +130,15 @@ class SimConfig:
             raise ValueError(
                 f"rho and region_radius give {n:.6g} expected sensors per "
                 f"trial; at most {_MAX_EXPECTED_SENSORS:,.0f} are supported")
+        # the fit ends on a step below _NEWTON_STEP_TOL; where doubles lie
+        # more than twice that apart, such a step rounds away
+        reach = max(abs(self.truth.x), abs(self.truth.y)) + self.radius
+        if math.ulp(reach) > 2.0 * _NEWTON_STEP_TOL:
+            raise ValueError(
+                f"the target's largest |coordinate| plus the region radius "
+                f"is {reach:.6g}, where doubles lie {math.ulp(reach):.3g} "
+                f"apart: more than twice the fit's step tolerance "
+                f"{_NEWTON_STEP_TOL:g}")
 
     @property
     def radius(self) -> float:

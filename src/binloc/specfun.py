@@ -398,20 +398,21 @@ def _log_asymptotic(a: np.ndarray, b: float):
     every ive(k, ab) the sum needs is 1/sqrt(2 pi a b), the Neumann series
     sums to the same leading term on either side.  The smaller side (Q1
     for a <= b, 1 - Q1 above) is log Phi_c(|b - a|) + log sqrt(b/a), with
-    the Gaussian tail from scipy's log_ndtr; the larger side is its
-    complement.  Where b/a overflows (b = inf among them) Q1 is
-    exp(-b^2/2) to the last bit, not the sqrt factor's 1.  Against a
-    40-digit quadrature of the Rice density the log is within 3e-4 near
-    a = b on the switch from the series (a = 1415, b = a +- 0.003), and
-    within 1.4e-4 at (2000, 2001), (2001, 2000), (3000, 3006) and
-    (3006, 3000).
+    the Gaussian tail from scipy's log_ndtr, capped at the bound
+    -(a-b)^2/2 that either smaller side obeys (log_ndtr can round an ulp
+    above it); the larger side is its complement.  Where b/a overflows
+    (b = inf among them) Q1 is exp(-b^2/2) to the last bit, not the sqrt
+    factor's 1.  Against a 40-digit quadrature of the Rice density the log
+    is within 3e-4 near a = b on the switch from the series (a = 1415,
+    b = a +- 0.003), and within 1.4e-4 at (2000, 2001), (2001, 2000),
+    (3000, 3006) and (3006, 3000).
     """
     if math.isinf(b) and np.isinf(a).any():
         raise ValueError("Q1(inf, inf) is indeterminate")
     certain = np.isinf(a)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         small = np.minimum(special.log_ndtr(-np.abs(b - a))
-                           + 0.5 * np.log(b / a), 0.0)
+                           + 0.5 * np.log(b / a), -0.5 * (a - b) ** 2)
         small = np.where(b / a == math.inf, -0.5 * b * b,
                          np.where(certain, -math.inf, small))
     big = np.where(certain, 0.0, _log_complement(small))

@@ -208,8 +208,8 @@ def nll_derivatives_stacked(cfg: DetectorConfig, P: float, x0: float,
         h_xy = c @ (2.0 * dx * dy)
         grad = -(grad_u @ l_u)
         hess = -((grad_u * l_uu) @ grad_u.T)
-    hess[1, 1] -= h_xx
-    hess[2, 2] += h_xx
-    hess[1, 2] -= h_xy
-    hess[2, 1] -= h_xy
+        hess[1, 1] -= h_xx
+        hess[2, 2] += h_xx
+        hess[1, 2] -= h_xy
+        hess[2, 1] -= h_xy
     return grad, hess

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -285,6 +286,50 @@ def test_divergent_expected_information_is_a_config_error(capsys, monkeypatch,
     assert err.startswith("binloc: config error: the expected information "
                           "does not converge")
     assert out == ""
+
+
+@pytest.mark.parametrize("assignment", [
+    "xT=1e300", "yT=-1.7976931348623157e308", "xT=3.3e7"])
+def test_coordinates_the_fit_cannot_resolve_are_config_errors(
+        capsys, monkeypatch, assignment) -> None:
+    # past 2^24 - 60 the doubles lie further apart than twice the fit's
+    # step tolerance, so no fit could end: rejected before any field
+    def no_field(*args):
+        raise AssertionError("a field was sampled")
+
+    monkeypatch.setattr(montecarlo, "sample_field", no_field)
+    code, out, err = _run(capsys, "simulate", "--set", "trials=1",
+                          "--set", assignment)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("binloc: config error: ")
+    assert "coordinate" in err and "region radius" in err
+
+
+def test_simulate_far_from_the_origin_still_fits(capsys) -> None:
+    # just inside the coordinate limit the fit converges, to the bits of
+    # the run before the limit was introduced
+    code, out, err = _run(capsys, "simulate", "--set", "trials=1",
+                          "--set", "xT=1.6e7", "--set", "yT=-40")
+    assert (code, err) == (EXIT_OK, "")
+    assert _data_rows(out)[0] == (
+        "0,589,82,23.810900641723808,15999997.149321627,-45.18703326810094,"
+        "1,232.32171274565795")
+
+
+@pytest.mark.parametrize("argv", [
+    ("crb", "--set", "tau=1", "--set", "sigma2=1e-3", "--set", "sweep.stop=6"),
+    ("simulate", "--set", "tau=5e-324", "--set", "trials=1",
+     "--set", "region_radius=20"),
+])
+def test_infinite_bounds_leave_stderr_empty(capsys, argv) -> None:
+    # an information that rounds to 0 or a subnormal inverts to a bound
+    # of inf without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert ",inf," in out
 
 
 _FUZZ_KEYS = ("tau", "sigma2", "T", "alpha", "P", "rho")

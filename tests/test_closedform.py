@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from binloc import specfun
+from binloc import closedform, specfun
 from binloc.closedform import (
     M_MAX,
     ModelInvalid,
@@ -427,3 +427,37 @@ def test_closed_form_fisher_quality_matches_standalone():
                    f11_closed_form(_CFG2, _P, _DENSE_FIELD, 3, model))
     assert res.quality == approximation_quality(_CFG2, _P, _DENSE_FIELD, 3,
                                                 model, entries)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0])
+@pytest.mark.parametrize("m", [0, None, 10])
+def test_closed_form_fisher_keeps_the_bits_of_the_public_entries(alpha, m):
+    # closed_form_fisher's one moment table serves both entries: each
+    # equals its public function, which builds its own shorter table, to
+    # the bit, at every point of a tau sweep where those do not warn
+    compared = 0
+    for k in range(1, 21):
+        cfg = DetectorConfig(tau=0.1 * k, sigma2=0.25, alpha=alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                want = (f11_closed_form(cfg, _P, _FIELD, m),
+                        f22_closed_form(cfg, _P, _FIELD, m))
+            except RuntimeWarning:
+                continue
+        res = closed_form_fisher(cfg, _P, _FIELD, m)
+        assert (res.F11, res.F22) == want
+        compared += 1
+    assert compared >= 10
+
+
+def test_closed_form_fisher_builds_one_moment_table(monkeypatch):
+    sizes = []
+
+    def counted(n, lo, hi):
+        sizes.append(n)
+        return _power_moments(n, lo, hi)
+
+    monkeypatch.setattr(closedform, "_power_moments", counted)
+    closed_form_fisher(_CFG2, _P, _FIELD)
+    assert sizes == [2 * 3 + 3]

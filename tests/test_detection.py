@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binloc import detection, specfun
@@ -307,8 +307,20 @@ def test_nll_lower_bound_never_exceeds_the_nll(case):
         assert bound <= nll + 1e-12 * (1.0 + abs(nll))
 
 
+def _silent_case(tau, n, x0, y0):
+    # tau = sigma2, alpha = 1, n silent sensors at the origin and one
+    # hypothesis of power 1 at (x0, y0)
+    cfg = DetectorConfig(tau=tau, sigma2=tau, alpha=1.0)
+    return (cfg, np.array([1.0]), np.array([x0]), np.array([y0]),
+            Decisions(sx=np.zeros(n), sy=np.zeros(n),
+                      detected=np.zeros(n, dtype=bool)))
+
+
 @settings(deadline=None)
 @given(case=_bound_case())
+# a hypothesis 9e-125 from twelve sensors: inf - inf in the Hessian's
+# position block, which must stay silent
+@example(case=_silent_case(1.0, 12, 9.29050918e-125, 0.0))
 def test_nll_derivatives_keep_the_bits_of_the_stacked_formula(case):
     # the in-place gradient rows and a sign array made once per fit give
     # the bits of rows stacked and a sign made per pass, from a fresh
@@ -438,6 +450,9 @@ def _bits(value: float) -> bytes:
 
 @settings(deadline=None)
 @given(case=_bound_case(), offset=st.floats(-1e3, 1e3))
+# four sensors 1e-150 from the hypothesis: their log tails come from the
+# asymptotic form, whose log_ndtr rounds an ulp above the Rayleigh bound
+@example(case=_silent_case(2.0905521839109533, 4, 0.0, 1e-150), offset=0.0)
 def test_bounded_likelihood_pass_keeps_its_bits_or_stops_below_the_ceiling(
         case, offset):
     # at any ceiling a pass either returns the bits of the pass without
