@@ -264,11 +264,24 @@ def _nll_term_table(t: float) -> np.ndarray:
     """-specfun._log_sides(x, t, upper, ceiling=inf), tail-free and at
     most the exact nll terms, at lambda = x^2/2 = 0, lambda_0 ..
     lambda_(N-1) for a silent sensor (entries 0 .. N, N = _TABLE_NODES),
-    then lambda_0 .. lambda_(N-1) and inf for a detecting one."""
+    then lambda_0 .. lambda_(N-1) and inf for a detecting one.
+
+    Past specfun's switch from log1p(-q) to the log tails (1 - Q1 = 1e-9)
+    a silent term can lie below the log1p(-q) of a node just before it,
+    where 1 - q keeps only ~1e-7 of its accuracy, so a silent node whose
+    slot reaches past the switch takes its Rayleigh bound (x - t)^2/2
+    where that is lower."""
     lam = np.exp(_TABLE_LOG_MIN + _TABLE_LOG_STEP * np.arange(_TABLE_NODES))
     lam = np.concatenate([[0.0], lam, lam, [math.inf]])
     upper = np.arange(lam.size) > _TABLE_NODES
-    table = -specfun._log_sides(np.sqrt(2.0 * lam), t, upper, math.inf)
+    a = np.sqrt(2.0 * lam)
+    table = -specfun._log_sides(a, t, upper, math.inf)
+    a = a[:_TABLE_NODES + 1]
+    tails = ~specfun._linear_log_complement(a, t,
+                                            specfun._marcum_q_linear(a, t))
+    ends = np.flatnonzero(np.append(tails[1:], True) & ~tails)
+    table[ends] = np.minimum(table[ends],
+                             0.5 * np.maximum(a[ends] - t, 0.0) ** 2)
     table.flags.writeable = False   # one array serves every caller
     return table
 
@@ -296,8 +309,7 @@ def _nll_lower_bound(cfg: DetectorConfig, P, x0, y0, sx: np.ndarray,
     exact term at its node, so at most the term at lambda.  Rounding moves
     ln lambda and the nodes by ulps; a sensor that close to a node may
     take the next slot, which moves its term far less than the screen's
-    1e-9 relative margin (_SCREEN_MARGIN), bar up to 5e-7 for a silent
-    one at specfun's log-tail switch, 1 - Q1 = 1e-9.
+    1e-9 relative margin (_SCREEN_MARGIN).
     """
     P, x0, y0 = (np.asarray(v, dtype=float)[..., None] for v in (P, x0, y0))
     dx, dy = sx - x0, sy - y0

@@ -25,7 +25,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from . import specfun
 from .detection import (
@@ -519,6 +518,7 @@ def _damped_newton(nll, derivatives, theta: np.ndarray, val: float,
     _NEWTON_STEP_TOL in every coordinate, at an iterate of nll 0 (the
     nll's global lower bound) and at the first iterate below log_p_stop;
     it does not after _FIT_MAX_STEPS steps."""
+    from scipy.linalg import lapack
     eye = np.eye(len(theta))
     mu = 0.0
     grad = hess = None
@@ -527,8 +527,8 @@ def _damped_newton(nll, derivatives, theta: np.ndarray, val: float,
             return theta, val, True
         if grad is None:
             grad, hess = derivatives(theta)
-        factor, info = linalg.lapack.dpotrf(hess + mu * eye, clean=False)
-        step = -linalg.lapack.dpotrs(factor, grad)[0] if info == 0 else None
+        factor, info = lapack.dpotrf(hess + mu * eye, clean=False)
+        step = -lapack.dpotrs(factor, grad)[0] if info == 0 else None
         # three floats: Python tests them faster than numpy reduces them
         if step is not None and all(map(math.isfinite,
                                         coords := step.tolist())):

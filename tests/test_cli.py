@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -776,6 +779,33 @@ def test_one_parser_serves_many_calls(tmp_path, capsys, monkeypatch) -> None:
     assert "# tau=0.69999999999999996" in headers[2]
     assert "# tau=0.59999999999999998" in headers[3]
     assert "# sweep.stop=2" in headers[1]
+
+
+# ----------------------------------------------------------------------
+# scipy submodules a process loads
+# ----------------------------------------------------------------------
+
+def test_scipy_submodules_load_only_where_a_command_needs_them() -> None:
+    # crb and check never fit, so only simulate's first Newton step loads
+    # scipy.linalg for its LAPACK Cholesky; no command loads
+    # scipy.integrate or scipy.optimize
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = """
+import contextlib, io, sys
+from binloc import cli
+loaded = lambda: {m for m in ("scipy.linalg", "scipy.optimize",
+                              "scipy.integrate") if m in sys.modules}
+assert loaded() == set(), loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["crb", "--set", "sweep.stop=0.2"]) == cli.EXIT_OK
+    assert cli.main(["check"]) == cli.EXIT_OK
+assert "scipy.linalg" not in sys.modules, loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["simulate", "--set", "trials=1"]) == cli.EXIT_OK
+assert loaded() == {"scipy.linalg"}, loaded()
+"""
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 # ----------------------------------------------------------------------

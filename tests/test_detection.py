@@ -444,6 +444,48 @@ def test_nll_lower_bound_holds_at_the_table_edges(alpha):
             assert bound <= nll + 1e-12 * (1.0 + abs(nll)), (P, r, det)
 
 
+def _log_tail_switch(cfg: DetectorConfig) -> float:
+    # ln lambda in [0, ln 100] where a silent term leaves log1p(-q) for
+    # the log tails (1 - Q1 = 1e-9), bisected to adjacent doubles
+    t = cfg.threshold_coordinate
+    lo, hi = 0.0, math.log(100.0)
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        a = np.array([math.sqrt(2.0 * math.exp(mid))])
+        q = specfun._marcum_q_linear(a, t)
+        if specfun._linear_log_complement(a, t, q)[0]:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_nll_lower_bound_holds_just_past_the_log_tail_switch():
+    # t is bisected until specfun's switch lies 1e-9 in ln lambda above
+    # table node 17195, whose log1p(-q) keeps only ~1e-7 of its accuracy;
+    # a silent sensor just past the switch takes the log tails, up to
+    # 7.6e-8 below that node's value, and still floors into its slot
+    node = detection._TABLE_LOG_MIN + detection._TABLE_LOG_STEP * 17195
+    lo, hi = 1.7, 1.9
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        cfg = DetectorConfig(tau=mid * mid * 0.25 / 2.0, sigma2=0.25)
+        if _log_tail_switch(cfg) < node + 1e-9:
+            lo = mid
+        else:
+            hi = mid
+    cfg = DetectorConfig(tau=hi * hi * 0.25 / 2.0, sigma2=0.25)
+    switch = _log_tail_switch(cfg)
+    assert switch - node == pytest.approx(1e-9, rel=1e-3)
+    lam = math.exp(switch) * (1.0 + 1e-11)      # 2 P / r^2 at P = 2
+    sx, sy = np.array([2.0 / math.sqrt(lam)]), np.array([0.0])
+    detected = np.array([False])
+    bound = _nll_lower_bound(cfg, 2.0, 0.0, 0.0, sx, sy,
+                             _table_offsets(detected))
+    nll = -_log_likelihood_arrays(cfg, 2.0, 0.0, 0.0, sx, sy, detected)
+    assert bound <= nll + 1e-12 * (1.0 + abs(nll))
+
+
 def _bits(value: float) -> bytes:
     return np.float64(value).tobytes()
 

@@ -935,7 +935,7 @@ def test_marcum_derivative_edge_values():
 
 
 def _mp_marcum_q_daa(a: float, b: float) -> float:
-    with mpmath.workdps(40):
+    with mpmath.workdps(50):
         a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
         z = a_ * b_
         return float((b_ * b_ / 2 * (mpmath.besseli(0, z) + mpmath.besseli(2, z))
@@ -951,6 +951,20 @@ def test_marcum_second_derivative_where_scipy_ive_is_nan(a, b):
     assert a * b >= 2.0 ** 30
     assert marcum_q_daa(a, b) == pytest.approx(_mp_marcum_q_daa(a, b),
                                                abs=1e-16 * math.sqrt(a * b))
+
+
+@pytest.mark.parametrize("a", [50.0, 500.0, 32767.9, 1e5])
+def test_marcum_second_derivative_loses_accuracy_as_ab_near_a_equals_b(a):
+    # at a = b the bracket's two terms, b^2/2 (i0e + i2e) and z i1e at
+    # z = ab, are each about sqrt(z / 2 pi) and each within 4 ulps (the
+    # Bessel values, the products and the sum); they cancel to about
+    # 1/(2 sqrt(2 pi z)), so their magnitudes add up to 4z times the
+    # value and the relative error is at most 16 z ulps: 4.4e-12 at
+    # a = b = 50, 1.8e-5 at a = b = 1e5
+    z = a * a
+    want = _mp_marcum_q_daa(a, a)
+    assert marcum_q_daa(a, a) == pytest.approx(
+        want, rel=16.0 * z * 2.0 ** -53)
 
 
 # ----------------------------------------------------------------------
