@@ -38,7 +38,7 @@ from . import specfun
 from .closedform import (M_MAX, ModelInvalid, build_taylor_model,
                          closed_form_fisher, _F11_ALPHAS)
 from .detection import DetectorConfig, TargetParams
-from .fisher import (FieldConfig, QuadratureError,
+from .fisher import (FieldConfig, FisherResult, QuadratureError,
                      expected_fim_quadrature, offdiag_quadrature_estimate,
                      rmin_expected, x_breve, _prefactors)
 from .montecarlo import (SimConfig, far_field_excess, mse_report,
@@ -305,12 +305,15 @@ def cmd_crb(settings: Settings, out: IO[str]) -> int:
     for tau in sweep_points(settings):
         det = _detector(settings, tau)
         _check_scales(det, P, field)
-        # the quadrature row and a closed-form fallback share one result
-        rows, quad = [], None
+        # one quadrature serves its row, the closed form's flag and a fallback
+        quad = (expected_fim_quadrature(det, P, field)
+                if "quadrature" in settings.methods else None)
+        rows = []
         for method in sorted(settings.methods):
             if method == "closed-form":
                 try:
-                    rows.append(closed_form_fisher(det, P, field, settings.m))
+                    rows.append(closed_form_fisher(det, P, field, settings.m,
+                                                   quad))
                     continue
                 except ModelInvalid:
                     exit_code = EXIT_FALLBACK
@@ -415,9 +418,8 @@ def _check_marcum_derivatives() -> tuple[bool, str]:
                 f"max |d2Q/da2 - fd| = {worst_daa:.3e} (tol {_CHECK_DAA_TOL:g})")
 
 
-def _check_diagonality(det: DetectorConfig, P: float,
-                       field: FieldConfig) -> tuple[bool, str]:
-    fim = expected_fim_quadrature(det, P, field)
+def _check_diagonality(det: DetectorConfig, P: float, field: FieldConfig,
+                       fim: FisherResult) -> tuple[bool, str]:
     off = offdiag_quadrature_estimate(det, P, field)
     rel = off / fim.F22 if fim.F22 > 0.0 else math.inf
     ok = rel <= _CHECK_OFFDIAG_REL
@@ -426,9 +428,10 @@ def _check_diagonality(det: DetectorConfig, P: float,
 
 
 def _check_taylor_quality(det: DetectorConfig, P: float, field: FieldConfig,
-                          m: int | None) -> tuple[bool, str]:
+                          m: int | None, fim: FisherResult
+                          ) -> tuple[bool, str]:
     try:
-        quality = closed_form_fisher(det, P, field, m).quality
+        quality = closed_form_fisher(det, P, field, m, fim).quality
         model = build_taylor_model(det, P, field)
     except ModelInvalid as exc:
         return False, f"ModelInvalid: {exc}"
@@ -449,7 +452,8 @@ def cmd_check(settings: Settings, out: IO[str]) -> int:
     checks.append(("marcum-identity", ok, detail))
     ok, detail = _check_marcum_derivatives()
     checks.append(("marcum-derivatives", ok, detail))
-    ok, detail = _check_diagonality(det, P, field)
+    fim = expected_fim_quadrature(det, P, field)
+    ok, detail = _check_diagonality(det, P, field, fim)
     checks.append(("fim-diagonality", ok, detail))
 
     if "closed-form" in settings.methods:
@@ -459,7 +463,7 @@ def cmd_check(settings: Settings, out: IO[str]) -> int:
                            f"UnsupportedAlpha: closed-form F11 requires "
                            f"alpha in {{{alphas}}}, got {_fmt(settings.alpha)}"))
         else:
-            ok, detail = _check_taylor_quality(det, P, field, settings.m)
+            ok, detail = _check_taylor_quality(det, P, field, settings.m, fim)
             checks.append(("taylor-quality", ok, detail))
 
     # nearest distances scale as 1/sqrt(rho), so one seeded draw at unit

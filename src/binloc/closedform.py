@@ -57,8 +57,9 @@ from scipy import special
 
 from . import specfun
 from .detection import DetectorConfig, _positive
-from .fisher import (FieldConfig, FisherResult, x_breve, _LOG_TINY,
-                     _log_kernel, _prefactors)
+from .fisher import (FieldConfig, FisherResult, QuadratureError, x_breve,
+                     expected_fim_quadrature, _prefactors)
+from .fisher import _log_kernel  # noqa: F401  (perfbench hooks it here)
 
 __all__ = [
     "TaylorModel",
@@ -84,8 +85,7 @@ _I1SQ_COEFFS = tuple(
 # path-loss exponents whose F11 kernel power 1 - 4/alpha is an integer
 _F11_ALPHAS = (2.0, 4.0)
 
-# quality probe: 16-node Gauss-Legendre estimate of the exact integral
-_QUALITY_U, _QUALITY_W = np.polynomial.legendre.leggauss(16)
+# quality flag: largest relative distance from the exact bound read "ok"
 _QUALITY_RTOL = 0.25
 
 
@@ -310,44 +310,35 @@ def f11_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
 # quality assessment and bundled result
 # ----------------------------------------------------------------------
 
-def _gl_reference(model: TaylorModel, powers: tuple[float, ...]
-                  ) -> np.ndarray:
-    """Fixed-order Gauss-Legendre estimates of the exact integral over
-    (0, model.x_breve] with kernel x^p for each p in powers, from one
-    kernel evaluation; used only to sanity-check the closed form."""
-    x = 0.5 * model.x_breve * (_QUALITY_U + 1.0)
-    lg = _log_kernel(x, model.t, np.array(powers)[:, None])
-    ws = 0.5 * model.x_breve * _QUALITY_W
-    return np.sum(np.where(lg > _LOG_TINY, ws * np.exp(lg), 0.0), axis=1)
-
-
-def approximation_quality(cfg: DetectorConfig, P: float, field: FieldConfig,
-                          m: int, model: TaylorModel,
-                          entries: tuple[float, float | None]) -> str:
+def approximation_quality(m: int, model: TaylorModel,
+                          entries: tuple[float, float | None],
+                          exact: FisherResult | None) -> str:
     """Comma-joined flags for the closed form at this configuration:
-    "ok", else any of "series-radius", "negative", "quadrature-mismatch".
-
-    entries is the (F22, F11) pair computed from model at series order m
-    (F11 None for alpha outside {2, 4})."""
+    "ok", else any of "series-radius", "negative", "quadrature-mismatch"
+    (an entry off the exact bound by more than _QUALITY_RTOL) and
+    "quadrature-failed" (exact is None: expected_fim_quadrature did not
+    converge).  entries is the (F22, F11) pair computed from model at
+    series order m (F11 None for alpha outside {2, 4})."""
     flags = []
     if _series_guard(model, m):
         flags.append("series-radius")
     f22, f11 = entries
     if f22 <= 0.0 or (f11 is not None and f11 <= 0.0):
         flags.append("negative")
-    # cheap exact-integral probes
-    (c11, p11), (c22, p22) = _prefactors(cfg, float(P), field)
-    ref11, ref22 = (c11, c22) * _gl_reference(model, (p11, p22))
-    if any(ref > 0.0 and abs(f - ref) > _QUALITY_RTOL * ref
-           for f, ref in ((f11, ref11), (f22, ref22)) if f is not None):
+    if exact is None:
+        flags.append("quadrature-failed")
+    elif any(ref > 0.0 and abs(f - ref) > _QUALITY_RTOL * ref
+             for f, ref in ((f11, exact.F11), (f22, exact.F22))
+             if f is not None):
         flags.append("quadrature-mismatch")
     return ",".join(flags) if flags else "ok"
 
 
 def closed_form_fisher(cfg: DetectorConfig, P: float, field: FieldConfig,
-                       m: int | None = None) -> FisherResult:
-    """Closed-form FisherResult (F11 only for alpha in {2, 4}); quality
-    carries the approximation_quality flags."""
+                       m: int | None = None,
+                       exact: FisherResult | None = None) -> FisherResult:
+    """Closed-form FisherResult (F11 only for alpha in {2, 4}), flagged by
+    approximation_quality against exact, computed here when not given."""
     m_res = _resolve_m(m, float(cfg.alpha))
     model = build_taylor_model(cfg, P, field)
     (c11, p11), (c22, p22) = _prefactors(cfg, float(P), field)
@@ -356,6 +347,10 @@ def closed_form_fisher(cfg: DetectorConfig, P: float, field: FieldConfig,
     f22 = _entry(model, m_res, c22, p22, "F22", moments)
     f11 = (_entry(model, m_res, c11, p11, "F11", moments)
            if float(cfg.alpha) in _F11_ALPHAS else None)
-    quality = approximation_quality(cfg, P, field, m_res, model, (f22, f11))
+    try:
+        exact = exact or expected_fim_quadrature(cfg, P, field)
+    except QuadratureError:   # flagged "quadrature-failed"
+        pass
+    quality = approximation_quality(m_res, model, (f22, f11), exact)
     return FisherResult(F11=math.nan if f11 is None else f11, F22=f22,
                         method="closed-form", m=m_res, quality=quality)

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binloc import cli, montecarlo
+from binloc import cli, closedform, montecarlo
 from binloc.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -523,6 +523,55 @@ def test_crb_fallback_reuses_the_quadrature_row(capsys, monkeypatch) -> None:
                "0.0034084320938671947,0.00036113795717688195,")
     assert _data_rows(out) == [
         numbers + "closed-form-invalid,quadrature-fallback", numbers + "ok"]
+
+
+def test_crb_default_sweep_flags_are_frozen(capsys) -> None:
+    # the quality_flag column of both default sweeps: 384 rows, of which
+    # only alpha = 2's closed form at tau = 1.86 ... 2.00 is off the exact
+    # bound by more than the flag's 25%
+    flags = {}
+    for alpha in ("2", "4"):
+        code, out, _ = _run(capsys, "crb", "--set", f"alpha={alpha}")
+        assert code == EXIT_OK
+        for r in map(_split_crb, _data_rows(out)):
+            flags[r[1], round(float(r[0]), 2), r[2]] = r[8]
+    assert len(flags) == 384
+    flagged = {key: flag for key, flag in flags.items() if flag != "ok"}
+    assert flagged == {("2", round(1.86 + 0.02 * k, 2), "closed-form"):
+                       "quadrature-mismatch" for k in range(8)}
+
+
+def test_crb_does_one_exact_integral_per_tau_point(capsys,
+                                                   monkeypatch) -> None:
+    # both methods: the closed form's quality flag reads the quadrature
+    # row's result rather than integrating again
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].tau)
+        return expected_fim_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "expected_fim_quadrature", counted)
+    monkeypatch.setattr(closedform, "expected_fim_quadrature", counted)
+    code, out, _ = _run(capsys, "crb", "--set", "sweep.start=0.3",
+                        "--set", "sweep.stop=0.5", "--set", "sweep.step=0.1")
+    assert code == EXIT_OK
+    assert len(_data_rows(out)) == 6
+    assert calls == [0.3, 0.4, 0.5]
+
+
+def test_crb_closed_form_alone_survives_a_diverging_exact_bound(capsys
+                                                                ) -> None:
+    # at alpha = 1 the exact F11 does not converge; the closed-form row
+    # keeps its numbers and says that its check could not run
+    code, out, err = _run(capsys, "crb", "--set", "alpha=1",
+                          "--set", "methods=closed-form",
+                          "--set", "sweep.start=0.5", "--set", "sweep.stop=0.5")
+    assert (code, err) == (EXIT_OK, "")
+    [row] = map(_split_crb, _data_rows(out))
+    assert row[:8] == ["0.5", "1", "closed-form", "1", "nan",
+                       "0.19372658428042144", "nan", "5.1619141674045546"]
+    assert "quadrature-failed" in row[8].split(",")
 
 
 def test_crb_header_reflects_config_file(tmp_path, capsys) -> None:

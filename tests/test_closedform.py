@@ -34,7 +34,8 @@ from binloc.closedform import (
 )
 from binloc.closedform import _I1SQ_COEFFS, _power_moments, _shifted_moment
 from binloc.detection import DetectorConfig
-from binloc.fisher import FieldConfig, expected_fim_quadrature
+from binloc.fisher import (FieldConfig, FisherResult, QuadratureError,
+                           expected_fim_quadrature)
 
 _FIELD = FieldConfig(rho=0.05)
 _P = 2.0
@@ -419,14 +420,60 @@ def test_closed_form_fisher_unsupported_alpha_yields_nan_f11():
 
 
 def test_closed_form_fisher_quality_matches_standalone():
-    # the flags of the entries the public functions compute from one model
+    # the flags of the entries the public functions compute from one
+    # model, checked against the exact bound, with or without it given
+    exact = expected_fim_quadrature(_CFG2, _P, _DENSE_FIELD)
     res = closed_form_fisher(_CFG2, _P, _DENSE_FIELD)
     model = build_taylor_model(_CFG2, _P, _DENSE_FIELD)
     with pytest.warns(RuntimeWarning, match="series"):
         entries = (f22_closed_form(_CFG2, _P, _DENSE_FIELD, 3, model),
                    f11_closed_form(_CFG2, _P, _DENSE_FIELD, 3, model))
-    assert res.quality == approximation_quality(_CFG2, _P, _DENSE_FIELD, 3,
-                                                model, entries)
+    quality = approximation_quality(3, model, entries, exact)
+    assert res.quality == quality == "series-radius,quadrature-mismatch"
+    assert closed_form_fisher(_CFG2, _P, _DENSE_FIELD, None, exact) == res
+
+
+def test_quality_reads_the_given_exact_bound():
+    # the flag compares the entries with exact as given, at 25%
+    res = closed_form_fisher(_CFG2, _P, _FIELD)
+    for scale, quality in ((1.0 / 1.24, "ok"), (1.0 / 1.26,
+                                                "quadrature-mismatch")):
+        exact = FisherResult(F11=res.F11 * scale, F22=res.F22,
+                             method="quadrature")
+        assert closed_form_fisher(_CFG2, _P, _FIELD, None,
+                                  exact).quality == quality
+
+
+@pytest.mark.parametrize("alpha,rho,tau,cf_f22,ratio", [
+    # a 16-node probe of the exact integral missed both of these
+    (3.0, 50.0, 1.12, 11220.230819833576, 1.5483196640592352),
+    (6.0, 50.0, 0.02, 0.0, 0.0),
+])
+def test_quality_flags_an_entry_far_off_the_exact_bound(alpha, rho, tau,
+                                                        cf_f22, ratio):
+    cfg = DetectorConfig(tau=tau, sigma2=0.25, alpha=alpha)
+    field = FieldConfig(rho=rho)
+    res = closed_form_fisher(cfg, _P, field)
+    exact = expected_fim_quadrature(cfg, _P, field)
+    assert res.F22 == cf_f22
+    assert res.F22 / exact.F22 == pytest.approx(ratio, rel=1e-9)
+    assert "quadrature-mismatch" in res.quality.split(",")
+    if alpha == 6.0:
+        assert exact.F22 == pytest.approx(464.58647314387395, rel=1e-9)
+
+
+def test_quality_flags_an_exact_bound_that_does_not_converge():
+    # at alpha = 1 the exact F11 integrand goes as 1/x at 0: the closed
+    # form still comes out, with its check marked as not run
+    cfg = DetectorConfig(tau=0.5, sigma2=0.25, alpha=1.0)
+    with pytest.raises(QuadratureError):
+        expected_fim_quadrature(cfg, _P, _FIELD)
+    res = closed_form_fisher(cfg, _P, _FIELD)
+    assert res.F22 == 0.19372658428042144
+    assert res.quality.split(",")[-1] == "quadrature-failed"
+    model = build_taylor_model(cfg, _P, _FIELD)
+    assert approximation_quality(1, model, (res.F22, None),
+                                 None) == res.quality
 
 
 @pytest.mark.parametrize("alpha", [2.0, 4.0])
