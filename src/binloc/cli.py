@@ -35,8 +35,9 @@ from typing import Callable, IO, Sequence
 from scipy import special
 
 from . import specfun
-from .closedform import (M_MAX, ModelInvalid, build_taylor_model,
-                         closed_form_fisher, _F11_ALPHAS)
+from .closedform import (M_MAX, ModelInvalid, UnsupportedAlpha,
+                         build_taylor_model, closed_form_fisher,
+                         _check_f11_alpha)
 from .detection import DetectorConfig, TargetParams
 from .fisher import (FieldConfig, FisherResult, QuadratureError,
                      expected_fim_quadrature, offdiag_quadrature_estimate,
@@ -233,20 +234,18 @@ def _config(make: Callable[..., object], **kwargs) -> object:
         raise ConfigError(str(exc)) from None
 
 
-def _detector(settings: Settings, tau: float | None = None) -> DetectorConfig:
-    return _config(DetectorConfig, tau=settings.tau if tau is None else tau,
-                   sigma2=settings.sigma2, T=settings.T, alpha=settings.alpha)
-
-
-def _truth(settings: Settings) -> TargetParams:
-    return _config(TargetParams, P=settings.P, x=settings.xT, y=settings.yT)
-
-
-def _check_scales(det: DetectorConfig, P: float, field: FieldConfig) -> None:
-    """Reject settings whose threshold coordinate, signal coordinate at
-    r_breve or information prefactors are not finite and > 0."""
+def _point(settings: Settings, tau: float | None = None
+           ) -> tuple[DetectorConfig, FieldConfig, TargetParams]:
+    """The detector (at tau, settings.tau if None), field and target of
+    the settings, rejecting settings whose threshold coordinate, signal
+    coordinate at r_breve or information prefactors are not finite and
+    > 0."""
+    det = _config(DetectorConfig, tau=settings.tau if tau is None else tau,
+                  sigma2=settings.sigma2, T=settings.T, alpha=settings.alpha)
+    field = _config(FieldConfig, rho=settings.rho)
+    truth = _config(TargetParams, P=settings.P, x=settings.xT, y=settings.yT)
     try:
-        (c11, _), (c22, _) = _prefactors(det, P, field)
+        (c11, _), (c22, _) = _prefactors(det, truth.P, field)
     except (OverflowError, ZeroDivisionError):
         c11 = c22 = math.inf
     for keys, name, value in (
@@ -254,13 +253,14 @@ def _check_scales(det: DetectorConfig, P: float, field: FieldConfig) -> None:
              det.threshold_coordinate),
             ("T, P, sigma2, alpha and rho", "signal coordinate at r_breve = "
              "1/sqrt(4 rho), sqrt(T P / (sigma2 r_breve^alpha))",
-             x_breve(det, P, field)),
+             x_breve(det, truth.P, field)),
             ("T, P, sigma2, alpha and rho", "information prefactor c11", c11),
             ("alpha and rho", "information prefactor c22", c22)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{keys} give the {name} = {_fmt(value)} at "
                               f"tau = {_fmt(det.tau)}; it must be finite "
                               f"and > 0")
+    return det, field, truth
 
 
 def sweep_points(settings: Settings) -> list[float]:
@@ -297,14 +297,12 @@ _CRB_COLUMNS = ("tau", "alpha", "method", "m", "F11", "F22",
 
 
 def cmd_crb(settings: Settings, out: IO[str]) -> int:
-    field = _config(FieldConfig, rho=settings.rho)
-    P = _truth(settings).P
     _header(out, "crb", settings)
     print("# columns: " + ",".join(_CRB_COLUMNS), file=out)
     exit_code = EXIT_OK
     for tau in sweep_points(settings):
-        det = _detector(settings, tau)
-        _check_scales(det, P, field)
+        det, field, truth = _point(settings, tau)
+        P = truth.P
         # one quadrature serves its row, the closed form's flag and a fallback
         quad = (expected_fim_quadrature(det, P, field)
                 if "quadrature" in settings.methods else None)
@@ -343,10 +341,7 @@ _SUMMARY_COLUMNS = ("n_trials", "n_converged", "n_failed",
 
 
 def cmd_simulate(settings: Settings, out: IO[str]) -> int:
-    det = _detector(settings)
-    field = _config(FieldConfig, rho=settings.rho)
-    truth = _truth(settings)
-    _check_scales(det, truth.P, field)
+    det, field, truth = _point(settings)
     sim = _config(SimConfig, field=field, detector=det, truth=truth,
                   trials=settings.trials,
                   region_radius=settings.region_radius,
@@ -441,10 +436,8 @@ def _check_taylor_quality(det: DetectorConfig, P: float, field: FieldConfig,
 
 
 def cmd_check(settings: Settings, out: IO[str]) -> int:
-    det = _detector(settings)
-    field = _config(FieldConfig, rho=settings.rho)
-    P = _truth(settings).P
-    _check_scales(det, P, field)
+    det, field, truth = _point(settings)
+    P = truth.P
     _header(out, "check", settings)
 
     checks: list[tuple[str, bool, str]] = []
@@ -457,11 +450,11 @@ def cmd_check(settings: Settings, out: IO[str]) -> int:
     checks.append(("fim-diagonality", ok, detail))
 
     if "closed-form" in settings.methods:
-        if float(settings.alpha) not in _F11_ALPHAS:
-            alphas = ", ".join(map(_fmt, _F11_ALPHAS))
+        try:
+            _check_f11_alpha(settings.alpha)
+        except UnsupportedAlpha as exc:
             checks.append(("closed-form-f11", False,
-                           f"UnsupportedAlpha: closed-form F11 requires "
-                           f"alpha in {{{alphas}}}, got {_fmt(settings.alpha)}"))
+                           f"UnsupportedAlpha: {exc}"))
         else:
             ok, detail = _check_taylor_quality(det, P, field, settings.m, fim)
             checks.append(("taylor-quality", ok, detail))

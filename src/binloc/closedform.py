@@ -118,6 +118,13 @@ class TaylorModel:
         return self.x_breve * self.t
 
 
+def _check_f11_alpha(alpha: float) -> None:
+    """Raise UnsupportedAlpha unless alpha is in _F11_ALPHAS."""
+    if float(alpha) not in _F11_ALPHAS:
+        raise UnsupportedAlpha(f"closed-form F11 requires alpha in {{2, 4}}, "
+                               f"got {float(alpha):.17g}")
+
+
 def default_series_order(alpha: float) -> int:
     """Series order used when m is not given: 3 for alpha = 2 (the Bessel
     argument reaches further), 1 otherwise."""
@@ -299,10 +306,7 @@ def f11_closed_form(cfg: DetectorConfig, P: float, field: FieldConfig,
 
     with c11 from fisher._prefactors.
     """
-    alpha = float(cfg.alpha)
-    if alpha not in _F11_ALPHAS:
-        raise UnsupportedAlpha(
-            f"closed-form F11 requires alpha in {{2, 4}}, got {alpha:g}")
+    _check_f11_alpha(cfg.alpha)
     return _public_entry(cfg, P, field, m, model, 0)
 
 

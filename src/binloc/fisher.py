@@ -83,12 +83,7 @@ _GK21_WK = np.concatenate([_GK21[:1, 1], np.repeat(_GK21[1:, 1], 2)])
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed its own error target; the best estimate
-    is carried in the ``estimate`` attribute."""
-
-    def __init__(self, message: str, estimate: float = math.nan):
-        super().__init__(message)
-        self.estimate = estimate
+    """Adaptive quadrature failed its own error target."""
 
 
 @dataclass(frozen=True)
@@ -264,8 +259,7 @@ def expected_fim_quadrature(cfg: DetectorConfig, P: float,
             j = int(np.argmax(~(total <= bound)))
             raise QuadratureError(
                 f"quadrature error estimate {total[j]:.3e} too large for "
-                f"value {value[j]:.6e} on [0, {xb:g}] after {n} panels",
-                float(value[j]))
+                f"value {value[j]:.6e} on [0, {xb:g}] after {n} panels")
         mid = 0.5 * (lo[split] + hi[split])
         lo = np.concatenate([lo[~split], lo[split], mid])
         hi = np.concatenate([hi[~split], mid, hi[split]])

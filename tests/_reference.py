@@ -64,7 +64,7 @@ def integrate_log(log_f: Callable[[float], float], lo: float, hi: float,
                                                    _QUAD_REL_TOL * abs(value)):
         raise QuadratureError(
             f"quadrature error estimate {err:.3e} too large for value "
-            f"{value:.6e} on [{lo:g}, {hi:g}]", estimate=value)
+            f"{value:.6e} on [{lo:g}, {hi:g}]")
     return value
 
 

@@ -28,6 +28,7 @@ from binloc.cli import (
     EXIT_CONFIG,
     EXIT_FALLBACK,
     EXIT_OK,
+    EXIT_SIM_FAILED,
     ConfigError,
     Settings,
     apply_assignment,
@@ -37,7 +38,8 @@ from binloc.cli import (
     resolve_settings,
     sweep_points,
 )
-from binloc.closedform import closed_form_fisher
+from binloc.closedform import (ModelInvalid, build_taylor_model,
+                                closed_form_fisher)
 from binloc.detection import DetectorConfig
 from binloc.fisher import FieldConfig, expected_fim_quadrature
 
@@ -485,7 +487,7 @@ def test_crb_m_override_is_echoed_and_used(capsys) -> None:
 
 def test_crb_closed_form_fallback(capsys) -> None:
     # this operating point drives the Taylor surrogate out of validity
-    # (curvature >= 1), so the closed-form slot must fall back
+    # (its amplitude C overflows), so the closed-form slot must fall back
     code, out, _ = _run(capsys, "crb",
                         "--set", "sweep.start=5", "--set", "sweep.stop=5",
                         "--set", "sigma2=0.01", "--set", "rho=5",
@@ -523,6 +525,35 @@ def test_crb_fallback_reuses_the_quadrature_row(capsys, monkeypatch) -> None:
                "0.0034084320938671947,0.00036113795717688195,")
     assert _data_rows(out) == [
         numbers + "closed-form-invalid,quadrature-fallback", numbers + "ok"]
+
+
+def test_crb_closed_form_alone_falls_back_to_its_own_quadrature(
+        capsys, monkeypatch) -> None:
+    # with no quadrature row to reuse, the fallback computes the point's
+    # one exact integral itself; here the surrogate's curvature is >= 1
+    det = DetectorConfig(tau=0.5, sigma2=0.25, T=1.0, alpha=2.0)
+    field = FieldConfig(rho=0.5)
+    with pytest.raises(ModelInvalid, match=r"curvature f2 = \S+ >= 1"):
+        build_taylor_model(det, 1e8, field)
+    quad = expected_fim_quadrature(det, 1e8, field)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expected_fim_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "expected_fim_quadrature", counted)
+    monkeypatch.setattr(closedform, "expected_fim_quadrature", counted)
+    code, out, err = _run(capsys, "crb", "--set", "methods=closed-form",
+                          "--set", "rho=0.5", "--set", "P=1e8",
+                          "--set", "sweep.start=0.5", "--set", "sweep.stop=0.5")
+    assert code == EXIT_FALLBACK
+    assert err == ""
+    assert len(calls) == 1
+    numbers = ",".join(format(v, ".17g") for v in (
+        quad.F11, quad.F22, quad.crb_P, quad.crb_x))
+    assert _data_rows(out) == [
+        f"0.5,2,quadrature,,{numbers},closed-form-invalid,quadrature-fallback"]
 
 
 def test_crb_default_sweep_flags_are_frozen(capsys) -> None:
@@ -676,6 +707,22 @@ def test_simulate_no_detection_regime(capsys) -> None:
     assert set(summary[3:]) == {"nan"}
     assert ("# note: no trial produced a detection; "
             "mse/crb summary unavailable") in lines
+
+
+def test_simulate_with_every_fit_unconverged_exits_4(capsys,
+                                                      monkeypatch) -> None:
+    # with no fit step allowed every trial, each with detections, ends
+    # unconverged: the summary has no MSE and the campaign has failed
+    monkeypatch.setattr(montecarlo, "_FIT_MAX_STEPS", 0)
+    code, out, err = _run(capsys, "simulate", "--set", "trials=2")
+    assert code == EXIT_SIM_FAILED
+    assert err == ""
+    rows = [row.split(",") for row in _data_rows(out)]
+    assert len(rows) == 3
+    for row in rows[:2]:
+        assert int(row[2]) > 0 and row[6] == "0"
+    assert rows[2] == ["2", "0", "2"] + ["nan"] * 11
+    assert "# note" not in out
 
 
 def test_simulate_fields_with_no_or_one_sensor(capsys) -> None:

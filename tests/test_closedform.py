@@ -159,6 +159,15 @@ def test_taylor_model_invalid_when_amplitude_overflows():
         build_taylor_model(cfg, 0.5, FieldConfig(rho=5.0))
 
 
+def test_taylor_model_invalid_at_a_zero_threshold_coordinate():
+    # 2 tau / sigma2 underflows to t = 0, where Q'(x, t) =
+    # t I1(x t) e^(-(x^2 + t^2)/2) is 0 and the surrogate is undefined
+    cfg = DetectorConfig(tau=5e-324, sigma2=20.0, alpha=2.0)
+    assert cfg.threshold_coordinate == 0.0
+    with pytest.raises(ModelInvalid, match=r"Q'\(x_breve, t\) vanishes"):
+        build_taylor_model(cfg, _P, _FIELD)
+
+
 # ----------------------------------------------------------------------
 # Maclaurin coefficients of I1(y)^2
 # ----------------------------------------------------------------------
@@ -370,8 +379,14 @@ def test_negative_shift_requires_split_moments():
 
 def test_f11_unsupported_alpha():
     cfg = DetectorConfig(tau=0.5, sigma2=0.25, alpha=3.0)
-    with pytest.raises(UnsupportedAlpha):
+    with pytest.raises(UnsupportedAlpha,
+                       match=r"^closed-form F11 requires alpha in \{2, 4\}, "
+                             r"got 3$"):
         f11_closed_form(cfg, _P, _FIELD)
+    # alpha is printed to the digits that round-trip it
+    with pytest.raises(UnsupportedAlpha, match=r"got 2.0000000000000004$"):
+        f11_closed_form(DetectorConfig(tau=0.5, sigma2=0.25,
+                                       alpha=2.0000000000000004), _P, _FIELD)
     # F22 keeps working for any alpha >= 1
     assert f22_closed_form(cfg, _P, _FIELD) > 0.0
 

@@ -248,6 +248,18 @@ def test_log_likelihood_sensor_at_hypothesis_point():
     assert log_likelihood(_CFG, theta, miss) == -math.inf
 
 
+def test_log_likelihood_at_a_zero_threshold_coordinate():
+    # 2 tau / sigma2 underflows to t = 0: every sensor detects with
+    # certainty, so one silent sensor makes the decisions impossible
+    cfg = DetectorConfig(tau=5e-324, sigma2=20.0, alpha=2.0)
+    assert cfg.threshold_coordinate == 0.0
+    theta = TargetParams(P=2.0, x=0.0, y=0.0)
+    sx, sy = [1.0, -30.0, 1e3], [0.0, 4.0, -2.0]
+    assert log_likelihood(cfg, theta, Decisions(sx, sy, [True] * 3)) == 0.0
+    assert log_likelihood(cfg, theta,
+                          Decisions(sx, sy, [True, False, True])) == -math.inf
+
+
 def test_log_likelihood_peaks_near_truth():
     # decisions generated noiselessly from the truth should prefer the
     # truth over a displaced hypothesis

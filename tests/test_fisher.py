@@ -92,12 +92,6 @@ def test_x_breve_values():
     assert x_breve(_cfg(2.0), _P, unit) == pytest.approx(math.sqrt(8.0), rel=1e-14)
 
 
-def test_quadrature_error_carries_estimate():
-    err = QuadratureError("failed", estimate=1.5)
-    assert err.estimate == 1.5
-    assert math.isnan(QuadratureError("failed").estimate)
-
-
 # ----------------------------------------------------------------------
 # expected information via quadrature
 # ----------------------------------------------------------------------
@@ -246,9 +240,8 @@ def test_cli_import_leaves_scipy_integrate_out():
 def test_divergent_f11_raises_quadrature_error():
     # at alpha = 1 the F11 integrand goes as 1/x at x -> 0: the panel at 0
     # is split until the panel limit
-    with pytest.raises(QuadratureError, match="after 200 panels") as info:
+    with pytest.raises(QuadratureError, match="after 200 panels"):
         expected_fim_quadrature(_cfg(1.0), _P, _FIELD)
-    assert math.isfinite(info.value.estimate) and info.value.estimate > 0.0
 
 
 @pytest.mark.parametrize("alpha", [2.0, 4.0])

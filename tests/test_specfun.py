@@ -187,6 +187,9 @@ def test_marcum_limits():
         assert marcum_q(0.0, b) == pytest.approx(math.exp(-0.5 * b * b), rel=1e-13)
     assert log_marcum_q_pair(5.0, 0.0)[0] == 0.0
     assert log_marcum_q_pair(5.0, 0.0)[1] == -math.inf
+    log_q, log_1mq = log_marcum_q_pair_array(np.array([0.0, 5.0, 40.0]), 0.0)
+    assert log_q.tolist() == [0.0, 0.0, 0.0]
+    assert log_1mq.tolist() == [-math.inf] * 3
 
 
 def test_marcum_matches_noncentral_chi_square_tail():

@@ -50,7 +50,8 @@ from workloads import HELD_OUT_SEED, WORKLOADS  # noqa: E402
 # campaign's, then the crb sweep's (a run lists the others as absent).
 # The fit's grid/optimizer split is left out: perfbench's optimizer hook
 # names code the fit no longer calls, so the optimizer's count and time
-# read 0 and the grid's count repeats the total
+# read 0 and the grid's count repeats the total.  So is the tracing
+# overhead, which records have read below 0
 TRACED_KEYS = (
     "montecarlo.nll_evals_per_trial",
     "montecarlo.fit_ms_per_trial",
@@ -67,7 +68,6 @@ TRACED_KEYS = (
     "fisher.self_s",
     "closedform.self_s",
     "specfun.self_s",
-    "trace.overhead_s",
 )
 
 # alternating pairs of traced runs, so that drift in machine speed does
